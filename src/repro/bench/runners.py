@@ -112,8 +112,7 @@ def build_changefeed_db(
     return db, mark_seq, mark_time
 
 
-def catchup_view(db, journal: bool = True, mode: str = "auto",
-                 persist: bool = True):
+def catchup_view(db, mode: str = "auto", persist: bool = True):
     """The standard E14 view over a catch-up corpus.
 
     One definition shared by the save and reopen sides so the design
@@ -131,7 +130,7 @@ def catchup_view(db, journal: bool = True, mode: str = "auto",
                        sort=SortOrder.ASCENDING),
             ViewColumn(title="Amount", item="Amount"),
         ],
-        mode=mode, persist=persist, journal=journal,
+        mode=mode, persist=persist,
     )
 
 

@@ -14,13 +14,19 @@ from repro.core.attachments import (
     detach,
     remove_attachment,
 )
-from repro.core.database import ChangeKind, DeletionStub, NotesDatabase
+from repro.core.database import (
+    ChangeKind,
+    Checkpoint,
+    DeletionStub,
+    NotesDatabase,
+)
 from repro.core.document import Document
 from repro.core.items import Item, ItemType
 from repro.core.unid import OriginatorId, new_replica_id, new_unid
 
 __all__ = [
     "ChangeKind",
+    "Checkpoint",
     "DeletionStub",
     "Document",
     "Item",

@@ -16,7 +16,8 @@ Responsibilities:
   sequence number and recorded in a by-seq journal (one live entry per
   UNID, the CouchDB ``_changes`` design). Replication reads the journal
   suffix instead of scanning the database, so a pass costs O(changes)
-  rather than O(database).
+  rather than O(database). Derived indexes record a :class:`Checkpoint`
+  and ask :meth:`NotesDatabase.changes_since` what to redo past it.
 * Maintained secondary indexes: parent→children (``responses``),
   profile-document lookup (``profile``), and an incrementally maintained
   state fingerprint.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import zlib
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -84,6 +86,46 @@ class DeletionStub:
         )
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """The database state a derived index reflects.
+
+    Views and the full-text index store one of these beside their
+    entries and hand it back to :meth:`NotesDatabase.changes_since` to
+    learn what to redo. ``seq`` and ``purge_seq`` are only comparable
+    under the same ``journal_id``; ``state`` is the state fingerprint,
+    which needs no journal at all; ``trash`` rides along because soft
+    deletes and restores never journal.
+    """
+
+    journal_id: str
+    seq: int
+    purge_seq: int
+    state: str
+    trash: frozenset[str]
+
+    def to_meta(self) -> dict:
+        """The JSON fields a persisted index stores its checkpoint under."""
+        return {
+            "journal_id": self.journal_id,
+            "indexed_seq": self.seq,
+            "indexed_purge_seq": self.purge_seq,
+            "trash": sorted(self.trash),
+            "state": self.state,
+        }
+
+    @classmethod
+    def from_meta(cls, meta: dict) -> "Checkpoint":
+        """Read back :meth:`to_meta`; missing fields never match a journal."""
+        return cls(
+            journal_id=meta.get("journal_id", ""),
+            seq=meta.get("indexed_seq", -1),
+            purge_seq=meta.get("indexed_purge_seq", 0),
+            state=meta.get("state", ""),
+            trash=frozenset(meta.get("trash", ())),
+        )
+
+
 Observer = Callable[[ChangeKind, Any, Document | None], None]
 
 _DOC_PREFIX = b"doc:"
@@ -128,8 +170,9 @@ class NotesDatabase:
     clock:
         Shared :class:`VirtualClock`; a private one is created if omitted.
     rng:
-        Seeded random source for UNID generation; derived from the title if
-        omitted (so tests are reproducible by default).
+        Seeded random source for UNID generation; derived from a stable
+        digest of the title if omitted (so tests are reproducible by
+        default, whatever the interpreter's string-hash salt).
     replica_id:
         Identity of the replica *family*. Databases replicate only with
         others carrying the same replica id. A fresh id is generated when
@@ -157,7 +200,7 @@ class NotesDatabase:
     ) -> None:
         self.title = title
         self.clock = clock or VirtualClock()
-        self.rng = rng or random.Random(hash(title) & 0xFFFFFFFF)
+        self.rng = rng or random.Random(zlib.crc32(title.encode()))
         self.replica_id = replica_id or new_replica_id(self.rng)
         self.server = server
         self.engine = engine
@@ -317,9 +360,9 @@ class NotesDatabase:
 
         ``purge_stubs`` / ``purge_acknowledged_stubs`` and ``cutoff_delete``
         remove notes *and their journal entries* outright, so a seq-suffix
-        read can never report them. Consumers that checkpoint an
-        ``update_seq`` must also checkpoint the ``purge_seq`` and replay
-        :meth:`purges_since` before topping up.
+        read can never report them; a :class:`Checkpoint` therefore
+        carries the ``purge_seq`` too, and :meth:`changes_since` replays
+        :meth:`purges_since` for it.
         """
         return self._purge_seq
 
@@ -339,6 +382,46 @@ class NotesDatabase:
         self._purges.append((self._purge_seq, unid))
         if len(self._purges) > _PURGE_LOG_MAX:
             del self._purges[: -_PURGE_LOG_MAX]
+
+    # -- derived-index checkpoints -----------------------------------------
+
+    def checkpoint(self) -> Checkpoint:
+        """The current state, as a derived index that is up to date
+        with it would record."""
+        return Checkpoint(
+            journal_id=self.journal_id,
+            seq=self._update_seq,
+            purge_seq=self._purge_seq,
+            state=self.state_fingerprint(),
+            trash=frozenset(self._trash),
+        )
+
+    def changes_since(
+        self, cp: Checkpoint
+    ) -> tuple[list[str], list[str]] | None:
+        """What an index cut at ``cp`` must redo: ``(purged, changed)``.
+
+        The one rule every derived index catches up by. Both lists are
+        empty when the state fingerprint still matches (whatever the
+        journal). None means the caller must rebuild: ``cp`` was cut
+        from another journal, is ahead of this one, or predates what the
+        bounded purge log retains. Otherwise ``purged`` holds the
+        purge-log UNIDs and ``changed`` the journal suffix past ``cp``
+        (documents, then deletion stubs) followed by every UNID whose
+        trash membership flipped. Re-indexing each UNID from the live
+        database, in that order, leaves the index equal to a rebuild.
+        """
+        if cp.state == self.state_fingerprint():
+            return [], []
+        if cp.journal_id != self.journal_id or cp.seq > self._update_seq:
+            return None
+        purges = self.purges_since(cp.purge_seq)
+        if purges is None:
+            return None
+        docs, stubs = self.changed_since_seq(cp.seq)
+        changed = [doc.unid for doc in docs] + [stub.unid for stub in stubs]
+        changed += sorted(self._trash.symmetric_difference(cp.trash))
+        return [unid for _, unid in purges], changed
 
     # -- maintained secondary indexes --------------------------------------
 

@@ -17,6 +17,8 @@ operators read every consumer of the network the same way too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
+from typing import Callable
 
 
 @dataclass
@@ -26,8 +28,8 @@ class CatchUpStats:
     ``rebuilds``
         Full from-scratch rebuilds (O(database) scans).
     ``topups``
-        Incremental catch-ups replayed from ``changed_since_seq``
-        (O(log n + changes)).
+        Incremental catch-ups replayed from
+        ``NotesDatabase.changes_since`` (O(log n + changes)).
     ``notes_replayed``
         Notes (documents + deletion stubs) examined across all top-ups.
     ``purges_replayed``
@@ -56,11 +58,25 @@ class CatchUpStats:
     segment_stats: dict = field(default_factory=dict, compare=False)
     last_path: str = field(default="", compare=False)
 
-    def record_topup(self, notes: int, purges: int, seconds: float) -> None:
+    def replay(
+        self,
+        changes: tuple[list[str], list[str]],
+        reindex: Callable[[str], None],
+    ) -> None:
+        """Apply one ``NotesDatabase.changes_since`` result through the
+        consumer's ``reindex`` and record it: a top-up, or ``"noop"``
+        when nothing changed."""
+        purged, changed = changes
+        if not (purged or changed):
+            self.record_noop()
+            return
+        started = perf_counter()
+        for unid in purged + changed:
+            reindex(unid)
         self.topups += 1
-        self.notes_replayed += notes
-        self.purges_replayed += purges
-        self.catch_up_seconds += seconds
+        self.notes_replayed += len(changed)
+        self.purges_replayed += len(purged)
+        self.catch_up_seconds += perf_counter() - started
         self.last_path = "topup"
 
     def record_rebuild(self, seconds: float) -> None:

@@ -1,10 +1,15 @@
 """The inverted full-text index.
 
-Postings map ``term -> unid -> field -> [positions]``. The index subscribes
-to database change events for incremental maintenance (``auto`` mode); the
-``rebuild()`` path re-tokenizes the whole database and is the E8 baseline.
+Postings map ``term -> unid -> field -> [positions]``. Every incremental
+path funnels through ``_reindex(unid)`` — drop the document's postings,
+re-tokenize it if the note is still live: change events call it in
+``auto`` mode, and :meth:`FullTextIndex.refresh` (``manual`` mode) and a
+checkpoint load call it for each UNID
+:meth:`~repro.core.database.NotesDatabase.changes_since` reports past
+the index's :class:`~repro.core.database.Checkpoint`. The ``rebuild()``
+path re-tokenizes the whole database and is the E8/E14 baseline.
 
-With ``persist=True`` the postings plus a seq checkpoint are written
+With ``persist=True`` the postings plus that checkpoint are written
 through the storage engine as a **stack of immutable segments**
 (:class:`repro.storage.SegmentStack`): each ``save_checkpoint`` appends
 the live overlay as a *new* segment — close cost O(delta), the other
@@ -19,10 +24,10 @@ postings for a document still count.
 
 A reopened database loads only the meta record and the per-segment
 offset directories; postings blobs stay unparsed bytes until a query
-touches a term, and only notes sequenced past the checkpoint are
-re-tokenized. That keeps reopen O(directories + changes) and close
-O(delta) — both ends of the session now ride the delta (experiments E14
-and E15).
+touches a term, and only notes changed past the checkpoint are
+re-tokenized (none when the state fingerprint still matches). That keeps
+reopen O(directories + changes) and close O(delta) — both ends of the
+session now ride the delta (experiments E14 and E15).
 
 Scoring is tf–idf: ``tf * log(N / df)`` summed over the positive terms of
 the query. Phrases verify adjacent positions inside one field.
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from time import perf_counter
 
 from repro.errors import FullTextError
-from repro.core.database import ChangeKind, NotesDatabase
+from repro.core.database import ChangeKind, Checkpoint, NotesDatabase
 from repro.core.document import Document
 from repro.core.items import ItemType
 from repro.core.stats import CatchUpStats
@@ -73,7 +78,6 @@ class FullTextIndex:
         mode: str = "auto",
         field_weights: dict[str, float] | None = None,
         persist: bool = False,
-        journal: bool = True,
         merge_policy: MergePolicy | None = None,
     ) -> None:
         if mode not in ("auto", "manual"):
@@ -85,7 +89,6 @@ class FullTextIndex:
         self.db = db
         self.mode = mode
         self.persist = persist
-        self.journal = journal
         self.merge_policy = merge_policy or MergePolicy()
         self.field_weights = (
             dict(self.DEFAULT_FIELD_WEIGHTS)
@@ -119,13 +122,9 @@ class FullTextIndex:
         self._docs_stats = SegmentStats()
         self.catch_up.segment_stats["terms"] = self._terms_stats
         self.catch_up.segment_stats["docs"] = self._docs_stats
-        # Journal checkpoint the postings reflect (see views/view.py for
-        # the same scheme; trash rides along because soft deletes and
-        # restores never journal).
-        self._indexed_seq = -1
-        self._indexed_purge_seq = 0
-        self._indexed_journal_id = ""
-        self._indexed_trash: set[str] = set()
+        # The database state the postings reflect; set by rebuild() or
+        # the checkpoint load below, and what refresh() catches up from.
+        self._checkpoint: Checkpoint
         if mode == "auto":
             db.subscribe(self._on_change)
         if persist:
@@ -152,7 +151,7 @@ class FullTextIndex:
         for doc in self.db.all_documents():
             self._add(doc)
         self.rebuilds += 1
-        self._mark_indexed()
+        self._checkpoint = self.db.checkpoint()
         self.catch_up.record_rebuild(perf_counter() - started)
         return self._doc_count
 
@@ -167,68 +166,25 @@ class FullTextIndex:
     def refresh(self) -> str:
         """Manual-mode catch-up; reports which path ran.
 
-        ``"noop"`` when already current, ``"topup"`` when the journal
-        covers the gap (re-tokenizes only notes sequenced past the
-        checkpoint), ``"rebuild"`` otherwise — the E8 baseline and the
-        only path when ``journal=False``.
+        ``"noop"`` when already current, ``"topup"`` when
+        :meth:`~NotesDatabase.changes_since` covers the gap (re-tokenizes
+        only what it reports), ``"rebuild"`` otherwise — the E8 baseline.
         """
-        if self.mode != "manual" or (
-            self.journal and self._indexed_seq == self.db.update_seq
-            and self._indexed_purge_seq == self.db.purge_seq
-            and self._indexed_journal_id == self.db.journal_id
-            and self._indexed_trash == self.db._trash
-        ):
+        if self.mode != "manual":
             self.catch_up.record_noop()
             return "noop"
-        if not self._catch_up_from_journal():
+        changes = self.db.changes_since(self._checkpoint)
+        if changes is None:
             self.rebuild()
+        else:
+            self._catch_up(changes)
         return self.catch_up.last_path
 
-    def _mark_indexed(self) -> None:
-        db = self.db
-        self._indexed_seq = db.update_seq
-        self._indexed_purge_seq = db.purge_seq
-        self._indexed_journal_id = db.journal_id
-        self._indexed_trash = set(db._trash)
-
-    def _catch_up_from_journal(self) -> bool:
-        """Re-tokenize only notes past the checkpoint; False -> rebuild."""
-        db = self.db
-        if not self.journal or self._indexed_journal_id != db.journal_id:
-            return False
-        if self._indexed_seq > db.update_seq:
-            return False
-        purges = db.purges_since(self._indexed_purge_seq)
-        if purges is None:
-            return False
-        started = perf_counter()
-        replayed = 0
-        for _, unid in purges:
-            self._remove(unid)
-        docs, stubs = db.changed_since_seq(self._indexed_seq)
-        for doc in docs:
-            live = db.try_get(doc.unid)  # None when trashed meanwhile
-            self._remove(doc.unid)
-            if live is not None:
-                self._add(live)
-            replayed += 1
-        for stub in stubs:
-            self._remove(stub.unid)
-            replayed += 1
-        current_trash = set(db._trash)
-        for unid in current_trash - self._indexed_trash:
-            self._remove(unid)
-            replayed += 1
-        for unid in self._indexed_trash - current_trash:
-            doc = db.try_get(unid)
-            if doc is not None and not self._has_doc(unid):
-                self._add(doc)
-            replayed += 1
-        self._mark_indexed()
-        self.catch_up.record_topup(
-            replayed, len(purges), perf_counter() - started
-        )
-        return True
+    def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
+        """Re-tokenize what ``changes_since`` reported; the postings are
+        then what a rebuild would produce."""
+        self.catch_up.replay(changes, self._reindex)
+        self._checkpoint = self.db.checkpoint()
 
     # -- checkpoint persistence -------------------------------------------
 
@@ -283,7 +239,7 @@ class FullTextIndex:
         if self.mode == "auto":
             # Auto mode tracks every change, so the postings are current
             # as of now; a stale manual index keeps its true checkpoint.
-            self._mark_indexed()
+            self._checkpoint = self.db.checkpoint()
         engine = self.db.engine
         txn = engine.begin()
         if self._terms_stack is None:
@@ -326,10 +282,7 @@ class FullTextIndex:
             self._doc_terms = {}
             self._dead = set()
         meta = json.dumps({
-            "journal_id": self._indexed_journal_id,
-            "indexed_seq": self._indexed_seq,
-            "indexed_purge_seq": self._indexed_purge_seq,
-            "trash": sorted(self._indexed_trash),
+            **self._checkpoint.to_meta(),
             "terms": self._terms_stack.manifest(),
             "docs": self._docs_stack.manifest(),
         }).encode()
@@ -342,23 +295,18 @@ class FullTextIndex:
 
         Parses only the meta record and the per-segment offset
         directories — postings blobs stay bytes until a term is touched.
-        Returns False (caller rebuilds) when no checkpoint exists, the
-        journal identity changed (pre-journal file or reseed), the purge
-        log no longer reaches back to the checkpoint, or the manifest
-        names a segment the engine does not hold.
+        Returns False (caller rebuilds) when no checkpoint exists,
+        :meth:`~NotesDatabase.changes_since` cannot catch up from it, or
+        the manifest names a segment the engine does not hold.
         """
         import json
 
-        engine = self.db.engine
-        raw_meta = engine.get(_META_KEY)
-        if raw_meta is None or not self.journal:
+        raw_meta = self.db.engine.get(_META_KEY)
+        if raw_meta is None:
             return False
         meta = json.loads(raw_meta.decode())
-        if meta.get("journal_id") != self.db.journal_id:
-            return False
-        if meta["indexed_seq"] > self.db.update_seq:
-            return False
-        if self.db.purges_since(meta["indexed_purge_seq"]) is None:
+        changes = self.db.changes_since(Checkpoint.from_meta(meta))
+        if changes is None:
             return False
         self._make_stacks()
         if not self._docs_stack.load(meta.get("docs", {})) or (
@@ -367,12 +315,7 @@ class FullTextIndex:
             self._drop_base()
             return False
         self._doc_count = self._docs_stack.live_count()
-        self._indexed_seq = meta["indexed_seq"]
-        self._indexed_purge_seq = meta["indexed_purge_seq"]
-        self._indexed_journal_id = meta["journal_id"]
-        self._indexed_trash = set(meta.get("trash", ()))
-        if not self._catch_up_from_journal():  # pragma: no cover
-            return False  # validity pre-checked; cannot fail here
+        self._catch_up(changes)
         self.loaded_from_disk = True
         return True
 
@@ -415,9 +358,6 @@ class FullTextIndex:
             and self._docs_stack.position_of(unid) is not None
         )
 
-    def _has_doc(self, unid: str) -> bool:
-        return unid in self._doc_terms or self._in_stack(unid)
-
     def _terms_of(self, unid: str) -> set[str]:
         terms = self._doc_terms.get(unid)
         if terms is not None:
@@ -450,18 +390,20 @@ class FullTextIndex:
 
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1
-        if kind == ChangeKind.DELETE:
-            self._remove(payload.unid)
-        elif kind in (ChangeKind.CREATE, ChangeKind.RESTORE):
-            self._add(payload)
-        elif kind in (ChangeKind.UPDATE, ChangeKind.REPLACE):
-            self._remove(payload.unid)
-            self._add(payload)
+        self._reindex(payload.unid)
+
+    def _reindex(self, unid: str) -> None:
+        """Re-derive one document's postings from the live database:
+        drop them, re-tokenize the note if it is still live. Change
+        events and catch-up replay both land here."""
+        self._remove(unid)
+        doc = self.db.try_get(unid)
+        if doc is not None:
+            self._add(doc)
 
     def _add(self, doc: Document) -> None:
-        if self._in_stack(doc.unid):
-            self._supersede(doc.unid)
-            self._doc_count -= 1
+        """Tokenize ``doc`` into the overlay; it must hold no postings
+        yet (rebuild starts empty, ``_reindex`` removes first)."""
         terms: set[str] = set()
         for item in doc:
             if item.type not in _TEXT_TYPES:

@@ -2,19 +2,26 @@
 
 A view owns a B+tree whose keys are collation tuples built from the sorted
 columns (plus a per-document tie-break, plus response markers in
-hierarchical views) and whose values are display entries. Two maintenance
-modes exist so experiment E5 can compare them:
+hierarchical views) and whose values are display entries. Every path
+that changes the index funnels through one per-document step,
+``_reindex(unid)``: drop the entry, put it back if the note is live and
+selected, re-key its responses. Two maintenance modes drive it:
 
 ``auto`` (default)
-    The view subscribes to database change events and applies them
-    incrementally — O(log n) per changed document.
+    The view subscribes to database change events and re-indexes each
+    changed document as it happens — O(log n) per change.
 ``manual``
-    The view catches up on :meth:`refresh`. With the journal enabled
-    (the default) a stale view records the ``update_seq`` it last
-    indexed and tops up from ``changed_since_seq`` — O(log n + changes).
-    With ``journal=False`` (the ablation E5/E14 measure against) every
-    refresh is the O(n log n) "view rebuild" the paper calls out as the
-    thing incremental indexing avoids.
+    The view keeps the :class:`~repro.core.database.Checkpoint` it last
+    indexed and, on :meth:`refresh`, re-indexes what
+    :meth:`~repro.core.database.NotesDatabase.changes_since` reports —
+    O(log n + changes). Only when the database cannot say (another
+    journal, a purge log that no longer reaches back) does it pay the
+    O(n log n) "view rebuild" the paper calls out as the thing
+    incremental indexing avoids; E5/E14 time :meth:`rebuild` directly
+    as that baseline.
+
+A persisted view stores the same checkpoint beside its entries, so a
+reopen against a moved-on database tops up the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from time import perf_counter
 from typing import Any, Iterator
 
 from repro.errors import ViewError
-from repro.core.database import ChangeKind, NotesDatabase
+from repro.core.database import ChangeKind, Checkpoint, NotesDatabase
 from repro.core.document import Document
 from repro.core.stats import CatchUpStats
 from repro.formula import compile_formula
@@ -73,16 +80,16 @@ class View:
     columns:
         The :class:`ViewColumn` list. Categorized columns must come first.
     mode:
-        ``"auto"`` for incremental maintenance, ``"manual"`` for
-        rebuild-on-refresh.
+        ``"auto"`` for maintenance on every change event, ``"manual"``
+        for catch-up on :meth:`refresh`.
     hierarchical:
         Show response documents indented beneath their parents.
     persist:
         Store the view index in the database's storage engine (the NSF
         kept view indexes too). On open, a saved index whose database
         state fingerprint still matches is loaded instead of rebuilding;
-        a *stale* saved index is loaded and topped up from the update
-        journal when possible. On disk the entries live in a
+        a *stale* saved index is loaded and topped up from what
+        :meth:`~NotesDatabase.changes_since` reports when possible. On disk the entries live in a
         :class:`repro.storage.SegmentStack` sidecar: each
         :meth:`save_index` appends only the entries dirtied since the
         last save as a new immutable segment (close cost O(delta), the
@@ -95,11 +102,6 @@ class View:
         (default :data:`repro.storage.DEFAULT_POLICY`;
         :data:`repro.storage.SINGLE_SEGMENT` restores rewrite-everything
         saves as the E15 ablation).
-    journal:
-        Allow seq-checkpointed catch-up from the database's update
-        journal. ``False`` restores the pre-journal behaviour — stale
-        snapshots and manual refreshes always rebuild — and exists as
-        the ablation baseline for E5/E14.
     """
 
     def __init__(
@@ -111,7 +113,6 @@ class View:
         mode: str = "auto",
         hierarchical: bool = False,
         persist: bool = False,
-        journal: bool = True,
         merge_policy: MergePolicy | None = None,
     ) -> None:
         if mode not in ("auto", "manual"):
@@ -126,7 +127,6 @@ class View:
         self.mode = mode
         self.hierarchical = hierarchical
         self.persist = persist
-        self.journal = journal
         self.merge_policy = merge_policy or MergePolicy()
         self._selection = compile_formula(selection)
         self._tree: BPlusTree = BPlusTree(order=64)
@@ -143,19 +143,12 @@ class View:
         self._parent_of: dict[str, str] = {}
         self.rebuilds = 0
         self.incremental_ops = 0
-        self.pending_changes = 0
         self.loaded_from_disk = False
         self.catch_up = CatchUpStats()
         self.catch_up.segment_stats["entries"] = self._segment_stats
-        # What the index currently reflects: the journal checkpoint a
-        # refresh or a saved-snapshot load tops up from. Soft deletes and
-        # restores don't journal, so the trash membership at index time
-        # rides along and is reconciled by set difference.
-        self._indexed_seq = -1
-        self._indexed_purge_seq = 0
-        self._indexed_journal_id = ""
-        self._indexed_state = ""
-        self._indexed_trash: set[str] = set()
+        # The database state the index reflects; set by rebuild() or the
+        # snapshot load below, and what refresh() catches up from.
+        self._checkpoint: Checkpoint
         if mode == "auto":
             db.subscribe(self._on_change)
         if persist:
@@ -265,11 +258,9 @@ class View:
         the meta record naming them, so a crash mid-save leaves the
         previous checkpoint fully readable.
 
-        The meta record carries the journal checkpoint the index
-        reflects (``journal_id`` + ``indexed_seq`` + ``indexed_purge_seq``
-        + the trash membership at index time), so a later open against a
-        moved-on database tops up from ``changed_since_seq`` instead of
-        rebuilding.
+        The meta record carries the :class:`Checkpoint` the index
+        reflects, so a later open against a moved-on database tops up
+        from :meth:`~NotesDatabase.changes_since` instead of rebuilding.
         """
         import json
 
@@ -278,7 +269,7 @@ class View:
         if self.mode == "auto":
             # An auto view is continuously current: stamp the checkpoint
             # now. A manual view saves whatever it last indexed.
-            self._mark_indexed()
+            self._checkpoint = self.db.checkpoint()
         engine = self.db.engine
         txn = engine.begin()
         fresh = self._stack is None
@@ -306,11 +297,7 @@ class View:
             folds = self._stack.maintain(txn)
         snapshot = {
             "design": self._design_fingerprint(),
-            "state": self._indexed_state,
-            "journal_id": self._indexed_journal_id,
-            "indexed_seq": self._indexed_seq,
-            "indexed_purge_seq": self._indexed_purge_seq,
-            "trash": sorted(self._indexed_trash),
+            **self._checkpoint.to_meta(),
             "index": self._stack.manifest(),
         }
         engine.put(txn, self._index_key(), json.dumps(snapshot).encode())
@@ -319,14 +306,15 @@ class View:
         self.catch_up.record_merge(len(folds))
 
     def _try_load_index(self) -> bool:
-        """Load a saved index; top up a stale one from the journal.
+        """Load a saved index; top up a stale one.
 
-        A snapshot whose state fingerprint still matches loads as-is. A
-        stale snapshot cut under the *same journal identity* loads and
-        replays only the notes sequenced past its checkpoint — the
-        incremental top-up E14 measures. Returns False (caller rebuilds)
-        only for a changed design, a pre-journal snapshot, a reseeded
-        journal, or a purge log that no longer reaches back far enough.
+        The snapshot's checkpoint goes to
+        :meth:`~NotesDatabase.changes_since`: an unchanged state loads
+        as-is, a stale one loads and re-indexes only what changed past
+        it — the incremental top-up E14 measures. Returns False (caller
+        rebuilds) for a changed design, a pre-segment snapshot, a
+        checkpoint the database cannot catch up from, or a manifest
+        naming a segment the engine lost.
         """
         import json
 
@@ -338,16 +326,9 @@ class View:
             return False
         if "index" not in snapshot:
             return False  # pre-segment snapshot layout: rebuild once
-        current = snapshot.get("state") == self.db.state_fingerprint()
-        if not current:
-            if not self.journal:
-                return False
-            if snapshot.get("journal_id") != self.db.journal_id:
-                return False  # pre-journal snapshot or reseeded journal
-            if snapshot["indexed_seq"] > self.db.update_seq:
-                return False  # checkpoint from a future this journal lost
-            if self.db.purges_since(snapshot["indexed_purge_seq"]) is None:
-                return False
+        changes = self.db.changes_since(Checkpoint.from_meta(snapshot))
+        if changes is None:
+            return False
         self._make_stack()
         if not self._stack.load(snapshot["index"]):
             self._stack = None
@@ -363,80 +344,15 @@ class View:
                 self._parent_of[unid] = parent
         pairs.sort(key=lambda pair: pair[0])  # segments are unordered
         self._tree.bulk_load(pairs)
-        if current:
-            self._mark_indexed()
-            self.catch_up.record_noop()
-        else:
-            self._indexed_seq = snapshot["indexed_seq"]
-            self._indexed_purge_seq = snapshot["indexed_purge_seq"]
-            self._indexed_journal_id = snapshot["journal_id"]
-            self._indexed_trash = set(snapshot.get("trash", ()))
-            if not self._catch_up_from_journal():  # pragma: no cover
-                # Validity was pre-checked above; top-up cannot fail here.
-                return False
+        self._catch_up(changes)
         self.loaded_from_disk = True
         return True
 
-    def _mark_indexed(self) -> None:
-        """Stamp the checkpoint: the index now reflects this exact state."""
-        db = self.db
-        self._indexed_seq = db.update_seq
-        self._indexed_purge_seq = db.purge_seq
-        self._indexed_journal_id = db.journal_id
-        self._indexed_state = db.state_fingerprint()
-        self._indexed_trash = set(db._trash)
-
-    def _catch_up_from_journal(self) -> bool:
-        """Replay journal entries past the checkpoint; False -> rebuild.
-
-        O(log n + changes): purge-log entries drop vanished notes,
-        ``changed_since_seq`` replays updated documents and deletion
-        stubs in seq order, and the trash-membership diff covers soft
-        deletes/restores (which never journal). Ends with the index
-        byte-for-byte what a rebuild would produce.
-        """
-        db = self.db
-        if not self.journal or self._indexed_journal_id != db.journal_id:
-            return False
-        if self._indexed_seq > db.update_seq:
-            return False
-        purges = db.purges_since(self._indexed_purge_seq)
-        if purges is None:
-            return False
-        started = perf_counter()
-        replayed = 0
-        for _, unid in purges:
-            self._remove(unid)
-            self._rekey_descendants(unid)
-        docs, stubs = db.changed_since_seq(self._indexed_seq)
-        for doc in docs:
-            live = db.try_get(doc.unid)  # None when trashed meanwhile
-            self._remove(doc.unid)
-            if live is not None and self._selected(live):
-                self._insert(live)
-            self._rekey_descendants(doc.unid)
-            replayed += 1
-        for stub in stubs:
-            self._remove(stub.unid)
-            self._rekey_descendants(stub.unid)
-            replayed += 1
-        current_trash = set(db._trash)
-        for unid in current_trash - self._indexed_trash:
-            self._remove(unid)
-            self._rekey_descendants(unid)
-            replayed += 1
-        for unid in self._indexed_trash - current_trash:
-            doc = db.try_get(unid)
-            if doc is not None and unid not in self._keys and self._selected(doc):
-                self._insert(doc)
-                self._rekey_descendants(unid)
-            replayed += 1
-        self._mark_indexed()
-        self.pending_changes = 0
-        self.catch_up.record_topup(
-            replayed, len(purges), perf_counter() - started
-        )
-        return True
+    def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
+        """Re-index what ``changes_since`` reported; the view is then
+        current, byte-for-byte what a rebuild would produce."""
+        self.catch_up.replay(changes, self._reindex)
+        self._checkpoint = self.db.checkpoint()
 
     def rebuild(self) -> int:
         """Discard and rebuild the whole index; returns the entry count.
@@ -472,8 +388,7 @@ class View:
         pairs.sort(key=lambda pair: pair[0])
         self._tree.bulk_load(pairs)
         self.rebuilds += 1
-        self.pending_changes = 0
-        self._mark_indexed()
+        self._checkpoint = self.db.checkpoint()
         self.catch_up.record_rebuild(perf_counter() - started)
         return len(self._tree)
 
@@ -492,44 +407,46 @@ class View:
         """Bring a manual-mode view up to date; report which path ran.
 
         Returns ``"noop"`` (already current — ``auto`` views ride change
-        notifications, and an unchanged fingerprint short-circuits),
-        ``"topup"`` (journal replay of only the notes sequenced past the
-        checkpoint), ``"merge"`` (a top-up on a persistent view whose
-        checkpoint save also folded sidecar segments — the amortized
-        compaction bill coming due), or ``"rebuild"`` (the O(n log n)
-        fallback, taken only with ``journal=False``, after a journal
-        reseed, or when the purge log no longer reaches back to the
+        notifications, and an unchanged state short-circuits),
+        ``"topup"`` (re-indexes only what
+        :meth:`~NotesDatabase.changes_since` reports), ``"merge"`` (a
+        top-up on a persistent view whose checkpoint save also folded
+        sidecar segments — the amortized compaction bill coming due), or
+        ``"rebuild"`` (the O(n log n) fallback, taken only after a journal
+        reseed or when the purge log no longer reaches back to the
         checkpoint).
 
         ``rebuilds`` increments only on the rebuild path; top-ups count
         in ``catch_up.topups`` whether or not the save folded.
         """
-        if self.mode != "manual" or (
-            self.db.state_fingerprint() == self._indexed_state
-        ):
+        if self.mode != "manual":
             self.catch_up.record_noop()
             return "noop"
-        if not self._catch_up_from_journal():
+        changes = self.db.changes_since(self._checkpoint)
+        if changes is None:
             self.rebuild()
-        elif self.persist:
-            # Persist the topped-up checkpoint; if the merge policy folds
-            # segments here, record_merge promotes last_path to "merge".
-            self.save_index()
+        else:
+            self._catch_up(changes)
+            if self.persist and self.catch_up.last_path == "topup":
+                # Persist the topped-up checkpoint; if the merge policy
+                # folds segments here, record_merge promotes last_path
+                # to "merge".
+                self.save_index()
         return self.catch_up.last_path
 
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1
-        if kind in (ChangeKind.CREATE, ChangeKind.UPDATE, ChangeKind.REPLACE,
-                    ChangeKind.RESTORE):
-            doc: Document = payload
-            self._remove(doc.unid)
-            if self._selected(doc):
-                self._insert(doc)
-            self._rekey_descendants(doc.unid)
-        elif kind == ChangeKind.DELETE:
-            unid = payload.unid
-            self._remove(unid)
-            self._rekey_descendants(unid)
+        self._reindex(payload.unid)
+
+    def _reindex(self, unid: str) -> None:
+        """Re-derive one document's entry from the live database: drop
+        it, put it back if the note is live and selected, and re-key its
+        responses. Change events and catch-up replay both land here."""
+        self._remove(unid)
+        doc = self.db.try_get(unid)
+        if doc is not None and self._selected(doc):
+            self._insert(doc)
+        self._rekey_descendants(unid)
 
     # -- selection ----------------------------------------------------------
 
@@ -626,18 +543,11 @@ class View:
         if not self.hierarchical:
             return
         for child_unid in list(self._children.get(unid, ())):
-            child = self.db.try_get(child_unid)
-            if child is None:
-                continue
-            self._remove(child_unid)
-            if self._selected(child):
-                self._insert(child)
-            self._rekey_descendants(child_unid)
+            self._reindex(child_unid)
         # Responses that were excluded (orphans) may become eligible now.
         for doc in self.db.responses(unid):
             if doc.unid not in self._keys and self._selected(doc):
-                self._insert(doc)
-                self._rekey_descendants(doc.unid)
+                self._reindex(doc.unid)
 
     # -- reading ------------------------------------------------------------
 

@@ -3,12 +3,14 @@
 The property under test: a consumer topped up from the update journal is
 entry-for-entry identical to one rebuilt from scratch, after randomized
 batches of creates, updates, hard deletes, soft deletes, and restores —
-and the ``journal=False`` ablation reaches the same state through the
-rebuild path. Plus the fallbacks (changed journal identity, purge log
-that no longer reaches back) and the seq-acknowledged stub purge.
+each compared against a plain non-persistent instance, which always
+builds from scratch. Plus ``NotesDatabase.changes_since`` itself, the
+fallbacks (changed journal identity, purge log that no longer reaches
+back) and the seq-acknowledged stub purge.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -24,7 +26,7 @@ WORDS = ("budget", "meeting", "release", "replica", "schedule",
          "review", "forecast", "inventory", "proposal", "summary")
 
 
-def make_view(db, journal=True, persist=True, mode="auto"):
+def make_view(db, persist=True, mode="auto"):
     return View(
         db, "Equiv",
         selection='SELECT Form = "Memo"',
@@ -33,7 +35,7 @@ def make_view(db, journal=True, persist=True, mode="auto"):
                        sort=SortOrder.ASCENDING),
             ViewColumn(title="Amount", item="Amount"),
         ],
-        mode=mode, persist=persist, journal=journal,
+        mode=mode, persist=persist,
     )
 
 
@@ -80,11 +82,8 @@ def view_state(view):
 
 class TestViewEquivalence:
     @pytest.mark.parametrize("seed", [3, 11, 42])
-    @pytest.mark.parametrize("journal", [True, False])
-    def test_warm_open_equals_rebuild_after_random_batch(
-        self, tmp_path, seed, journal
-    ):
-        path = str(tmp_path / f"eq{seed}{journal}")
+    def test_warm_open_equals_rebuild_after_random_batch(self, tmp_path, seed):
+        path = str(tmp_path / f"eq{seed}")
         rng = random.Random(seed)
         engine = StorageEngine(path)
         db = NotesDatabase("eq.nsf", clock=VirtualClock(),
@@ -97,15 +96,11 @@ class TestViewEquivalence:
         db = NotesDatabase("eq.nsf", clock=VirtualClock(),
                            rng=random.Random(seed * 13), engine=engine)
         random_ops(db, rng, 60)
-        warm = make_view(db, journal=journal)
-        if journal:
-            assert warm.loaded_from_disk
-            assert warm.rebuilds == 0
-            assert warm.catch_up.last_path == "topup"
-        else:
-            assert not warm.loaded_from_disk
-            assert warm.catch_up.last_path == "rebuild"
-        cold = make_view(db, journal=False, persist=False)
+        warm = make_view(db)
+        assert warm.loaded_from_disk
+        assert warm.rebuilds == 0
+        assert warm.catch_up.last_path == "topup"
+        cold = make_view(db, persist=False)
         assert view_state(warm) == view_state(cold)
         engine.close()
 
@@ -124,7 +119,7 @@ class TestViewEquivalence:
         db = NotesDatabase("t.nsf", clock=VirtualClock(),
                            rng=random.Random(2), engine=engine)
         warm = make_view(db)
-        cold = make_view(db, journal=False, persist=False)
+        cold = make_view(db, persist=False)
         assert view_state(warm) == view_state(cold)
         assert kept.unid in warm.all_unids()
         engine.close()
@@ -132,11 +127,8 @@ class TestViewEquivalence:
 
 class TestFullTextEquivalence:
     @pytest.mark.parametrize("seed", [5, 23])
-    @pytest.mark.parametrize("journal", [True, False])
-    def test_warm_open_equals_rebuild_after_random_batch(
-        self, tmp_path, seed, journal
-    ):
-        path = str(tmp_path / f"ft{seed}{journal}")
+    def test_warm_open_equals_rebuild_after_random_batch(self, tmp_path, seed):
+        path = str(tmp_path / f"ft{seed}")
         rng = random.Random(seed)
         engine = StorageEngine(path)
         db = NotesDatabase("ft.nsf", clock=VirtualClock(),
@@ -149,13 +141,9 @@ class TestFullTextEquivalence:
         db = NotesDatabase("ft.nsf", clock=VirtualClock(),
                            rng=random.Random(seed * 13), engine=engine)
         random_ops(db, rng, 60)
-        warm = FullTextIndex(db, persist=True, journal=journal)
-        if journal:
-            assert warm.loaded_from_disk
-            assert warm.catch_up.last_path == "topup"
-        else:
-            assert not warm.loaded_from_disk
-            assert warm.catch_up.last_path == "rebuild"
+        warm = FullTextIndex(db, persist=True)
+        assert warm.loaded_from_disk
+        assert warm.catch_up.last_path == "topup"
         cold = FullTextIndex(db)
         assert warm.document_count == cold.document_count
         assert warm.postings_snapshot() == cold.postings_snapshot()
@@ -166,6 +154,48 @@ class TestFullTextEquivalence:
         warm.close()
         cold.close()
         engine.close()
+
+
+@pytest.mark.parametrize("case", [
+    "unchanged", "update", "soft_delete", "restore", "stub_purge",
+    "foreign_journal", "ahead_of_journal", "purge_log_overflow",
+])
+def test_changes_since(case):
+    """The one catch-up rule: what an index cut at a checkpoint redoes."""
+    db = NotesDatabase("cs.nsf", clock=VirtualClock(), rng=random.Random(6))
+    unid = db.create({"Form": "Memo", "Subject": "x"}).unid
+    db.create({"Form": "Memo", "Subject": "bystander"})
+    if case == "restore":
+        db.soft_delete(unid)
+    cp = db.checkpoint()
+    db.clock.advance(1)
+    expected = ([], [unid])
+    if case == "unchanged":
+        expected = ([], [])
+    elif case == "update":
+        db.update(unid, {"Subject": "y"})
+    elif case == "soft_delete":
+        db.soft_delete(unid)  # never journaled: found by the trash diff
+    elif case == "restore":
+        db.restore(unid)
+    elif case == "stub_purge":
+        db.delete(unid)
+        db.clock.advance(10)
+        db.purge_stubs(db.clock.now)  # the stub's journal entry goes too
+        expected = ([unid], [])
+    else:
+        if case == "purge_log_overflow":
+            for _ in range(1100):  # more purges than the log retains
+                db.delete(db.create({"Form": "Task"}).unid)
+            db.clock.advance(10)
+            db.purge_stubs(db.clock.now)
+        db.update(unid, {"Subject": "y"})  # so the state differs
+        if case == "foreign_journal":
+            cp = replace(cp, journal_id="0123456789abcdef")
+        elif case == "ahead_of_journal":
+            cp = replace(cp, seq=db.update_seq + 1)
+        expected = None
+    assert db.changes_since(cp) == expected
 
 
 class TestFallbacks:
@@ -193,6 +223,31 @@ class TestFallbacks:
         ]
         engine.close()
 
+    def test_fulltext_loads_unchanged_state_under_reseeded_journal(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "ftreseed")
+        engine = StorageEngine(path)
+        db = NotesDatabase("fr.nsf", clock=VirtualClock(),
+                           rng=random.Random(1), engine=engine)
+        seed_docs(db, random.Random(1), 10)
+        FullTextIndex(db, persist=True).close()
+        engine.close()
+
+        engine = StorageEngine(path)
+        db = NotesDatabase("fr.nsf", clock=VirtualClock(),
+                           rng=random.Random(2), engine=engine)
+        # Same documents, another journal identity: the seqs are not
+        # comparable, but the state fingerprint proves nothing changed.
+        db.journal_id = "0123456789abcdef"
+        warm = FullTextIndex(db, persist=True)
+        assert warm.loaded_from_disk
+        assert warm.rebuilds == 0
+        assert warm.catch_up.last_path == "noop"
+        cold = FullTextIndex(db)
+        assert warm.postings_snapshot() == cold.postings_snapshot()
+        engine.close()
+
     def test_refresh_rebuilds_when_purge_log_cannot_reach_back(self):
         db = NotesDatabase("p.nsf", clock=VirtualClock(),
                            rng=random.Random(9))
@@ -212,7 +267,7 @@ class TestFallbacks:
         assert db.purges_since(0) is None  # log no longer reaches back
         db.update(db.unids()[0], {"Amount": 999})  # a real change on top
         assert view.refresh() == "rebuild"
-        cold = make_view(db, journal=False, persist=False)
+        cold = make_view(db, persist=False)
         assert view_state(view) == view_state(cold)
 
     def test_refresh_tops_up_over_a_purge(self):
@@ -230,7 +285,7 @@ class TestFallbacks:
         db.purge_stubs(db.clock.now)
         assert view.refresh() == "topup"
         assert victim not in view.all_unids()
-        cold = make_view(db, journal=False, persist=False)
+        cold = make_view(db, persist=False)
         assert view_state(view) == view_state(cold)
 
 
@@ -303,7 +358,7 @@ class TestSegmentedLayoutFallbacks:
         assert warm_view.catch_up.last_path == "rebuild"
         assert not warm_index.loaded_from_disk
         assert warm_index.catch_up.last_path == "rebuild"
-        cold_view = make_view(db, journal=False, persist=False)
+        cold_view = make_view(db, persist=False)
         cold_index = FullTextIndex(db)
         assert view_state(warm_view) == view_state(cold_view)
         assert warm_index.postings_snapshot() == cold_index.postings_snapshot()
@@ -342,7 +397,7 @@ class TestSegmentedLayoutFallbacks:
         assert warm_view.catch_up.last_path == "rebuild"
         assert not warm_index.loaded_from_disk
         assert warm_index.catch_up.last_path == "rebuild"
-        cold_view = make_view(db, journal=False, persist=False)
+        cold_view = make_view(db, persist=False)
         cold_index = FullTextIndex(db)
         assert view_state(warm_view) == view_state(cold_view)
         assert warm_index.postings_snapshot() == cold_index.postings_snapshot()
@@ -367,7 +422,7 @@ class TestSegmentedLayoutFallbacks:
         warm = make_view(db)
         assert warm.loaded_from_disk
         assert warm.catch_up.last_path == "topup"
-        cold = make_view(db, journal=False, persist=False)
+        cold = make_view(db, persist=False)
         assert view_state(warm) == view_state(cold)
         warm.save_index()
         assert warm.catch_up.segment_stats["entries"].segments >= 3 or (

@@ -1,6 +1,13 @@
 """Tests for NotesDatabase CRUD, stubs, trash, events, hierarchy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core import ChangeKind, NotesDatabase
 from repro.errors import DatabaseError, DocumentNotFound
@@ -213,3 +220,24 @@ class TestProfilesAndReplicas:
         mine = {db.create({"S": str(i)}).unid for i in range(50)}
         theirs = {replica.create({"S": str(i)}).unid for i in range(50)}
         assert not (mine & theirs)
+
+
+class TestDefaultSeed:
+    def test_identity_is_stable_across_hash_salts(self):
+        """Without ``rng=`` the title seeds the UNID stream; string hashes
+        are salted per process, so the seed must not come from hash()."""
+        script = (
+            "from repro.core import NotesDatabase\n"
+            "db = NotesDatabase('x.nsf')\n"
+            "print(db.replica_id, db.create({'S': 'a'}).unid)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = set()
+        for salt in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=salt, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1

@@ -189,7 +189,7 @@ def crash_and_verify(tmp_path, policy, fail_at, checkpoint_first=True):
                        sort=SortOrder.ASCENDING),
             ViewColumn(title="Amount", item="Amount"),
         ],
-        persist=False, journal=False,
+        persist=False,
     )
     cold_index = FullTextIndex(db)
     assert view_state(warm_view) == view_state(cold_view)

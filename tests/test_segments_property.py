@@ -178,7 +178,7 @@ WORDS = ("budget", "meeting", "release", "replica", "schedule",
          "review", "forecast", "inventory", "proposal", "summary")
 
 
-def _make_view(db, policy, persist=True, journal=True):
+def _make_view(db, policy, persist=True):
     return View(
         db, "PropEquiv",
         selection='SELECT Form = "Memo"',
@@ -187,7 +187,7 @@ def _make_view(db, policy, persist=True, journal=True):
                        sort=SortOrder.ASCENDING),
             ViewColumn(title="Amount", item="Amount"),
         ],
-        persist=persist, journal=journal, merge_policy=policy,
+        persist=persist, merge_policy=policy,
     )
 
 
@@ -248,7 +248,7 @@ def check_consumer_cycles(ops, policy):
                                    rng=random.Random(arg), engine=engine)
                 view = _make_view(db, policy)
                 index = FullTextIndex(db, persist=True, merge_policy=policy)
-        cold_view = _make_view(db, policy, persist=False, journal=False)
+        cold_view = _make_view(db, policy, persist=False)
         assert _view_state(view) == _view_state(cold_view)
         cold_index = FullTextIndex(db)
         assert index.document_count == cold_index.document_count

@@ -81,30 +81,6 @@ class TestPersistedViews:
         assert amounts == [99, 5]
         engine2.close()
 
-    def test_stale_index_rebuilds_with_journal_off(self, store):
-        engine, db = store()
-        doc = db.create({"Form": "Memo", "Amount": 1, "Subject": "x"})
-        view = make_view(db)
-        view.save_index()
-        db.update(doc.unid, {"Amount": 99})
-        engine.close()
-
-        engine2, db2 = store(seed=2)
-        fresh = View(
-            db2, "ByAmount", selection='SELECT Form = "Memo"',
-            columns=[
-                ViewColumn(title="Amount", item="Amount",
-                           sort=SortOrder.DESCENDING),
-                ViewColumn(title="Subject", item="Subject"),
-            ],
-            persist=True, journal=False,
-        )
-        # The ablation keeps the pre-journal contract: stale -> rebuild.
-        assert not fresh.loaded_from_disk
-        assert fresh.rebuilds == 1
-        assert [entry.values[0] for entry in fresh.entries()] == [99]
-        engine2.close()
-
     def test_design_change_invalidates(self, store):
         engine, db = store()
         db.create({"Form": "Memo", "Amount": 1, "Subject": "x"})
