@@ -166,3 +166,33 @@ def test_smoke_faulty_replication_resumes_from_cursor():
     assert res[5] > 0  # cursors actually checkpointed mid-pass
     assert abl[1] > res[1]  # the ablation paid for its restarts
     assert run_cell(0.3, resumable=True) == res  # seed => same run
+
+
+def test_smoke_view_window_reads_by_position():
+    """E6b shape: a page of a categorized view with totals comes from the
+    counted B+tree — equal to the rows() slice, with no document
+    access-checked and the tree descended only near the page."""
+    from repro.security import AccessControlList, AclLevel
+    from repro.views import SortOrder, View, ViewColumn
+
+    deployment = build_deployment(1, seed=6)
+    db = deployment.databases[0]
+    populate(db, 300, deployment.rng, body_bytes=16)
+    db.acl = AccessControlList(default_level=AclLevel.READER)
+    view = View(db, "ByCategory", selection='SELECT Form = "Memo"', columns=[
+        ViewColumn(title="Category", item="Categories", categorized=True),
+        ViewColumn(title="Subject", item="Subject", sort=SortOrder.ASCENDING),
+        ViewColumn(title="Amount", item="Amount", totals=True),
+    ])
+    rows = view.rows(as_user="reader/Acme")
+    checks = []
+    db.acl.can_read = lambda user, doc: checks.append(doc) or True
+    for start in (1, 2, 150, len(rows) - 10, len(rows) + 1):
+        view._tree.node_reads = 0
+        page, total = view.window(start, 30, as_user="reader/Acme")
+        assert total == len(rows) and page == rows[start - 1:start + 29]
+        assert [r.subtotals for r in page if hasattr(r, "subtotals")] == [
+            r.subtotals for r in rows[start - 1:start + 29] if hasattr(r, "subtotals")]
+        # one descent per category run (4) plus the page, each ~height
+        assert view._tree.node_reads <= 12 * view._tree.height()
+    assert not checks

@@ -21,6 +21,22 @@ from repro.core.unid import OriginatorId
 # detection has ancestry to look at without unbounded growth.
 MAX_REVISIONS = 64
 
+# Bumped whenever a READERS item is set, replaced or removed on any
+# document. Such an edit changes who may read the document even when it
+# never reaches the database (no revision, no change event), so views
+# compare it with the value they last checked reader access at.
+_readers_epoch = 0
+
+
+def readers_epoch() -> int:
+    """The count of in-place READERS item changes so far."""
+    return _readers_epoch
+
+
+def _readers_changed() -> None:
+    global _readers_epoch
+    _readers_epoch += 1
+
 
 class Document:
     """One data note.
@@ -111,16 +127,23 @@ class Document:
 
     def set(self, name: str, value: Any, type_: ItemType | None = None) -> None:
         """Create or replace an item; the type is inferred unless given."""
+        old = self._items.get(name)
         if isinstance(value, Item):
-            self._items[name] = Item(name, value.type, value.value)
+            item = Item(name, value.type, value.value)
         else:
-            self._items[name] = Item.of(name, value, type_)
+            item = Item.of(name, value, type_)
+        self._items[name] = item
+        if item.type == ItemType.READERS or (
+            old is not None and old.type == ItemType.READERS
+        ):
+            _readers_changed()
 
     def remove_item(self, name: str) -> None:
         """Delete an item; raises :class:`DocumentError` if absent."""
         if name not in self._items:
             raise DocumentError(f"document has no item {name!r}")
-        del self._items[name]
+        if self._items.pop(name).type == ItemType.READERS:
+            _readers_changed()
 
     def set_all(self, values: dict[str, Any]) -> None:
         """Set many items at once from a plain name -> value mapping."""

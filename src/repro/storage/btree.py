@@ -9,11 +9,22 @@ not an artifact of Python dict behaviour.
 Keys must be mutually comparable; values are arbitrary. Keys are unique:
 inserting an existing key replaces its value (callers that need duplicate
 collation keys append a unique tie-breaker such as the note UNID).
+
+The tree is *counted*: every internal node keeps, beside each child, the
+number of entries under that child. Insert, split, delete, borrow, merge
+and bulk load keep the counts exact, which makes position an O(log n)
+question in both directions: :meth:`BPlusTree.rank` says how many keys
+sort before a key, and :meth:`BPlusTree.items_from` starts a scan at a
+0-based position. A view uses the pair to read one page of a Domino
+``?OpenView&Start=n&Count=m`` request, and to size a category run as
+``rank(prefix + TOP) - rank(prefix)``, without touching the entries
+before the page.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Iterator
 
 from repro.errors import BTreeError
@@ -36,13 +47,22 @@ class _Leaf(_Node):
 
 
 class _Internal(_Node):
-    __slots__ = ("children",)
+    __slots__ = ("children", "counts")
 
     def __init__(self) -> None:
         super().__init__()
         # len(children) == len(keys) + 1; keys[i] is the smallest key
         # reachable through children[i + 1].
         self.children: list[_Node] = []
+        # counts[i] is the number of entries in the subtree children[i].
+        self.counts: list[int] = []
+
+
+def _size(node: _Node) -> int:
+    """Entries under ``node``."""
+    if isinstance(node, _Leaf):
+        return len(node.keys)
+    return sum(node.counts)  # type: ignore[attr-defined]
 
 
 class BPlusTree:
@@ -131,6 +151,48 @@ class BPlusTree:
             current = current.next
             index = 0
 
+    def rank(self, key: Any) -> int:
+        """The number of keys strictly less than ``key`` (O(log n)).
+
+        ``key`` need not be present; it may be any value comparable with
+        the stored keys, such as a key prefix or a prefix closed by a
+        sentinel that sorts above every component.
+        """
+        node = self._root
+        position = 0
+        while isinstance(node, _Internal):
+            self.node_reads += 1
+            index = bisect_right(node.keys, key)
+            position += sum(node.counts[:index])
+            node = node.children[index]
+        self.node_reads += 1
+        return position + bisect_left(node.keys, key)
+
+    def items_from(self, position: int) -> Iterator[tuple[Any, Any]]:
+        """(key, value) pairs from 0-based ``position`` onward.
+
+        The descent to the starting leaf is O(log n) — subtree counts
+        steer it — and the scan then follows the leaf chain.
+        """
+        if position < 0:
+            raise BTreeError(f"position must be >= 0, got {position}")
+        node = self._root
+        while isinstance(node, _Internal):
+            self.node_reads += 1
+            ends = list(accumulate(node.counts))
+            index = bisect_right(ends, position)
+            if index == len(ends):
+                return  # past the last entry
+            if index:
+                position -= ends[index - 1]
+            node = node.children[index]
+        self.node_reads += 1
+        yield from zip(node.keys[position:], node.values[position:])  # type: ignore[attr-defined]
+        leaf: _Leaf | None = node.next  # type: ignore[attr-defined]
+        while leaf is not None:
+            yield from zip(leaf.keys, leaf.values)
+            leaf = leaf.next
+
     def min_key(self) -> Any:
         """Smallest key, or None for an empty tree."""
         for key, _ in self.items():
@@ -198,6 +260,7 @@ class BPlusTree:
             for children, child_mins in groups:
                 node = _Internal()
                 node.children = list(children)
+                node.counts = [_size(child) for child in children]
                 node.keys = list(child_mins[1:])
                 next_level.append(node)
                 next_min_keys.append(child_mins[0])
@@ -215,6 +278,7 @@ class BPlusTree:
             new_root = _Internal()
             new_root.keys = [middle_key]
             new_root.children = [self._root, right]
+            new_root.counts = [_size(self._root), _size(right)]
             self._root = new_root
 
     def _insert(self, node: _Node, key: Any, value: Any):
@@ -231,12 +295,17 @@ class BPlusTree:
             return None
         internal: _Internal = node  # type: ignore[assignment]
         child_index = bisect_right(internal.keys, key)
+        before = self._size
         split = self._insert(internal.children[child_index], key, value)
+        internal.counts[child_index] += self._size - before  # 0 on replace
         if split is None:
             return None
         middle_key, right = split
+        right_size = _size(right)
         internal.keys.insert(child_index, middle_key)
         internal.children.insert(child_index + 1, right)
+        internal.counts[child_index] -= right_size
+        internal.counts.insert(child_index + 1, right_size)
         if len(internal.children) > self.order:
             return self._split_internal(internal)
         return None
@@ -260,8 +329,10 @@ class BPlusTree:
         right = _Internal()
         right.keys = node.keys[middle + 1 :]
         right.children = node.children[middle + 1 :]
+        right.counts = node.counts[middle + 1 :]
         node.keys = node.keys[:middle]
         node.children = node.children[: middle + 1]
+        node.counts = node.counts[: middle + 1]
         return push_up, right
 
     # -- delete ---------------------------------------------------------
@@ -289,6 +360,7 @@ class BPlusTree:
         internal: _Internal = node  # type: ignore[assignment]
         child_index = bisect_right(internal.keys, key)
         value = self._delete(internal.children[child_index], key)
+        internal.counts[child_index] -= 1
         self._rebalance(internal, child_index)
         return value
 
@@ -324,11 +396,16 @@ class BPlusTree:
             child.keys.insert(0, left.keys.pop())
             child.values.insert(0, left.values.pop())
             parent.keys[child_index - 1] = child.keys[0]
+            moved = 1
         else:
             assert isinstance(child, _Internal) and isinstance(left, _Internal)
             child.keys.insert(0, parent.keys[child_index - 1])
             parent.keys[child_index - 1] = left.keys.pop()
             child.children.insert(0, left.children.pop())
+            moved = left.counts.pop()
+            child.counts.insert(0, moved)
+        parent.counts[child_index - 1] -= moved
+        parent.counts[child_index] += moved
 
     def _borrow_from_right(self, parent: _Internal, child_index: int) -> None:
         child = parent.children[child_index]
@@ -337,11 +414,16 @@ class BPlusTree:
             child.keys.append(right.keys.pop(0))
             child.values.append(right.values.pop(0))
             parent.keys[child_index] = right.keys[0]
+            moved = 1
         else:
             assert isinstance(child, _Internal) and isinstance(right, _Internal)
             child.keys.append(parent.keys[child_index])
             parent.keys[child_index] = right.keys.pop(0)
             child.children.append(right.children.pop(0))
+            moved = right.counts.pop(0)
+            child.counts.append(moved)
+        parent.counts[child_index + 1] -= moved
+        parent.counts[child_index] += moved
 
     def _merge(self, parent: _Internal, left_index: int) -> None:
         self.node_merges += 1
@@ -356,8 +438,10 @@ class BPlusTree:
             left.keys.append(parent.keys[left_index])
             left.keys.extend(right.keys)
             left.children.extend(right.children)
+            left.counts.extend(right.counts)
         parent.keys.pop(left_index)
         parent.children.pop(left_index + 1)
+        parent.counts[left_index] += parent.counts.pop(left_index + 1)
 
     # -- diagnostics ------------------------------------------------------
 
@@ -374,8 +458,8 @@ class BPlusTree:
         """Check structural invariants; raises :class:`BTreeError` on breakage.
 
         Used by the property-based tests: key ordering within and across
-        nodes, separator correctness, fill factors, and leaf-chain/size
-        agreement.
+        nodes, separator correctness, fill factors, subtree counts, and
+        leaf-chain/size agreement.
         """
         leaf_count = self._validate_node(self._root, None, None, is_root=True)
         if leaf_count != self._size:
@@ -400,10 +484,15 @@ class BPlusTree:
             raise BTreeError("internal children/keys arity mismatch")
         if not is_root and len(internal.children) < self._min_fill:
             raise BTreeError("internal node underfull")
+        if len(internal.counts) != len(internal.children):
+            raise BTreeError("internal children/counts arity mismatch")
         total = 0
         bounds = [lo, *keys, hi]
-        for child, (child_lo, child_hi) in zip(
-            internal.children, zip(bounds[:-1], bounds[1:])
+        for child, count, (child_lo, child_hi) in zip(
+            internal.children, internal.counts, zip(bounds[:-1], bounds[1:])
         ):
-            total += self._validate_node(child, child_lo, child_hi, is_root=False)
+            size = self._validate_node(child, child_lo, child_hi, is_root=False)
+            if size != count:
+                raise BTreeError(f"subtree count {count} != {size} entries")
+            total += size
         return total

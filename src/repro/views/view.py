@@ -22,19 +22,32 @@ selected, re-key its responses. Two maintenance modes drive it:
 
 A persisted view stores the same checkpoint beside its entries, so a
 reopen against a moved-on database tops up the same way.
+
+Reading a page — the Domino web client's ``?OpenView&Start=n&Count=m``
+— goes through :meth:`View.window`, a positional read of the counted
+B+tree: O(log n + page) without categories, plus O(log n) per category
+heading with them, since a heading's member count is the width of the
+key range its prefix spans. That holds while every entry is visible to
+the caller. The view keeps the set of entries whose document carries a
+READERS item (updated as entries come and go, and rescanned when a
+READERS item changes in place or the view is behind the database); when
+a caller could be denied some of them, the window is a slice of
+:meth:`View.rows`, which checks each document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from itertools import islice
 from time import perf_counter
 from typing import Any, Iterator
 
 from repro.errors import ViewError
 from repro.core.database import ChangeKind, Checkpoint, NotesDatabase
-from repro.core.document import Document
+from repro.core.document import Document, readers_epoch
 from repro.core.stats import CatchUpStats
 from repro.formula import compile_formula
+from repro.security.acl import AclLevel
 from repro.storage.btree import BPlusTree
 from repro.storage.segments import MergePolicy, SegmentStack, SegmentStats
 from repro.views.column import SortOrder, ViewColumn, collate
@@ -64,6 +77,22 @@ class _Entry:
     unid: str
     values: tuple
     level: int
+
+
+class _Top:
+    """Sorts above every key component: ``prefix + (TOP,)`` bounds the
+    key range of all entries that start with ``prefix``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    def __gt__(self, other: object) -> bool:
+        return True
+
+
+TOP = _Top()
 
 
 class View:
@@ -141,6 +170,14 @@ class View:
         # Reverse of _children: child unid -> parent unid, so _remove can
         # discard its membership in O(1) instead of sweeping every set.
         self._parent_of: dict[str, str] = {}
+        # Entries rows() may not show every caller alike: the live document
+        # carries a READERS item, or is gone (a view behind the database
+        # shows such an entry even to users below Reader). Exact as of
+        # _access_stamp (see _sync_access). _state is the database state
+        # fingerprint the entries reflect.
+        self._restricted: set[str] = set()
+        self._access_stamp: tuple | None = None
+        self._state = ""
         self.rebuilds = 0
         self.incremental_ops = 0
         self.loaded_from_disk = False
@@ -344,6 +381,7 @@ class View:
                 self._parent_of[unid] = parent
         pairs.sort(key=lambda pair: pair[0])  # segments are unordered
         self._tree.bulk_load(pairs)
+        self._access_stamp = None  # loaded entries: reader access unchecked
         self._catch_up(changes)
         self.loaded_from_disk = True
         return True
@@ -353,6 +391,7 @@ class View:
         current, byte-for-byte what a rebuild would produce."""
         self.catch_up.replay(changes, self._reindex)
         self._checkpoint = self.db.checkpoint()
+        self._state = self._checkpoint.state
 
     def rebuild(self) -> int:
         """Discard and rebuild the whole index; returns the entry count.
@@ -367,6 +406,8 @@ class View:
         self._keys.clear()
         self._children.clear()
         self._parent_of.clear()
+        self._restricted.clear()
+        self._access_stamp = None
         # The on-disk stack no longer matches anything incremental; the
         # next save rewrites it from scratch (and deletes the old keys).
         self._stack = None
@@ -389,6 +430,7 @@ class View:
         self._tree.bulk_load(pairs)
         self.rebuilds += 1
         self._checkpoint = self.db.checkpoint()
+        self._state = self._checkpoint.state
         self.catch_up.record_rebuild(perf_counter() - started)
         return len(self._tree)
 
@@ -437,6 +479,7 @@ class View:
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1
         self._reindex(payload.unid)
+        self._state = self.db.state_fingerprint()
 
     def _reindex(self, unid: str) -> None:
         """Re-derive one document's entry from the live database: drop
@@ -517,6 +560,8 @@ class View:
         self._tree.insert(key, _Entry(doc.unid, values, level))
         self._keys[doc.unid] = key
         self._dirty.add(doc.unid)
+        if doc.readers is not None:
+            self._restricted.add(doc.unid)
         if doc.parent_unid is not None:
             self._children.setdefault(doc.parent_unid, set()).add(doc.unid)
             self._parent_of[doc.unid] = doc.parent_unid
@@ -526,6 +571,7 @@ class View:
         if key is None:
             return
         self._dirty.add(unid)
+        self._restricted.discard(unid)
         try:
             self._tree.delete(key)
         except KeyError:  # pragma: no cover - defensive
@@ -653,6 +699,132 @@ class View:
                 value=value, level=level, count=len(members), subtotals=subtotals
             )
         return output
+
+    def window(
+        self, start: int, count: int, as_user: str | None = None
+    ) -> tuple[list, int]:
+        """One page of :meth:`rows`: ``(rows, total_rows)`` where ``rows``
+        is ``self.rows(as_user)[start - 1 : start - 1 + count]`` and
+        ``total_rows`` is ``len(self.rows(as_user))``.
+
+        ``start`` is 1-based. When every entry is visible to ``as_user``
+        the page is read by position from the counted B+tree — O(log n +
+        count), plus O(log n) per category heading in a categorized view
+        — and no document is access-checked. A user below Reader sees
+        nothing. When reader fields could hide some entries from the
+        caller, the page is sliced from :meth:`rows`.
+        """
+        if start < 1 or count < 0:
+            raise ViewError(f"window needs start >= 1 and count >= 0, got {start}, {count}")
+        visible = self._all_visible(as_user)
+        if visible is None:
+            rows = self.rows(as_user)
+            return rows[start - 1 : start - 1 + count], len(rows)
+        if not visible:
+            return [], 0
+        categories = [
+            index for index, column in enumerate(self.columns) if column.categorized
+        ]
+        if not categories:
+            page = [
+                DocumentRow(entry.unid, entry.values, entry.level)
+                for _, entry in islice(self._tree.items_from(start - 1), count)
+            ]
+            return page, len(self._tree)
+        return self._category_window(start - 1, count, categories)
+
+    def _all_visible(self, as_user: str | None) -> bool | None:
+        """True when :meth:`rows` would show ``as_user`` every entry, False
+        when it would show none, None when it must check entry by entry."""
+        acl = self.db.acl
+        if as_user is None or acl is None:
+            return True
+        self._sync_access()
+        if self._restricted:
+            return None
+        return acl.level_of(as_user) >= AclLevel.READER
+
+    def _sync_access(self) -> None:
+        """Make ``_restricted`` exact for the live database.
+
+        ``_insert``/``_remove`` keep it exact while the entries reflect
+        the database state; a READERS item edited in place (the readers
+        epoch moved) or a view behind the database (a manual view between
+        refreshes, a closed auto view) needs a rescan — once per such
+        state.
+        """
+        fingerprint = self.db.state_fingerprint()
+        stamp = (readers_epoch(), None if fingerprint == self._state else fingerprint)
+        if stamp == self._access_stamp:
+            return
+        self._restricted = {
+            entry.unid
+            for entry in self.entries()
+            if (doc := self.db.try_get(entry.unid)) is None or doc.readers is not None
+        }
+        self._access_stamp = stamp
+
+    def _category_window(
+        self, first: int, count: int, categories: list[int]
+    ) -> tuple[list, int]:
+        """The positional read behind :meth:`window` for a categorized view.
+
+        A depth-d heading covers a maximal run of entries sharing
+        ``key[:d + 1]`` — exactly the grouping :meth:`rows` makes, since
+        collation keeps each value distinct and responses extend their
+        parent's key — so the run ends at ``rank(key[:d + 1] + (TOP,))``.
+        Runs are walked heading by heading; document rows are read only
+        where they fall inside the page.
+        """
+        tree = self._tree
+        depth_count = len(categories)
+        totals = [index for index, column in enumerate(self.columns) if column.totals]
+        stop = first + count
+        page: list = []
+        row = 0  # rows() index of the next row
+
+        def walk(depth: int, lo: int, hi: int) -> None:
+            nonlocal row
+            while lo < hi:
+                key, entry = next(tree.items_from(lo))
+                end = tree.rank(key[: depth + 1] + (TOP,))
+                if first <= row < stop:
+                    value = entry.values[categories[depth]]
+                    if isinstance(value, list):
+                        value = value[0] if value else ""
+                    page.append(CategoryRow(
+                        value=value, level=depth, count=end - lo,
+                        subtotals=self._subtotals(lo, end, totals),
+                    ))
+                row += 1
+                if depth + 1 < depth_count:
+                    walk(depth + 1, lo, end)
+                else:
+                    skip = max(first - row, 0)
+                    take = min(stop - row, end - lo) - skip
+                    if take > 0:
+                        page.extend(
+                            DocumentRow(doc.unid, doc.values, doc.level + depth_count)
+                            for _, doc in islice(tree.items_from(lo + skip), take)
+                        )
+                    row += end - lo
+                lo = end
+
+        walk(0, 0, len(tree))
+        return page, row
+
+    def _subtotals(self, lo: int, end: int, totals: list[int]) -> dict:
+        """Per-column sums over entries ``[lo, end)``, added in entry order
+        as :meth:`rows` adds them (so floats agree bit for bit)."""
+        subtotals = {}
+        for column_index in totals:
+            subtotal = 0
+            for _, entry in islice(self._tree.items_from(lo), end - lo):
+                cell = entry.values[column_index]
+                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                    subtotal += cell
+            subtotals[column_index] = subtotal
+        return subtotals
 
     def totals(self) -> dict[int, float]:
         """Grand totals for every totals column, keyed by column index."""

@@ -29,9 +29,13 @@ def render_view(
     count: int = 30,
     as_user: str | None = None,
 ) -> str:
-    """Render a window of ``view`` as an HTML table with document links."""
-    rows = view.rows(as_user=as_user)
-    window = rows[max(start - 1, 0) : max(start - 1, 0) + count]
+    """Render a window of ``view`` as an HTML table with document links.
+
+    ``start`` is 1-based (values below 1 read from the first row); the
+    rows come from :meth:`View.window`, a positional read of the index.
+    """
+    start = max(start, 1)
+    window, total_rows = view.window(start, count, as_user=as_user)
     parts = [
         f"<h1>{escape(view.name)}</h1>",
         f'<table class="view" data-total="{len(view)}">',
@@ -57,7 +61,7 @@ def render_view(
             parts.append(f'<tr class="doc"><td><a href="{href}">&#9656;</a></td>{cells}</tr>')
     parts.append("</table>")
     next_start = start + count
-    if next_start <= len(rows):
+    if count and next_start <= total_rows:
         parts.append(
             f'<a class="next" href="/{db_path}/{view.name}'
             f"?OpenView&Start={next_start}&Count={count}\">Next</a>"
@@ -119,9 +123,10 @@ def render_view_entries_xml(
     """The ``?ReadViewEntries`` XML feed — Domino's machine-readable view
     access (the precursor of its REST APIs). Category rows carry their
     value and count; document rows carry unid, position and column values.
+    ``start`` is 1-based (values below 1 read from the first row).
     """
-    rows = view.rows(as_user=as_user)
-    window = rows[max(start - 1, 0) : max(start - 1, 0) + count]
+    start = max(start, 1)
+    window, _ = view.window(start, count, as_user=as_user)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<viewentries toplevelentries="{len(view)}" start="{start}">',

@@ -25,6 +25,10 @@ from repro.web.render import (
 from repro.web.urls import WebError, parse_url
 
 
+class BadRequest(WebError):
+    """A request parameter the server cannot use (answered with 400)."""
+
+
 @dataclass(frozen=True)
 class WebResponse:
     status: int
@@ -75,6 +79,8 @@ class DominoWebServer:
             return WebResponse(401, f"<h1>401</h1><p>{exc}</p>")
         except DocumentNotFound as exc:
             return WebResponse(404, f"<h1>404</h1><p>{exc}</p>")
+        except BadRequest as exc:
+            return WebResponse(400, f"<h1>400 Bad Request</h1><p>{exc}</p>")
         except WebError as exc:
             return WebResponse(404, f"<h1>404</h1><p>{exc}</p>")
 
@@ -86,16 +92,14 @@ class DominoWebServer:
             return WebResponse(200, render_database(db, path, app.view_names))
         if command == "openview":
             view = self._resolve_view(app, parsed.view)
-            start = int(parsed.param("start", "1"))
-            count = int(parsed.param("count", "30"))
+            start, count = self._page(parsed, 30)
             return WebResponse(
                 200, render_view(view, path, start=start, count=count,
                                  as_user=user if db.acl else None)
             )
         if command == "readviewentries":
             view = self._resolve_view(app, parsed.view)
-            start = int(parsed.param("start", "1"))
-            count = int(parsed.param("count", "30"))
+            start, count = self._page(parsed, 30)
             return WebResponse(
                 200,
                 render_view_entries_xml(
@@ -107,7 +111,7 @@ class DominoWebServer:
             query = (parsed.param("query") or "").strip()
             if not query:
                 raise WebError("SearchView needs a Query parameter")
-            count = int(parsed.param("count", "25"))
+            _, count = self._page(parsed, 25)
             index = self._indexes[path.lower()]
             hits = index.search(query, limit=count,
                                 as_user=user if db.acl else None)
@@ -134,6 +138,19 @@ class DominoWebServer:
             db.delete(parsed.unid, author=user)
             return WebResponse(200, "<h1>Document deleted</h1>")
         raise WebError(f"unhandled command {command}")  # pragma: no cover
+
+    @staticmethod
+    def _page(parsed, default_count: int) -> tuple[int, int]:
+        """The ``Start``/``Count`` parameters: integers, ``Count`` not
+        negative (else 400); a ``Start`` below 1 means the first row."""
+        try:
+            start = int(parsed.param("start", "1"))
+            count = int(parsed.param("count", str(default_count)))
+        except ValueError:
+            raise BadRequest("Start and Count must be integers") from None
+        if count < 0:
+            raise BadRequest(f"Count must not be negative, got {count}")
+        return max(start, 1), count
 
     def _resolve_view(self, app: Application, name: str):
         if name == "$defaultview":

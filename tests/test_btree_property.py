@@ -1,4 +1,7 @@
-"""Property-based tests: the B+tree behaves exactly like a sorted dict."""
+"""Property-based tests: the B+tree behaves exactly like a sorted dict,
+and its subtree counts answer positional questions like a sorted list."""
+
+from bisect import bisect_left
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,8 +88,20 @@ def test_bulk_loaded_tree_accepts_mutations(base, extra):
     tree.validate()
 
 
+@given(st.dictionaries(keys, values, max_size=400), st.data())
+def test_rank_and_items_from_after_bulk_load(mapping, data):
+    tree = BPlusTree(order=5)
+    tree.bulk_load(sorted(mapping.items()))
+    model = sorted(mapping)
+    probe = data.draw(keys)
+    assert tree.rank(probe) == bisect_left(model, probe)
+    position = data.draw(st.integers(min_value=0, max_value=len(model) + 2))
+    assert [key for key, _ in tree.items_from(position)] == model[position:]
+
+
 class BTreeMachine(RuleBasedStateMachine):
-    """Stateful fuzz: arbitrary interleavings keep tree == dict."""
+    """Stateful fuzz: arbitrary interleavings keep tree == dict, and
+    rank/items_from agree with the sorted key list."""
 
     def __init__(self):
         super().__init__()
@@ -108,6 +123,21 @@ class BTreeMachine(RuleBasedStateMachine):
     @rule(key=keys)
     def lookup(self, key):
         assert self.tree.get(key) == self.shadow.get(key)
+
+    @rule()
+    def bulk_reload(self):
+        self.tree = BPlusTree(order=self.tree.order)
+        self.tree.bulk_load(sorted(self.shadow.items()))
+
+    @rule(key=keys)
+    def rank(self, key):
+        assert self.tree.rank(key) == bisect_left(sorted(self.shadow), key)
+
+    @rule(data=st.data())
+    def items_from(self, data):
+        model = sorted(self.shadow.items())
+        position = data.draw(st.integers(min_value=0, max_value=len(model) + 2))
+        assert list(self.tree.items_from(position)) == model[position:]
 
     @invariant()
     def sizes_agree(self):

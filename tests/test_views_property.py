@@ -1,14 +1,22 @@
 """Property-based view tests: the incremental index always equals a fresh
-rebuild, and view order always equals the collation-sorted document list."""
+rebuild, view order always equals the collation-sorted document list, and
+a positional page (``View.window``) always equals the slice of ``rows()``.
+
+The window properties run twice: a reduced-example fast lane in the
+default job and a ``slow``-marked lane with the full example budget
+(``pytest -m slow``).
+"""
 
 import random
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import NotesDatabase
+from repro.core import Item, ItemType, NotesDatabase
+from repro.security import AccessControlList, AclLevel
 from repro.sim import VirtualClock
-from repro.views import SortOrder, View, ViewColumn
+from repro.views import CategoryRow, SortOrder, View, ViewColumn
 
 subjects = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"),
@@ -100,3 +108,149 @@ def test_view_membership_matches_selection(ops):
     memos = {doc.unid for doc in db.all_documents() if doc.form == "Memo"}
     assert set(view.all_unids()) == memos
     assert len(view) == len(memos)
+
+
+# -- positional windows equal the rows() slice -------------------------------
+
+ADMIN = "admin/Acme"  # Manager; named in every READERS list so it may edit
+USERS = [None, "boss/Acme", "peon/Acme", "guest/Acme"]
+CATEGORY_VALUES = ["Eng", "eng", "Sales", ["Ops", "Eng"], ["eng"], [], 7, 7.0, ""]
+AMOUNTS = [1, 2, 0.1, 0.2, 1.5, -3, "n/a"]
+READERS_LISTS = [[ADMIN, "boss/Acme"], [ADMIN], [ADMIN, "peon/Acme"]]
+
+window_shapes = st.fixed_dictionaries({
+    "categories": st.integers(min_value=0, max_value=2),
+    "descending": st.integers(min_value=0, max_value=1),
+    "hierarchical": st.booleans(),
+    "mode": st.sampled_from(["auto", "manual"]),
+    "acl": st.sampled_from([True, True, False]),
+})
+
+window_ops = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "create", "create", "create", "respond", "update", "delete",
+            "soft_delete", "restore", "readers_update", "readers_in_place",
+            "unrestrict_update", "unrestrict_in_place", "refresh",
+        ]),
+        # A small pick range makes ops land on the same few documents.
+        st.integers(min_value=0, max_value=5),
+        # The page every user reads after the op: (start, count).
+        st.tuples(st.integers(min_value=1, max_value=50),
+                  st.integers(min_value=0, max_value=15)),
+    ),
+    min_size=5,
+    max_size=45,
+)
+
+WINDOW_SETTINGS = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def make_window_view(db, shape):
+    columns = [
+        ViewColumn(
+            title=f"Cat{depth}", item=f"Cat{depth}", categorized=True,
+            sort=(SortOrder.DESCENDING if depth == shape["descending"]
+                  else SortOrder.ASCENDING),
+        )
+        for depth in range(shape["categories"])
+    ]
+    columns += [
+        ViewColumn(title="Subject", item="Subject", sort=SortOrder.ASCENDING),
+        ViewColumn(title="Amount", item="Amount", totals=True),
+    ]
+    return View(db, "W", selection='SELECT Form = "Memo"', columns=columns,
+                mode=shape["mode"], hierarchical=shape["hierarchical"])
+
+
+def check_window(view, start, count, user):
+    rows = view.rows(as_user=user)
+    page, total = view.window(start, count, as_user=user)
+    expected = rows[start - 1:start - 1 + count]
+    assert total == len(rows)
+    assert page == expected
+    # CategoryRow.subtotals is compare=False: check it on its own.
+    assert [row.subtotals for row in page if isinstance(row, CategoryRow)] == [
+        row.subtotals for row in expected if isinstance(row, CategoryRow)]
+
+
+def apply_window_op(db, view, op, pick, rng):
+    unids = db.unids()
+    live = unids[pick % len(unids)] if unids else None
+
+    def memo():
+        return {"Form": "Memo",
+                "Cat0": rng.choice(CATEGORY_VALUES),
+                "Cat1": rng.choice(CATEGORY_VALUES),
+                "Subject": rng.choice(["alpha", "Alpha", "beta", "gamma"]),
+                "Amount": rng.choice(AMOUNTS)}
+
+    if op == "create" or live is None:
+        db.create(memo(), author=ADMIN)
+    elif op == "respond":
+        db.create(memo(), author=ADMIN, parent=live)
+    elif op == "update":
+        items = memo()
+        del items["Form"]
+        db.update(live, dict(rng.sample(sorted(items.items()), 2)), author=ADMIN)
+    elif op == "delete":
+        db.delete(live, author=ADMIN)
+    elif op == "soft_delete":
+        db.soft_delete(live, author=ADMIN)
+    elif op == "restore":
+        if db.trash:
+            db.restore(db.trash[pick % len(db.trash)], author=ADMIN)
+    elif op == "readers_update":
+        readers = Item("Readers", ItemType.READERS, rng.choice(READERS_LISTS))
+        db.update(live, {"Readers": readers}, author=ADMIN)
+    elif op == "readers_in_place":
+        # No db.update: the live document changes under the view.
+        db.get(live).set("Readers", rng.choice(READERS_LISTS), ItemType.READERS)
+    elif op == "unrestrict_update":
+        db.update(live, {}, author=ADMIN, remove_items=["Readers"])
+    elif op == "unrestrict_in_place":
+        doc = db.get(live)
+        if "Readers" in doc:
+            doc.remove_item("Readers")
+    elif op == "refresh":
+        view.refresh()
+
+
+def check_windows_match_rows(shape, ops, seed):
+    db = NotesDatabase("window.nsf", clock=VirtualClock(),
+                       rng=random.Random(seed))
+    if shape["acl"]:
+        acl = AccessControlList(default_level=AclLevel.READER)
+        acl.add(ADMIN, AclLevel.MANAGER)
+        acl.add("guest/Acme", AclLevel.NO_ACCESS)
+        db.acl = acl
+    rng = random.Random(seed)
+    for _ in range(6):
+        db.clock.advance(1)
+        apply_window_op(db, None, "create", 0, rng)
+    view = make_window_view(db, shape)
+    for op, pick, (start, count) in ops:
+        db.clock.advance(1)
+        apply_window_op(db, view, op, pick, rng)
+        for user in USERS:
+            check_window(view, start, count, user)
+    view.refresh()
+    rows = view.rows()
+    for user in USERS:
+        for start in range(1, len(rows) + 2):
+            check_window(view, start, 4, user)
+
+
+@settings(max_examples=60, parent=WINDOW_SETTINGS)
+@given(shape=window_shapes, ops=window_ops, seed=st.integers(0, 2**16))
+def test_window_equals_rows_slice(shape, ops, seed):
+    check_windows_match_rows(shape, ops, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=250, parent=WINDOW_SETTINGS)
+@given(shape=window_shapes, ops=window_ops, seed=st.integers(0, 2**16))
+def test_window_equals_rows_slice_full(shape, ops, seed):
+    check_windows_match_rows(shape, ops, seed)

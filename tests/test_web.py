@@ -273,3 +273,60 @@ class TestWebSecurity:
         )
         assert response.status == 401
         assert db.get(docs[0].unid).get("Status") is None
+
+
+class TestPageParameters:
+    """``Start``/``Count`` are validated before a view is read."""
+
+    @pytest.mark.parametrize("url", [
+        "/sales.nsf/ByCustomer?OpenView&Start=abc",
+        "/sales.nsf/ByCustomer?OpenView&Count=1.5",
+        "/sales.nsf/ByCustomer?ReadViewEntries&Start=",
+        "/sales.nsf/ByCustomer?SearchView&Query=x&Count=x",
+    ])
+    def test_non_integer_is_400(self, site, url):
+        _, server, _ = site
+        response = server.handle(url)
+        assert response.status == 400
+        assert "integers" in response.body
+
+    @pytest.mark.parametrize("command", [
+        "OpenView", "ReadViewEntries", "SearchView&Query=widget",
+    ])
+    def test_negative_count_is_400(self, site, command):
+        _, server, _ = site
+        response = server.handle(f"/sales.nsf/ByCustomer?{command}&Count=-3")
+        assert response.status == 400
+
+    def test_zero_count_renders_no_rows(self, site):
+        _, server, _ = site
+        response = server.handle("/sales.nsf/ByCustomer?OpenView&Count=0")
+        assert response.ok
+        assert 'class="doc"' not in response.body
+        assert 'class="next"' not in response.body  # not a link to itself
+
+    @pytest.mark.parametrize("start", ["0", "-7"])
+    def test_start_below_one_reads_from_the_top(self, site, start):
+        _, server, _ = site
+        first = server.handle("/sales.nsf/ByCustomer?OpenView&Count=3")
+        low = server.handle(f"/sales.nsf/ByCustomer?OpenView&Start={start}&Count=3")
+        assert low.ok and low.body == first.body
+
+    def test_entries_start_zero_numbers_from_one(self, site):
+        _, server, _ = site
+        import xml.etree.ElementTree as ET
+
+        response = server.handle(
+            "/sales.nsf/ByCustomer?ReadViewEntries&Start=0&Count=2")
+        root = ET.fromstring(response.body)
+        positions = [e.get("position") for e in root.findall("viewentry")]
+        assert root.get("start") == "1"
+        assert positions == ["1", "2"]
+
+    def test_next_link_follows_total_rows(self, site):
+        _, server, _ = site
+        # 6 documents under 2 category rows: 8 rows in all.
+        assert 'class="next"' in server.handle(
+            "/sales.nsf/ByCustomer?OpenView&Start=5&Count=3").body
+        assert 'class="next"' not in server.handle(
+            "/sales.nsf/ByCustomer?OpenView&Start=6&Count=3").body
