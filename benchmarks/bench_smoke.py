@@ -196,3 +196,38 @@ def test_smoke_view_window_reads_by_position():
         # one descent per category run (4) plus the page, each ~height
         assert view._tree.node_reads <= 12 * view._tree.height()
     assert not checks
+
+
+def test_smoke_write_path_one_fsync_bounded_heap(tmp_path):
+    """E7 shape on the note write path: each create, update and delete is
+    one logged transaction (one fsync, even behind a pool far smaller than
+    the heap), and a churn of mixed-size notes reuses freed heap space
+    instead of growing the file."""
+    import random
+
+    from repro.core import NotesDatabase
+    from repro.sim import VirtualClock
+    from repro.storage import StorageEngine
+    from repro.storage.pages import PAGE_SIZE
+
+    engine = StorageEngine(str(tmp_path / "nsf"), pool_size=8)
+    db = NotesDatabase("smoke.nsf", clock=VirtualClock(),
+                       rng=random.Random(2), engine=engine)
+    rng = random.Random(5)
+    peak = 0
+    flushes = engine._wal.flushes
+    for _ in range(600):
+        db.clock.advance(1)
+        unids = db.unids()
+        roll = rng.random()
+        if len(unids) < 40 or roll < 0.3:
+            db.create({"Body": "x" * rng.randint(300, 3000)})
+        elif roll < 0.7:
+            db.update(rng.choice(unids), {"Body": "y" * rng.randint(300, 3000)})
+        else:
+            db.delete(rng.choice(unids))
+        # The file never shrinks: bound it by the peak of live bytes.
+        peak = max(peak, sum(len(engine.get(key)) for key in engine.keys()))
+    assert engine._wal.flushes - flushes == 600
+    assert engine._pages.page_count <= 1.5 * peak / PAGE_SIZE + 4
+    engine.close()

@@ -9,7 +9,8 @@ Responsibilities:
   configurable interval (experiment E2 shows why purging too early is
   dangerous).
 * Soft deletion (the R5 "trash folder" behaviour): documents can be moved
-  to trash and restored before a hard delete.
+  to trash and restored before a hard delete. Trash membership persists
+  as a ``trash:<unid>`` marker.
 * Change events: views, full-text indexes and cluster replicators subscribe
   to create/update/delete notifications for incremental maintenance.
 * The **update-sequence journal**: every write is assigned the next local
@@ -21,7 +22,8 @@ Responsibilities:
 * Maintained secondary indexes: parent→children (``responses``),
   profile-document lookup (``profile``), and an incrementally maintained
   state fingerprint.
-* Optional durability through :class:`repro.storage.StorageEngine`.
+* Optional durability through :class:`repro.storage.StorageEngine`: each
+  note change is one engine transaction (one fsync under a WAL).
 * Optional access control through an attached ACL (``repro.security``).
 
 The database never interprets item values — that is what views, formulas
@@ -38,7 +40,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import AccessDenied, DatabaseError, DocumentNotFound
 from repro.core.document import Document
@@ -131,6 +133,7 @@ Observer = Callable[[ChangeKind, Any, Document | None], None]
 _DOC_PREFIX = b"doc:"
 _STUB_PREFIX = b"stub:"
 _SEQ_PREFIX = b"seq:"
+_TRASH_PREFIX = b"trash:"
 _META_KEY = b"meta:journal"
 
 # Journal entries are (seq, unid, is_stub, local_time) tuples, appended in
@@ -146,6 +149,12 @@ _JOURNAL_COMPACT_MIN = 64
 # The purge log (journal entries dropped without a successor) is bounded:
 # consumers whose checkpoint predates the retained window rebuild instead.
 _PURGE_LOG_MAX = 1024
+
+
+def _seq_payload(entry: _JournalEntry) -> bytes:
+    """A journal entry as its ``seq:<unid>`` record stores it."""
+    seq, _, is_stub, when = entry
+    return json.dumps([seq, 1 if is_stub else 0, when]).encode()
 
 
 @lru_cache(maxsize=8192)
@@ -251,7 +260,7 @@ class NotesDatabase:
         ).hexdigest()[:16]
         if engine is not None:
             self._load_from_engine()
-            self._persist_meta()
+            self._commit({_META_KEY: self._meta_payload()})
 
     # -- observers -----------------------------------------------------------
 
@@ -320,10 +329,10 @@ class NotesDatabase:
         return entry
 
     def _journal_drop(self, unid: str) -> None:
-        """Forget ``unid``'s journal entry (purge / cutoff-delete paths)."""
+        """Forget ``unid``'s journal entry; the caller's transaction drops
+        its ``seq:`` record (see :meth:`_removal_keys`)."""
         if self._note_seq.pop(unid, None) is not None:
             self._journal_stale += 1
-        self._unpersist(_SEQ_PREFIX + unid.encode())
 
     def _compact_journal(self) -> None:
         self._journal = [
@@ -606,7 +615,7 @@ class NotesDatabase:
         self._stubs[unid] = stub
         self._stub_local[unid] = now
         entry = self._journal_record(unid, True, now)
-        self._persist_stub(stub, entry)
+        self._persist_stub(stub, entry, drop=self._removal_keys(unid))
         self._notify(ChangeKind.DELETE, stub, doc)
         return stub
 
@@ -617,6 +626,7 @@ class NotesDatabase:
         doc = self._require_doc(unid)
         self._check_delete(author, doc)
         self._trash_add(unid)
+        self._commit({_TRASH_PREFIX + unid.encode(): b""})
         self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, author), doc)
 
     def restore(self, unid: str, author: str = "anonymous") -> Document:
@@ -626,11 +636,15 @@ class NotesDatabase:
         doc = self._docs[unid]
         self._check_update(author, doc)
         self._trash_discard(unid)
+        self._commit({}, drop=[_TRASH_PREFIX + unid.encode()])
         self._notify(ChangeKind.RESTORE, doc, None)
         return doc
 
     def empty_trash(self, author: str = "anonymous") -> int:
-        """Hard-delete everything in the trash; returns the count."""
+        """Hard-delete everything in the trash; returns the count.
+
+        Each delete's transaction also drops the note's trash marker.
+        """
         victims = list(self._trash)
         for unid in victims:
             self._trash_discard(unid)
@@ -792,20 +806,16 @@ class NotesDatabase:
         for unid in victims:
             del self._stubs[unid]
             self._stub_local.pop(unid, None)
-            if self._note_seq.pop(unid, None) is not None:
-                self._journal_stale += 1
+            self._journal_drop(unid)
             self._log_purge(unid)
-        if self.engine is not None:
-            txn = self.engine.begin()
-            self.engine.put(txn, _META_KEY, self._meta_payload())
-            for unid in victims:
-                for key in (
-                    _SEQ_PREFIX + unid.encode(),
-                    _STUB_PREFIX + unid.encode(),
-                ):
-                    if key in self.engine:
-                        self.engine.delete(txn, key)
-            self.engine.commit(txn)
+        self._commit(
+            {_META_KEY: self._meta_payload()},
+            drop=[
+                prefix + unid.encode()
+                for unid in victims
+                for prefix in (_SEQ_PREFIX, _STUB_PREFIX)
+            ],
+        )
         return len(victims)
 
     def cutoff_delete(self, older_than: float) -> int:
@@ -813,6 +823,7 @@ class NotesDatabase:
         leaving deletion stubs (the "remove documents not modified in the
         last N days" replica space option).
 
+        The removals and the purge log ride one engine transaction.
         Returns how many documents were removed. Because no stub remains,
         a trimmed document *returns* when it is revised on another replica,
         or when the replication history is cleared (forcing a full
@@ -831,7 +842,10 @@ class NotesDatabase:
             self._log_purge(unid)
             self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, "cutoff"), doc)
         if victims:
-            self._persist_meta()
+            self._commit(
+                {_META_KEY: self._meta_payload()},
+                drop=[key for unid in victims for key in self._removal_keys(unid)],
+            )
         return len(victims)
 
     def state_fingerprint(self) -> str:
@@ -958,26 +972,32 @@ class NotesDatabase:
         self._local_modified[doc.unid] = now
         self._stubs.pop(doc.unid, None)
         self._stub_local.pop(doc.unid, None)
-        self._unpersist(_STUB_PREFIX + doc.unid.encode())
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
         entry = self._journal_record(doc.unid, False, now)
-        self._persist_doc(doc, entry)
+        self._persist_doc(doc, entry, drop=[_STUB_PREFIX + doc.unid.encode()])
         self._notify(kind, doc, old)
 
     def raw_delete(self, stub: DeletionStub) -> None:
-        """Install a remote deletion: drop the doc, keep the stub."""
+        """Install a remote deletion: drop the doc, keep the stub.
+
+        One engine transaction removes the doc and writes the stub.
+        """
         old = self._docs.get(stub.unid)
+        drop: list[bytes] = []
         if old is not None:
             self._remove_doc_internal(stub.unid)
+            drop = self._removal_keys(stub.unid)
         existing = self._stubs.get(stub.unid)
         if existing is None or tuple(stub.seq_time) > tuple(existing.seq_time):
             self._stubs[stub.unid] = stub
             now = self.clock.now
             self._stub_local[stub.unid] = now
             entry = self._journal_record(stub.unid, True, now)
-            self._persist_stub(stub, entry)
+            self._persist_stub(stub, entry, drop=drop)
+        else:
+            self._commit({}, drop=drop)
         if old is not None:
             self._notify(ChangeKind.DELETE, stub, old)
 
@@ -996,39 +1016,60 @@ class NotesDatabase:
 
     # -- persistence ------------------------------------------------------
 
-    def _persist_doc(self, doc: Document, journal: _JournalEntry | None = None) -> None:
-        if self.engine is None:
-            return
-        payload = json.dumps(doc.to_dict()).encode()
-        self._persist_note(_DOC_PREFIX + doc.unid.encode(), payload, journal)
+    def _persist_doc(
+        self,
+        doc: Document,
+        journal: _JournalEntry | None = None,
+        drop: Iterable[bytes] = (),
+    ) -> None:
+        self._persist_note(_DOC_PREFIX, doc, journal, drop)
 
-    def _persist_stub(self, stub: DeletionStub, journal: _JournalEntry | None = None) -> None:
-        if self.engine is None:
-            return
-        payload = json.dumps(stub.to_dict()).encode()
-        self._persist_note(_STUB_PREFIX + stub.unid.encode(), payload, journal)
+    def _persist_stub(
+        self,
+        stub: DeletionStub,
+        journal: _JournalEntry | None = None,
+        drop: Iterable[bytes] = (),
+    ) -> None:
+        self._persist_note(_STUB_PREFIX, stub, journal, drop)
 
     def _persist_note(
-        self, key: bytes, payload: bytes, journal: _JournalEntry | None
+        self,
+        prefix: bytes,
+        note: Document | DeletionStub,
+        journal: _JournalEntry | None,
+        drop: Iterable[bytes],
     ) -> None:
-        """One transaction covering the note and its journal record, so a
-        crash can never durably separate a note from its sequence number."""
-        txn = self.engine.begin()
-        self.engine.put(txn, key, payload)
-        if journal is not None:
-            seq, unid, is_stub, when = journal
-            self.engine.put(
-                txn,
-                _SEQ_PREFIX + unid.encode(),
-                json.dumps([seq, 1 if is_stub else 0, when]).encode(),
-            )
-        self.engine.commit(txn)
-
-    def _unpersist(self, key: bytes) -> None:
+        """One transaction covering the note, its journal record and the
+        removal of the ``drop`` keys, so a crash can never durably separate
+        a note from its sequence number or from what it replaces."""
         if self.engine is None:
             return
-        if key in self.engine:
-            self.engine.remove(key)
+        key = note.unid.encode()
+        puts = {prefix + key: json.dumps(note.to_dict()).encode()}
+        if journal is not None:
+            puts[_SEQ_PREFIX + key] = _seq_payload(journal)
+        self._commit(puts, drop)
+
+    def _commit(self, puts: dict[bytes, bytes], drop: Iterable[bytes] = ()) -> None:
+        """Write ``puts`` and remove the ``drop`` keys the engine holds, in
+        one engine transaction (none at all when there is nothing to do)."""
+        if self.engine is None:
+            return
+        drop = [key for key in drop if key in self.engine and key not in puts]
+        if not puts and not drop:
+            return
+        txn = self.engine.begin()
+        for key in drop:
+            self.engine.delete(txn, key)
+        for key, value in puts.items():
+            self.engine.put(txn, key, value)
+        self.engine.commit(txn)
+
+    @staticmethod
+    def _removal_keys(unid: str) -> list[bytes]:
+        """The records a removed document leaves behind in the engine."""
+        key = unid.encode()
+        return [_DOC_PREFIX + key, _SEQ_PREFIX + key, _TRASH_PREFIX + key]
 
     def _meta_payload(self) -> bytes:
         return json.dumps(
@@ -1042,12 +1083,6 @@ class NotesDatabase:
                 "purges": [[seq, unid] for seq, unid in self._purges],
             }
         ).encode()
-
-    def _persist_meta(self) -> None:
-        """Write the journal identity + purge log through the engine."""
-        if self.engine is None:
-            return
-        self.engine.set(_META_KEY, self._meta_payload())
 
     def _load_from_engine(self) -> None:
         # Iterate only the note-record prefixes: the engine also holds
@@ -1074,6 +1109,10 @@ class NotesDatabase:
         raw_meta = self.engine.get(_META_KEY)
         if raw_meta is not None:
             meta = json.loads(raw_meta.decode())
+        for key in self.engine.keys(prefix=_TRASH_PREFIX):
+            unid = key[len(_TRASH_PREFIX):].decode()
+            if unid in self._docs:
+                self._trash.add(unid)
         self._next_note_id += max_note_id
         for doc in self._docs.values():
             self._index_parent(doc)
@@ -1143,12 +1182,7 @@ class NotesDatabase:
         )
         for when, unid, is_stub in pending:
             entry = self._journal_record(unid, is_stub, when)
-            if self.engine is not None:
-                seq, _, _, _ = entry
-                self.engine.set(
-                    _SEQ_PREFIX + unid.encode(),
-                    json.dumps([seq, 1 if is_stub else 0, when]).encode(),
-                )
+            self._commit({_SEQ_PREFIX + unid.encode(): _seq_payload(entry)})
 
     # -- access control hooks -----------------------------------------------
 
@@ -1182,6 +1216,8 @@ class NotesDatabase:
         return doc
 
     def _remove_doc_internal(self, unid: str) -> None:
+        """Drop ``unid`` from memory; the caller's engine transaction drops
+        its :meth:`_removal_keys`."""
         doc = self._docs.pop(unid)
         self._by_note_id.pop(doc.note_id, None)
         self._trash_discard(unid)
@@ -1190,7 +1226,6 @@ class NotesDatabase:
         self._unindex_parent(doc)
         self._unindex_profile(doc)
         self._journal_drop(unid)
-        self._unpersist(_DOC_PREFIX + unid.encode())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -12,6 +12,8 @@ Durability modes (experiment E7 compares them):
 ``"wal"``
     Commit appends a COMMIT record and flushes the log; heap pages are
     written back lazily (no-force). Crash recovery replays the log.
+    ``put``/``delete`` only append (they read no page), so a transaction
+    costs one fsync however many keys it writes.
 ``"force"``
     No log. Commit applies the write-set and forces every dirty page to
     disk — the pre-R5 Notes discipline the paper contrasts with logging.
@@ -34,11 +36,12 @@ from repro.storage.wal import LogRecord, RecordType, WriteAheadLog
 
 _CHUNK_SIZE = SlottedPage.max_record_size() - 8
 
-# Free-space size classes for insert placement: bucket k holds pages with
-# roughly k * _BUCKET_GRAIN free bytes. Finding a page for a chunk means
-# probing at most _N_BUCKETS sets rather than every page in the file.
+# Free-space size classes for insert placement: bucket k < _TOP holds the
+# pages with k * _BUCKET_GRAIN to (k + 1) * _BUCKET_GRAIN - 1 reclaimable
+# bytes, bucket _TOP those that fit any chunk. Every page in the class a
+# chunk maps to fits it, so placement fetches one page.
 _BUCKET_GRAIN = 256
-_N_BUCKETS = _CHUNK_SIZE // _BUCKET_GRAIN + 2
+_TOP = _CHUNK_SIZE // _BUCKET_GRAIN + 1
 
 _DURABILITY_MODES = ("wal", "force", "none")
 
@@ -80,14 +83,15 @@ class StorageEngine:
         )
         # key -> list of (page_id, slot) chunk locations, committed state only.
         self._index: dict[bytes, list[tuple[int, int]]] = {}
-        # page_id -> last known free byte estimate, for insert placement.
+        # page_id -> its SlottedPage.reclaimable, kept exact by every
+        # insert and delete. A checkpoint from an older build may hold
+        # lower (contiguous-only) figures, and a crash can leave some
+        # too high; placement re-files a page whose figure proves wrong.
         self._free: dict[int, int] = {}
-        # The free map bucketed by free-space size class, so insert
-        # placement probes a handful of sets instead of scanning every
-        # page in the file (derived from _free; rebuilt on load).
-        self._free_buckets: list[set[int]] = [
-            set() for _ in range(_N_BUCKETS)
-        ]
+        # The free map bucketed by size class (derived from _free; rebuilt
+        # on load). Pages with no room for even an empty record are left
+        # out.
+        self._free_buckets: list[set[int]] = [set() for _ in range(_TOP + 1)]
         self._next_txn = 1
         self._open = True
         self.last_recovery: recovery_mod.RecoveryReport | None = None
@@ -142,18 +146,14 @@ class StorageEngine:
         """Buffer a write of ``key`` in ``txn`` (visible to ``txn`` only)."""
         self._require_active(txn)
         if self._wal is not None:
-            before = self._read_committed(key) or b""
-            self._wal.append(
-                LogRecord(RecordType.PUT, txn.txn_id, key, before, value)
-            )
+            self._wal.append(LogRecord(RecordType.PUT, txn.txn_id, key, value))
         txn.writes[key] = value
 
     def delete(self, txn: Transaction, key: bytes) -> None:
         """Buffer a delete of ``key`` in ``txn``."""
         self._require_active(txn)
         if self._wal is not None:
-            before = self._read_committed(key) or b""
-            self._wal.append(LogRecord(RecordType.DELETE, txn.txn_id, key, before))
+            self._wal.append(LogRecord(RecordType.DELETE, txn.txn_id, key))
         txn.writes[key] = None
 
     def commit(self, txn: Transaction) -> None:
@@ -226,33 +226,35 @@ class StorageEngine:
         """Sharp checkpoint: flush heap, persist the index, truncate the log."""
         self._require_open()
         self._pool.flush_all()
-        snapshot = {
+        write_snapshot(self.path + ".chk", self._snapshot())
+        if self._wal is not None:
+            self._wal.truncate()
+
+    def _snapshot(self) -> dict:
+        """The index and free map as the ``.chk`` file stores them."""
+        return {
             "index": {key.hex(): locs for key, locs in self._index.items()},
             "free": self._free,
             "next_txn": self._next_txn,
         }
-        tmp = self.path + ".chk.tmp"
-        with open(tmp, "w", encoding="utf-8") as out:
-            json.dump(snapshot, out)
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, self.path + ".chk")
-        if self._wal is not None:
-            self._wal.truncate()
 
-    def _load_checkpoint(self) -> None:
-        chk_path = self.path + ".chk"
-        if not os.path.exists(chk_path):
-            return
-        with open(chk_path, encoding="utf-8") as source:
-            snapshot = json.load(source)
+    def _restore(self, snapshot: dict) -> None:
+        """Adopt a :meth:`_snapshot` (read back from a ``.chk`` file)."""
         self._index = {
             bytes.fromhex(key): [tuple(loc) for loc in locs]
             for key, locs in snapshot["index"].items()
         }
         self._free = {int(page): free for page, free in snapshot["free"].items()}
-        self._rebuild_free_buckets()
+        self._free_buckets = [set() for _ in range(_TOP + 1)]
+        for page_id, free in self._free.items():
+            self._file_free(page_id, free)
         self._next_txn = snapshot.get("next_txn", 1)
+
+    def _load_checkpoint(self) -> None:
+        chk_path = self.path + ".chk"
+        if os.path.exists(chk_path):
+            with open(chk_path, encoding="utf-8") as source:
+                self._restore(json.load(source))
 
     # -- heap operations (committed state) -------------------------------
 
@@ -296,7 +298,7 @@ class StorageEngine:
             dirty = True
             try:
                 page.delete(slot)
-                self._set_free(page_id, page.free_space)
+                self._set_free(page_id, page.reclaimable)
             except PageError:
                 # Replay after a mid-apply crash can see slots that were
                 # already freed on disk; a stale free is harmless.
@@ -306,53 +308,48 @@ class StorageEngine:
 
     def _insert_chunk(self, chunk: bytes) -> tuple[int, int]:
         need = len(chunk)
-        # Probe a bounded number of pages believed to have room, drawn
-        # from the size-class buckets that could fit the chunk (smallest
-        # adequate class first, so big holes stay available for big
-        # chunks). The free map is an estimate, so verify with the page
-        # itself. Cost is O(buckets + probes), however many pages exist.
-        candidates: list[int] = []
-        for bucket in range(self._bucket(need + 8), _N_BUCKETS):
-            for page_id in self._free_buckets[bucket]:
-                candidates.append(page_id)
-                if len(candidates) >= 8:
-                    break
-            if len(candidates) >= 8:
-                break
-        for page_id in candidates:
-            page = self._pool.fetch(page_id)
-            try:
-                self._set_free(page_id, page.free_space)
+        # Smallest adequate size class first, so big holes stay available
+        # for big chunks. The first page probed fits unless its figure is
+        # stale; such a page moves to its true, lower class, out of this
+        # search.
+        for bucket in self._free_buckets[self._need_class(need) :]:
+            while bucket:
+                page_id = next(iter(bucket))
+                page = self._pool.fetch(page_id)
                 if page.fits(need):
-                    slot = page.insert(chunk)
-                    self._set_free(page_id, page.free_space)
-                    return (page_id, slot)
-            finally:
-                self._pool.unpin(page_id, dirty=True)
-        page_id, page = self._pool.new_page()
-        try:
-            slot = page.insert(chunk)
-            self._set_free(page_id, page.free_space)
-        finally:
-            self._pool.unpin(page_id, dirty=True)
+                    return self._place(page_id, page, chunk)
+                self._set_free(page_id, page.reclaimable)
+                self._pool.unpin(page_id)
+        return self._place(*self._pool.new_page(), chunk)
+
+    def _place(self, page_id: int, page: SlottedPage, chunk: bytes) -> tuple[int, int]:
+        """Insert ``chunk`` into the pinned ``page``, then unpin it."""
+        slot = page.insert(chunk)
+        self._set_free(page_id, page.reclaimable)
+        self._pool.unpin(page_id, dirty=True)
         return (page_id, slot)
 
     def _set_free(self, page_id: int, free: int) -> None:
-        """Update a page's free estimate and its size-class bucket."""
+        """Record a page's reclaimable bytes and re-file its size class."""
         old = self._free.get(page_id)
-        if old is not None:
+        if old is not None and old >= 0:
             self._free_buckets[self._bucket(old)].discard(page_id)
         self._free[page_id] = free
-        self._free_buckets[self._bucket(free)].add(page_id)
+        self._file_free(page_id, free)
 
-    def _rebuild_free_buckets(self) -> None:
-        self._free_buckets = [set() for _ in range(_N_BUCKETS)]
-        for page_id, free in self._free.items():
+    def _file_free(self, page_id: int, free: int) -> None:
+        if free >= 0:
             self._free_buckets[self._bucket(free)].add(page_id)
 
     @staticmethod
     def _bucket(free: int) -> int:
-        return min(free // _BUCKET_GRAIN, _N_BUCKETS - 1)
+        """The size class of a page with ``free`` reclaimable bytes."""
+        return _TOP if free >= _CHUNK_SIZE else free // _BUCKET_GRAIN
+
+    @staticmethod
+    def _need_class(need: int) -> int:
+        """The smallest size class all of whose pages fit ``need`` bytes."""
+        return min(-(-need // _BUCKET_GRAIN), _TOP)
 
     # -- guards -----------------------------------------------------------
 
@@ -364,3 +361,17 @@ class StorageEngine:
         self._require_open()
         if txn.state != "active":
             raise WalError(f"transaction {txn.txn_id} is {txn.state}")
+
+
+def write_snapshot(path: str, snapshot: dict) -> None:
+    """Write a ``.chk`` snapshot durably and atomically (temp file + rename).
+
+    ``json.dumps`` runs the C encoder; ``json.dump`` streams through the
+    pure-Python one for the same bytes.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as out:
+        out.write(json.dumps(snapshot))
+        out.flush()
+        os.fsync(out.fileno())
+    os.replace(tmp, path)

@@ -38,16 +38,15 @@ class SlottedPage:
         if len(raw) != PAGE_SIZE:
             raise PageError(f"page must be exactly {PAGE_SIZE} bytes, got {len(raw)}")
         self.raw = raw
+        # Bytes held by live records: summed over the slot directory on
+        # first use, then kept current by every record operation.
+        self._live: int | None = None
 
     # -- header accessors ---------------------------------------------------
 
     @property
     def num_slots(self) -> int:
         return _HEADER.unpack_from(self.raw, 0)[0]
-
-    @property
-    def _data_end(self) -> int:
-        return _HEADER.unpack_from(self.raw, 0)[1]
 
     def _set_header(self, num_slots: int, data_end: int) -> None:
         _HEADER.pack_into(self.raw, 0, num_slots, data_end)
@@ -65,29 +64,39 @@ class SlottedPage:
 
     # -- space accounting ---------------------------------------------------
 
+    def _gap(self) -> int:
+        """Contiguous bytes past the data, less a new slot entry (may be < 0)."""
+        num_slots, data_end = _HEADER.unpack_from(self.raw, 0)
+        return PAGE_SIZE - _SLOT.size * (num_slots + 1) - data_end
+
     @property
     def free_space(self) -> int:
         """Contiguous bytes available for a new record *and* its slot entry."""
-        directory_start = PAGE_SIZE - _SLOT.size * self.num_slots
-        gap = directory_start - self._data_end
-        return max(0, gap - _SLOT.size)
+        return max(0, self._gap())
+
+    @property
+    def reclaimable(self) -> int:
+        """Largest record :meth:`insert` accepts, compacting if it must.
+
+        Counts tombstoned bytes as free, and is negative on a page whose
+        slot directory has no room for another entry. O(1) after the
+        first call on a page.
+        """
+        live = self._live_bytes()
+        return PAGE_SIZE - _SLOT.size * (self.num_slots + 1) - _HEADER.size - live
+
+    def _live_bytes(self) -> int:
+        if self._live is None:
+            self._live = sum(
+                length
+                for offset, length in (self._read_slot(s) for s in range(self.num_slots))
+                if offset != TOMBSTONE
+            )
+        return self._live
 
     def fits(self, length: int) -> bool:
         """Whether a record of ``length`` bytes can be inserted (post-compaction)."""
-        if length > self.max_record_size():
-            return False
-        if length <= self.free_space:
-            return True
-        return length <= self._reclaimable_space()
-
-    def _reclaimable_space(self) -> int:
-        live = sum(
-            length
-            for offset, length in (self._read_slot(s) for s in range(self.num_slots))
-            if offset != TOMBSTONE
-        )
-        directory_start = PAGE_SIZE - _SLOT.size * self.num_slots
-        return directory_start - _HEADER.size - live - _SLOT.size
+        return length <= self.reclaimable
 
     @staticmethod
     def max_record_size() -> int:
@@ -100,12 +109,13 @@ class SlottedPage:
         """Store ``data`` and return its slot number."""
         if len(data) > self.max_record_size():
             raise PageError(f"record of {len(data)} bytes exceeds page capacity")
-        if len(data) > self.free_space:
+        if len(data) > self._gap():
             self.compact()
-            if len(data) > self.free_space:
+            if len(data) > self._gap():
                 raise PageError(
                     f"page full: need {len(data)} bytes, have {self.free_space}"
                 )
+        self._live = self._live_bytes() + len(data)
         num_slots, data_end = _HEADER.unpack_from(self.raw, 0)
         # Reuse a tombstoned slot entry if one exists (keeps directory small).
         slot = next(
@@ -128,9 +138,10 @@ class SlottedPage:
 
     def delete(self, slot: int) -> None:
         """Tombstone ``slot``; its bytes are reclaimed at the next compaction."""
-        offset, _ = self._read_slot(slot)
+        offset, length = self._read_slot(slot)
         if offset == TOMBSTONE:
             raise PageError(f"slot {slot} already deleted")
+        self._live = self._live_bytes() - length
         self._write_slot(slot, TOMBSTONE, 0)
 
     def update(self, slot: int, data: bytes) -> None:
@@ -138,20 +149,25 @@ class SlottedPage:
         offset, length = self._read_slot(slot)
         if offset == TOMBSTONE:
             raise PageError(f"slot {slot} is deleted")
+        others = self._live_bytes() - length
         if len(data) <= length:
             self.raw[offset : offset + len(data)] = data
             self._write_slot(slot, offset, len(data))
+            self._live = others + len(data)
             return
         # Grow: tombstone then re-insert into the same slot id.
         self._write_slot(slot, TOMBSTONE, 0)
+        self._live = others
         if not self.fits(len(data)):
             self._write_slot(slot, offset, length)  # roll back
+            self._live = others + length
             raise PageError(f"updated record of {len(data)} bytes does not fit")
         self.compact()
         num_slots, data_end = _HEADER.unpack_from(self.raw, 0)
         self.raw[data_end : data_end + len(data)] = data
         self._set_header(num_slots, data_end + len(data))
         self._write_slot(slot, data_end, len(data))
+        self._live = others + len(data)
 
     def slots(self) -> list[int]:
         """Slot numbers currently holding live records."""

@@ -1,11 +1,12 @@
 """Write-ahead log: durable, CRC-guarded, replayable operation records.
 
-The engine logs logical operations (PUT/DELETE with before- and after-images)
-plus transaction control records. The LSN of a record is its byte offset in
-the log file, so LSNs are totally ordered and "flush up to LSN" is a plain
-file flush. A torn final record (partial write at crash) is detected by the
-length/CRC envelope and ignored on replay, exactly like the tail-scan in
-ARIES-style recovery.
+The engine logs logical operations (PUT with its after-image, DELETE with
+only the key) plus transaction control records. Recovery is redo-only
+(see :mod:`repro.storage.recovery`), so no record carries a before-image.
+The LSN of a record is its byte offset in the log file, so LSNs are
+totally ordered and "flush up to LSN" is a plain file flush. A torn final
+record (partial write at crash) is detected by the length/CRC envelope and
+ignored on replay, exactly like the tail-scan in ARIES-style recovery.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ class RecordType(IntEnum):
 class LogRecord:
     """One logical log record.
 
-    ``before``/``after`` are value images: ``before`` enables undo-style
-    ablations and debugging, ``after`` drives redo. Control records carry
-    empty keys and images.
+    ``after`` is the value image redo installs. Control records and
+    DELETEs carry an empty image; control records an empty key too.
     """
 
     type: RecordType
     txn_id: int
     key: bytes = b""
-    before: bytes = b""
     after: bytes = b""
 
     def encode(self) -> bytes:
@@ -55,8 +54,6 @@ class LogRecord:
             _FIXED.pack(int(self.type), self.txn_id),
             _LEN.pack(len(self.key)),
             self.key,
-            _LEN.pack(len(self.before)),
-            self.before,
             _LEN.pack(len(self.after)),
             self.after,
         ]
@@ -67,13 +64,15 @@ class LogRecord:
         rtype, txn_id = _FIXED.unpack_from(payload, 0)
         pos = _FIXED.size
         fields = []
-        for _ in range(3):
+        # A record in the older layout holds three images (key, before,
+        # after): read on to the last one.
+        while pos < len(payload):
             (length,) = _LEN.unpack_from(payload, pos)
             pos += _LEN.size
             fields.append(payload[pos : pos + length])
             pos += length
-        key, before, after = fields
-        return cls(RecordType(rtype), txn_id, key, before, after)
+        key, after = fields[0], fields[-1]
+        return cls(RecordType(rtype), txn_id, key, after)
 
 
 class WriteAheadLog:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from repro.storage.engine import StorageEngine
+from repro.storage.bufferpool import BufferPool
+from repro.storage.engine import StorageEngine, write_snapshot
+from repro.storage.pagedfile import PagedFile
 
 
 @dataclass
@@ -46,12 +48,9 @@ def compact_engine(engine: StorageEngine) -> CompactResult:
     for key in engine.keys():
         scratch.set(key, engine.get(key))
     scratch._pool.flush_all()
-    # Snapshot the scratch index: it becomes the engine's checkpoint.
-    scratch_index = {
-        "index": {key.hex(): locs for key, locs in scratch._index.items()},
-        "free": scratch._free,
-        "next_txn": engine._next_txn,
-    }
+    # The scratch index and free map become the engine's checkpoint.
+    snapshot = scratch._snapshot()
+    snapshot["next_txn"] = engine._next_txn
     scratch._pages.close()
 
     # Swap page files; reset WAL and checkpoint to the compacted state.
@@ -61,16 +60,9 @@ def compact_engine(engine: StorageEngine) -> CompactResult:
     for leftover in (scratch_path + ".wal", scratch_path + ".chk"):
         if os.path.exists(leftover):
             os.remove(leftover)
-
-    import json
-
-    with open(engine.path + ".chk", "w", encoding="utf-8") as out:
-        json.dump(scratch_index, out)
+    write_snapshot(engine.path + ".chk", snapshot)
     if engine._wal is not None:
         engine._wal.truncate()
-
-    from repro.storage.pagedfile import PagedFile
-    from repro.storage.bufferpool import BufferPool
 
     engine._pages = PagedFile(engine.path + ".pages")
     engine._pool = BufferPool(
@@ -78,11 +70,7 @@ def compact_engine(engine: StorageEngine) -> CompactResult:
         capacity=engine._pool.capacity,
         before_write=engine._wal.flush if engine._wal else None,
     )
-    engine._index = {
-        bytes.fromhex(key): [tuple(loc) for loc in locs]
-        for key, locs in scratch_index["index"].items()
-    }
-    engine._free = {int(page): free for page, free in scratch_index["free"].items()}
+    engine._restore(snapshot)
 
     result.pages_after = engine._pages.page_count
     result.bytes_after = os.path.getsize(engine._pages.path)

@@ -1,10 +1,11 @@
 """Tests for NotesDatabase persistence over the storage engine."""
 
+import json
 import random
 
 import pytest
 
-from repro.core import NotesDatabase
+from repro.core import DeletionStub, NotesDatabase
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
 
@@ -90,3 +91,138 @@ class TestPersistence:
         assert len(reloaded) == 100
         for unid, number in expected.items():
             assert reloaded.get(unid).get("N") == number
+
+
+class TestTrashPersistence:
+    def test_soft_delete_survives_reopen(self, store):
+        engine, db = store()
+        kept = db.create({"S": "kept"})
+        trashed = db.create({"S": "trashed"})
+        db.soft_delete(trashed.unid)
+        count, fingerprint = len(db), db.state_fingerprint()
+        engine.close()
+        engine, reloaded = store(seed=2)
+        assert reloaded.trash == [trashed.unid]
+        assert trashed.unid not in reloaded and kept.unid in reloaded
+        assert len(reloaded) == count
+        assert reloaded.state_fingerprint() == fingerprint
+        assert reloaded.state_fingerprint() == reloaded._fingerprint_recompute()
+        engine.close()
+
+    def test_restore_and_empty_trash_survive_crash(self, store):
+        engine, db = store()
+        restored = db.create({"S": "restored"})
+        emptied = db.create({"S": "emptied"})
+        db.soft_delete(restored.unid)
+        db.soft_delete(emptied.unid)
+        db.restore(restored.unid)
+        db.empty_trash()
+        fingerprint = db.state_fingerprint()
+        engine.simulate_crash()
+        engine, recovered = store(seed=2)
+        assert recovered.trash == []
+        assert restored.unid in recovered
+        assert emptied.unid in recovered.stubs
+        assert recovered.state_fingerprint() == fingerprint
+        # No trash marker outlives the note it marked.
+        assert list(engine.keys(prefix=b"trash:")) == []
+        engine.close()
+
+
+class CrashPoint(Exception):
+    """Injected failure standing in for the process dying mid-write."""
+
+
+def arm(engine, fail_at=None):
+    """Count engine write calls; raise CrashPoint on the ``fail_at``-th.
+
+    Wraps ``put``/``delete``/``commit``, every point at which a note write
+    touches the engine. With ``fail_at=None`` it only counts.
+    """
+    counter = {"n": 0}
+
+    def wrap(fn):
+        def inner(*args, **kwargs):
+            counter["n"] += 1
+            if fail_at is not None and counter["n"] == fail_at:
+                raise CrashPoint(f"write point {fail_at}")
+            return fn(*args, **kwargs)
+        return inner
+
+    engine.put = wrap(engine.put)
+    engine.delete = wrap(engine.delete)
+    engine.commit = wrap(engine.commit)
+    return counter
+
+
+def note_scenario(path):
+    """A store holding live notes and one deletion stub, plus the note
+    write under test for each operation name."""
+    engine = StorageEngine(path)
+    db = NotesDatabase("crash.nsf", clock=VirtualClock(),
+                       rng=random.Random(3), engine=engine)
+    for index in range(6):
+        db.clock.advance(1)
+        db.create({"Subject": f"memo {index}", "Body": "x" * 300 * index})
+    live, gone = db.unids()[1], db.unids()[2]
+    revived = db.get(gone).copy()
+    db.clock.advance(1)
+    db.delete(gone)
+    db.clock.advance(1)
+    now, tick = db.clock.timestamp()
+    revived.bump_revision((now, tick), "peer")
+    remote_stub = DeletionStub(live, db.get(live).seq + 1, (now, tick), now, "peer")
+    operations = {
+        "update": (live, lambda: db.update(live, {"Subject": "edited"})),
+        "delete": (live, lambda: db.delete(live)),
+        "raw_delete": (live, lambda: db.raw_delete(remote_stub)),
+        "raw_put": (gone, lambda: db.raw_put(revived)),
+    }
+    return engine, db, operations
+
+
+def reopen(path):
+    engine = StorageEngine(path)
+    return engine, NotesDatabase("crash.nsf", clock=VirtualClock(),
+                                 rng=random.Random(4), engine=engine)
+
+
+def assert_note_whole(engine, db, unid):
+    """The UNID is a live doc with a doc seq record, or a stub with a
+    stub seq record: never gone, and never separated from its seq."""
+    record = engine.get(b"seq:" + unid.encode())
+    assert record is not None
+    is_stub = json.loads(record.decode())[1]
+    if unid in db:
+        assert unid not in db.stubs and is_stub == 0
+    else:
+        assert unid in db.stubs and is_stub == 1
+
+
+@pytest.mark.parametrize("operation", ["update", "delete", "raw_delete", "raw_put"])
+def test_note_write_is_atomic_under_crash(tmp_path, operation):
+    clean = str(tmp_path / "clean")
+    engine, db, operations = note_scenario(clean)
+    unid, write = operations[operation]
+    before = db.state_fingerprint()
+    counter = arm(engine)
+    write()
+    after = db.state_fingerprint()
+    write_points = counter["n"]
+    engine.close()
+    engine, reloaded = reopen(clean)
+    assert reloaded.state_fingerprint() == after
+    assert_note_whole(engine, reloaded, unid)
+    engine.close()
+
+    for fail_at in range(1, write_points + 1):
+        path = str(tmp_path / f"crash{fail_at}")
+        engine, db, operations = note_scenario(path)
+        arm(engine, fail_at=fail_at)
+        with pytest.raises(CrashPoint):
+            operations[operation][1]()
+        engine.simulate_crash()
+        engine, recovered = reopen(path)
+        assert recovered.state_fingerprint() in (before, after), fail_at
+        assert_note_whole(engine, recovered, unid)
+        engine.close()

@@ -144,6 +144,18 @@ class TestUpdateCompact:
         slot = page.insert(b"x" * 3000)
         page.delete(slot)
         assert page.fits(3000)
+        assert page.reclaimable == SlottedPage.max_record_size() - 4
+
+    def test_full_page_has_no_room_for_an_empty_record(self):
+        # Data reaching the slot directory leaves no room for another
+        # slot entry, even for a zero-length record.
+        page = SlottedPage()
+        page.insert(b"x" * SlottedPage.max_record_size())
+        assert page.reclaimable < 0
+        assert not page.fits(0)
+        with pytest.raises(PageError):
+            page.insert(b"")
+        assert page.get(0) == b"x" * SlottedPage.max_record_size()
 
     def test_insert_triggers_compaction_when_fragmented(self):
         page = SlottedPage()

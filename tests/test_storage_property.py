@@ -58,6 +58,12 @@ class PageMachine(RuleBasedStateMachine):
         for slot, data in self.shadow.items():
             assert self.page.get(slot) == data
 
+    @invariant()
+    def reclaimable_matches_a_fresh_read(self):
+        # The page's running live-byte count equals a recount of its bytes.
+        fresh = SlottedPage(bytearray(self.page.raw))
+        assert self.page.reclaimable == fresh.reclaimable
+
 
 TestPageMachine = PageMachine.TestCase
 TestPageMachine.settings = settings(max_examples=30, stateful_step_count=50)

@@ -126,6 +126,20 @@ class TestCompact:
         assert result.reclaimed_bytes > 0
         engine.close()
 
+    def test_placement_uses_the_compacted_free_map(self, tmp_path):
+        engine = StorageEngine(str(tmp_path / "db"))
+        for index in range(60):
+            engine.set(f"k{index}".encode(), b"x" * 4000)
+        for index in range(20, 60):
+            engine.remove(f"k{index}".encode())
+        compact_engine(engine)
+        # The emptied pages 21-60 are gone from the file: the free map
+        # placement consults must not offer them.
+        engine.set(b"new", b"y" * 4000)
+        assert engine.get(b"new") == b"y" * 4000
+        assert engine._pages.page_count == 21
+        engine.close()
+
     def test_engine_usable_after_compaction(self, tmp_path):
         engine = StorageEngine(str(tmp_path / "db"))
         engine.set(b"before", b"1")
