@@ -90,10 +90,12 @@ def build_changefeed_db(
     """A database with ``n_docs`` documents of which ``n_changes`` were
     modified after the returned cutoff marks.
 
-    Returns ``(db, mark_seq, mark_time)`` — the seq and timestamp cutoffs
-    a change-feed consumer would hold from its previous pass, so callers
-    can compare ``changed_since_seq(mark_seq)`` against the full-scan
-    ablation ``changed_since_scan(mark_time)`` on identical state.
+    Returns ``(db, mark_seq, mark_time)``: the seq a change-feed consumer
+    would hold from its previous pass, and the clock time at that mark.
+    Callers compare ``changed_since_seq(mark_seq)`` against a full scan
+    that keeps notes modified at/after ``mark_time`` (benchmark E13's
+    baseline) on identical state. Every note has one writer, so its own
+    modified time is its local change time.
     """
     clock = VirtualClock()
     rng = random.Random(seed)

@@ -74,27 +74,21 @@ class Cluster:
                 self.network, conflict_policy=self.conflict_policy
             )
             self.replicators[db.replica_id] = replicator
-            replicator.attach(db)
         replicas = [db]
         for member in self.members:
             server = self.network.server(member)
             existing = server.replica_of(db.replica_id)
             if existing is None:
-                replica = db.new_replica(member)
-                server.add_database(replica)
-                replicator.attach(replica)
-                replicas.append(replica)
-            elif existing is not db:
+                existing = db.new_replica(member)
+                server.add_database(existing)
+            if existing is not db:
                 replicas.append(existing)
-        # Seed new replicas with current content through the replicator's
-        # catch-up path: a plain full push from the origin.
         for replica in replicas:
-            if replica is db or len(replica) == len(db):
-                continue
-            for doc in db.all_documents():
-                replicator._push_one(db, replica, doc, None)
-            for stub in db.stubs.values():
-                replicator._push_one(db, replica, None, stub)
+            replicator.attach(replica)
+        # Seed through the shared replication rule: whole-journal replays
+        # into the origin and back out, so a member that already held
+        # some of the content (at any revision) converges too.
+        replicator.seed(db)
         return replicas
 
     # -- load model ---------------------------------------------------------

@@ -1,14 +1,18 @@
 """The event-driven cluster replicator.
 
 Subscribes to every member replica; each local change is pushed at once to
-the other members (with the same originator-id comparison the scheduled
-replicator uses, so echoes and races resolve identically). Pushes to an
-unreachable member stall that link; ``catch_up`` is the cluster-join/
-restart path that drains stalled links.
+the other members through :meth:`Replicator.apply
+<repro.replication.replicator.Replicator.apply>` — the very rule a
+scheduled pull applies per note — so echoes, concurrent edits and
+update/delete races end exactly as they would under scheduled
+replication, whatever order stalled links drain in. Pushes to an unreachable
+member stall that link; ``catch_up`` is the restart path that drains
+stalled links, and ``seed`` the cluster-join path that levels members by
+replaying whole journals.
 
 The backlog *is* the database's update-sequence journal: a stalled link
 keeps only the origin seq it last drained, and ``catch_up`` replays
-``changed_since_seq`` past that cursor — O(1) state per link however many
+``journal_entries_since`` that cursor — O(1) state per link however many
 changes pile up during the outage, with a drain bounded by the number of
 distinct changed notes. The only per-note bookkeeping left is a small
 side-table of *un-journaled* events (soft deletes, restores, cutoff
@@ -31,10 +35,9 @@ from time import perf_counter
 from repro.core.database import ChangeKind, DeletionStub, NotesDatabase
 from repro.core.document import Document
 from repro.errors import LinkFailure
-from repro.replication.conflicts import ConflictPolicy, detect, resolve
+from repro.replication.conflicts import ConflictPolicy
 from repro.replication.network import SimulatedNetwork
-
-_STUB_WIRE_SIZE = 96
+from repro.replication.replicator import ReplicationStats, Replicator
 
 
 @dataclass
@@ -62,6 +65,8 @@ class ClusterReplicator:
     ) -> None:
         self.network = network
         self.conflict_policy = conflict_policy
+        # The shared per-note rule (whole-document pushes, OID versioning).
+        self._rule = Replicator(network, conflict_policy=conflict_policy)
         self.stats = ClusterReplicationStats()
         self._members: list[NotesDatabase] = []
         # (source server, target server) -> origin seq last known pushed.
@@ -82,8 +87,11 @@ class ClusterReplicator:
         Every member pair is registered in ``replication_seq`` at ack 0,
         so seq-acknowledged stub purging knows the partner exists *before*
         the first push — a stub can never be purged out from under a
-        cluster mate that has acknowledged nothing yet.
+        cluster mate that has acknowledged nothing yet. Attaching a
+        member twice is a no-op.
         """
+        if db in self._members:
+            return
         if self._members and db.replica_id != self._members[0].replica_id:
             from repro.errors import ClusterError
 
@@ -100,15 +108,14 @@ class ClusterReplicator:
                 return  # change caused by a cluster push: do not echo
             if kind in (ChangeKind.CREATE, ChangeKind.UPDATE,
                         ChangeKind.REPLACE):
-                self._push_all(origin, payload, None, journaled=True)
+                self._push_all(origin, payload, journaled=True)
             elif kind == ChangeKind.RESTORE:
-                self._push_all(origin, payload, None, journaled=False)
+                self._push_all(origin, payload, journaled=False)
             elif kind == ChangeKind.DELETE:
                 # delete() journals a stub; soft deletes and cutoff purges
                 # synthesize one that the journal never sees.
                 self._push_all(
-                    origin, None, payload,
-                    journaled=payload.unid in origin.stubs,
+                    origin, payload, journaled=payload.unid in origin.stubs
                 )
 
         return handler
@@ -118,53 +125,40 @@ class ClusterReplicator:
     def _push_all(
         self,
         origin: NotesDatabase,
-        doc: Document | None,
-        stub: DeletionStub | None,
+        note: Document | DeletionStub,
         journaled: bool,
     ) -> None:
         for member in self._members:
             if member is origin:
                 continue
             link = (origin.server, member.server)
-            if not self.network.is_reachable(*link):
-                # Stall the link at the seq *before* this change (the
-                # notify runs after the journal append, so update_seq is
-                # this change's seq). Un-journaled events leave the
-                # cursor at the current seq and ride the pending table.
-                self._stalled.setdefault(
-                    link,
-                    origin.update_seq - 1 if journaled else origin.update_seq,
-                )
+            if self.network.is_reachable(*link):
                 if not journaled:
-                    unid = doc.unid if doc is not None else stub.unid
-                    self._pending.setdefault(link, {})[unid] = stub
-                self.stats.queued += 1
-                continue
+                    # A restore supersedes a pending soft-delete stub
+                    # queued on this link (and vice versa — latest event
+                    # wins).
+                    self._pending.get(link, {}).pop(note.unid, None)
+                try:
+                    self.network.begin_attempt(*link)
+                    self._push_one(origin, member, note)
+                except LinkFailure:
+                    # The push died on the wire (drop/flap/abort).
+                    self.stats.interrupted += 1
+                else:
+                    if link not in self._stalled:
+                        self._ack(origin, member)
+                    continue
+            # Stall the link at the seq *before* this change (the notify
+            # runs after the journal append, so update_seq is this
+            # change's seq). Un-journaled events leave the cursor at the
+            # current seq and ride the pending table.
+            self._stalled.setdefault(
+                link, origin.update_seq - 1 if journaled else origin.update_seq
+            )
             if not journaled:
-                # A restore supersedes a pending soft-delete stub queued
-                # on this link (and vice versa — latest event wins).
-                unid = doc.unid if doc is not None else stub.unid
-                pending = self._pending.get(link)
-                if pending is not None:
-                    pending.pop(unid, None)
-            try:
-                self.network.begin_attempt(*link)
-                self._push_one(origin, member, doc, stub)
-            except LinkFailure:
-                # The push died on the wire (drop/flap/abort): stall the
-                # link exactly as if the member had been unreachable.
-                self.stats.interrupted += 1
-                self._stalled.setdefault(
-                    link,
-                    origin.update_seq - 1 if journaled else origin.update_seq,
-                )
-                if not journaled:
-                    unid = doc.unid if doc is not None else stub.unid
-                    self._pending.setdefault(link, {})[unid] = stub
-                self.stats.queued += 1
-                continue
-            if link not in self._stalled:
-                self._ack(origin, member)
+                stub = note if isinstance(note, DeletionStub) else None
+                self._pending.setdefault(link, {})[note.unid] = stub
+            self.stats.queued += 1
 
     def _ack(self, origin: NotesDatabase, target: NotesDatabase) -> None:
         """Record that ``target`` holds everything up to origin's seq."""
@@ -174,49 +168,21 @@ class ClusterReplicator:
         self,
         origin: NotesDatabase,
         target: NotesDatabase,
-        doc: Document | None,
-        stub: DeletionStub | None,
+        note: Document | DeletionStub,
     ) -> None:
+        """Apply one note from ``origin`` to ``target`` under the shared
+        rule, with the echo guard up so the target does not re-push it."""
+        outcome = ReplicationStats()
         self._pushing = True
         try:
-            if stub is not None:
-                local = target.try_get(stub.unid)
-                if local is None or (stub.seq, tuple(stub.seq_time)) > (
-                    local.seq,
-                    tuple(local.seq_time),
-                ):
-                    latency = self.network.transfer(
-                        origin.server, target.server, _STUB_WIRE_SIZE
-                    )
-                    target.raw_delete(stub)
-                    self._account(latency, _STUB_WIRE_SIZE)
-                return
-            assert doc is not None
-            local = target.try_get(doc.unid)
-            if local is None:
-                latency = self.network.transfer(
-                    origin.server, target.server, doc.size()
-                )
-                target.raw_put(doc.copy())
-                self._account(latency, doc.size())
-                return
-            relation = detect(local, doc)
-            if relation in ("same", "local_newer"):
-                return
-            latency = self.network.transfer(origin.server, target.server, doc.size())
-            if relation == "incoming_newer":
-                target.raw_put(doc.copy())
-            else:
-                resolve(target, local, doc.copy(), self.conflict_policy)
-                self.stats.conflicts += 1
-            self._account(latency, doc.size())
+            self._rule.apply(target, origin, note, outcome)
         finally:
             self._pushing = False
-
-    def _account(self, latency: float, nbytes: int) -> None:
-        self.stats.pushes += 1
-        self.stats.bytes_pushed += nbytes
-        self.stats.push_latency.append(latency)
+        if outcome.bytes_transferred:
+            self.stats.pushes += 1
+            self.stats.bytes_pushed += outcome.bytes_transferred
+            self.stats.push_latency.append(outcome.seconds)
+        self.stats.conflicts += outcome.conflicts
 
     # -- catch-up after failure ------------------------------------------
 
@@ -248,10 +214,7 @@ class ClusterReplicator:
             try:
                 self.network.begin_attempt(*link)
                 for seq, note in source.journal_entries_since(cursor):
-                    if isinstance(note, DeletionStub):
-                        self._push_one(source, target, None, note)
-                    else:
-                        self._push_one(source, target, note, None)
+                    self._push_one(source, target, note)
                     self._stalled[link] = seq  # the drain's resume point
                     drained += 1
                 # Un-journaled events last: a soft delete during the
@@ -261,12 +224,12 @@ class ClusterReplicator:
                     stub = pending[unid]
                     if stub is not None:
                         self._push_one(
-                            source, target, None, source.stubs.get(unid, stub)
+                            source, target, source.stubs.get(unid, stub)
                         )
                     else:
                         live = source.try_get(unid)
                         if live is not None:
-                            self._push_one(source, target, live, None)
+                            self._push_one(source, target, live)
                     del pending[unid]
                     drained += 1
                 self._pending.pop(link, None)
@@ -280,6 +243,26 @@ class ClusterReplicator:
         self.stats.replayed += drained
         self.stats.catch_up_seconds += perf_counter() - started
         return drained
+
+    def seed(self, origin: NotesDatabase) -> int:
+        """Level every member with ``origin`` (the cluster-join path).
+
+        Each member's whole journal replays into ``origin``, then
+        ``origin``'s into each member — a ``catch_up`` of links stalled
+        at seq 0, so every note goes through the shared rule with echo
+        suppressed, and each completed replay acknowledges the seq it
+        reached. A member that already holds some notes (at any revision)
+        ends up holding what scheduled replication would give it. A
+        member that is unreachable stays stalled for a later ``catch_up``.
+        Returns the number of notes replayed.
+        """
+        others = [member for member in self._members if member is not origin]
+        for member in others:
+            self._stalled[(member.server, origin.server)] = 0
+        replayed = self.catch_up()
+        for member in others:
+            self._stalled[(origin.server, member.server)] = 0
+        return replayed + self.catch_up()
 
     def _member_on(self, server: str) -> NotesDatabase | None:
         for member in self._members:

@@ -36,7 +36,7 @@ import hashlib
 import json
 import random
 import zlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -136,11 +136,9 @@ _SEQ_PREFIX = b"seq:"
 _TRASH_PREFIX = b"trash:"
 _META_KEY = b"meta:journal"
 
-# Journal entries are (seq, unid, is_stub, local_time) tuples, appended in
-# seq order. Local times are taken from the (monotonic) clock at write
-# time, so the list is sorted by seq AND by time — both cutoff styles are
-# a binary search for the suffix start.
-_JournalEntry = tuple[int, str, bool, float]
+# Journal entries are (seq, unid, is_stub) tuples, appended in seq order,
+# so a seq cutoff is a binary search for the suffix start.
+_JournalEntry = tuple[int, str, bool]
 
 # Compact the journal when more than half of it (and at least this many
 # entries) is superseded; rewrites are amortized O(1) per write.
@@ -153,8 +151,8 @@ _PURGE_LOG_MAX = 1024
 
 def _seq_payload(entry: _JournalEntry) -> bytes:
     """A journal entry as its ``seq:<unid>`` record stores it."""
-    seq, _, is_stub, when = entry
-    return json.dumps([seq, 1 if is_stub else 0, when]).encode()
+    seq, _, is_stub = entry
+    return json.dumps([seq, 1 if is_stub else 0]).encode()
 
 
 @lru_cache(maxsize=8192)
@@ -216,12 +214,6 @@ class NotesDatabase:
         self.acl = acl
         self._docs: dict[str, Document] = {}
         self._stubs: dict[str, DeletionStub] = {}
-        # "Modified in this file" times: when a note/stub last changed in
-        # THIS replica (user edit or replicator install). The incremental
-        # replication scan uses these, not the document's own modified time
-        # — a note can arrive here long after it was edited elsewhere.
-        self._local_modified: dict[str, float] = {}
-        self._stub_local: dict[str, float] = {}
         self._trash: set[str] = set()
         self._by_note_id: dict[int, str] = {}
         self._next_note_id = 1
@@ -234,24 +226,25 @@ class NotesDatabase:
         self._journal: list[_JournalEntry] = []
         self._note_seq: dict[str, int] = {}  # unid -> its live journal seq
         self._journal_stale = 0
-        # Notes the last changed_since* call had to look at (candidates,
-        # including superseded journal entries) — the replicator reports it.
+        # Journal entries the last suffix read had to look at (including
+        # superseded ones) — the replicator reports it.
         self.last_scan_cost = 0
         # -- maintained secondary indexes --
         self._children_index: dict[str, set[str]] = {}
         self._profiles: dict[tuple[Any, Any], str] = {}
         # Rolling state fingerprint: XOR of per-note digests, O(1) per write.
         self._fp_acc = 0
-        # replication history: (other replica server, direction) -> virtual time
-        self.replication_history: dict[tuple[str, str], float] = {}
-        # journal-based history: (other replica server, direction) -> the
+        # replication history: (other replica server, direction) -> the
         # partner's update_seq as of the last successful pass
         self.replication_seq: dict[tuple[str, str], int] = {}
+        # source server -> the journal_id its "receive" cursor was cut
+        # from; a cursor into another journal counts as seq 0.
+        self.replication_journal: dict[str, str] = {}
         # -- purge log: journal entries dropped with no successor --
         self._purge_seq = 0
         self._purges: list[tuple[int, str]] = []
         # Journal identity: seq checkpoints (view sidecars, full-text
-        # checkpoints, backlog cursors) are only meaningful against the
+        # checkpoints, replication cursors) are only meaningful against the
         # journal they were cut from. A reseeded journal (recovery of a
         # pre-journal database file) gets a fresh identity, so stale
         # checkpoints fall back to a rebuild instead of mis-reading seqs.
@@ -313,12 +306,12 @@ class NotesDatabase:
         """The highest local update sequence number assigned so far."""
         return self._update_seq
 
-    def _journal_record(self, unid: str, is_stub: bool, when: float) -> _JournalEntry:
+    def _journal_record(self, unid: str, is_stub: bool) -> _JournalEntry:
         """Assign the next seq to ``unid`` and append its journal entry."""
         if unid in self._note_seq:
             self._journal_stale += 1
         self._update_seq += 1
-        entry = (self._update_seq, unid, is_stub, when)
+        entry = (self._update_seq, unid, is_stub)
         self._journal.append(entry)
         self._note_seq[unid] = self._update_seq
         if (
@@ -342,24 +335,22 @@ class NotesDatabase:
         ]
         self._journal_stale = 0
 
-    def _changed_from(self, start: int) -> tuple[list[Document], list[DeletionStub]]:
-        """Live docs/stubs for the journal suffix beginning at ``start``."""
-        docs: list[Document] = []
-        stubs: list[DeletionStub] = []
+    def _live_suffix(
+        self, after_seq: int
+    ) -> list[tuple[int, "Document | DeletionStub"]]:
+        """The live notes journaled above ``after_seq``, in seq order: a
+        binary search for the suffix start plus a walk over it."""
+        start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
         suffix = self._journal[start:]
         self.last_scan_cost = len(suffix)
-        for seq, unid, is_stub, _ in suffix:
+        entries: list[tuple[int, Document | DeletionStub]] = []
+        for seq, unid, is_stub in suffix:
             if self._note_seq.get(unid) != seq:
                 continue  # superseded by a later write to the same note
-            if is_stub:
-                stub = self._stubs.get(unid)
-                if stub is not None:
-                    stubs.append(stub)
-            else:
-                doc = self._docs.get(unid)
-                if doc is not None:
-                    docs.append(doc)
-        return docs, stubs
+            note = self._stubs.get(unid) if is_stub else self._docs.get(unid)
+            if note is not None:
+                entries.append((seq, note))
+        return entries
 
     # -- purge log ----------------------------------------------------------
 
@@ -526,12 +517,11 @@ class NotesDatabase:
         doc.set_all(items)
         doc.item_times = {name: (now, tick) for name in items}
         self._docs[doc.unid] = doc
-        self._local_modified[doc.unid] = now
         self._by_note_id[doc.note_id] = doc.unid
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(doc.unid, False, now)
+        entry = self._journal_record(doc.unid, False)
         self._persist_doc(doc, entry)
         self._notify(ChangeKind.CREATE, doc, None)
         return doc
@@ -559,12 +549,11 @@ class NotesDatabase:
             doc.item_times[name] = stamp
         for name in remove_items or []:
             doc.item_times[name] = stamp
-        self._local_modified[unid] = stamp[0]
         if self._profile_key(doc) != old_profile_key:
             self._unindex_profile(old)
             self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(unid, False, stamp[0])
+        entry = self._journal_record(unid, False)
         self._persist_doc(doc, entry)
         self._notify(ChangeKind.UPDATE, doc, old)
         return doc
@@ -592,9 +581,8 @@ class NotesDatabase:
         stamp = self.clock.timestamp()
         doc.bump_revision(stamp, author)
         doc.item_times[ATTACHMENT_PREFIX + filename] = stamp
-        self._local_modified[unid] = stamp[0]
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(unid, False, stamp[0])
+        entry = self._journal_record(unid, False)
         self._persist_doc(doc, entry)
         self._notify(ChangeKind.UPDATE, doc, old)
         return doc
@@ -613,8 +601,7 @@ class NotesDatabase:
         )
         self._remove_doc_internal(unid)
         self._stubs[unid] = stub
-        self._stub_local[unid] = now
-        entry = self._journal_record(unid, True, now)
+        entry = self._journal_record(unid, True)
         self._persist_stub(stub, entry, drop=self._removal_keys(unid))
         self._notify(ChangeKind.DELETE, stub, doc)
         return stub
@@ -805,7 +792,6 @@ class NotesDatabase:
             return 0
         for unid in victims:
             del self._stubs[unid]
-            self._stub_local.pop(unid, None)
             self._journal_drop(unid)
             self._log_purge(unid)
         self._commit(
@@ -876,8 +862,8 @@ class NotesDatabase:
     def clear_replication_history(self) -> None:
         """Forget all replication history: the next pass with every partner
         re-examines everything (the admin "Clear History" button)."""
-        self.replication_history.clear()
         self.replication_seq.clear()
+        self.replication_journal.clear()
 
     # -- replication-facing primitives ----------------------------------
 
@@ -886,12 +872,20 @@ class NotesDatabase:
     ) -> tuple[list[Document], list[DeletionStub]]:
         """Documents/stubs with a local update seq strictly above ``after_seq``.
 
-        The journal fast path: a binary search for the suffix start plus a
-        walk over O(changes) entries — never a scan of the database. This
-        is what an incremental replication pass costs.
+        A binary search for the suffix start plus a walk over O(changes)
+        entries — never a scan of the database. A note installed here by
+        the replicator gets a fresh local seq, so it counts as changed at
+        its arrival, not at its own (older) revision — the property
+        multi-hop (hub) routing of updates depends on.
         """
-        start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
-        return self._changed_from(start)
+        docs: list[Document] = []
+        stubs: list[DeletionStub] = []
+        for _, note in self._live_suffix(after_seq):
+            if isinstance(note, DeletionStub):
+                stubs.append(note)
+            else:
+                docs.append(note)
+        return docs, stubs
 
     def journal_entries_since(
         self, after_seq: int
@@ -904,50 +898,7 @@ class NotesDatabase:
         applies entries in this order may record any prefix's last seq as
         its cursor and resume from there after an interruption.
         """
-        start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
-        suffix = self._journal[start:]
-        self.last_scan_cost = len(suffix)
-        entries: list[tuple[int, Document | DeletionStub]] = []
-        for seq, unid, is_stub, _ in suffix:
-            if self._note_seq.get(unid) != seq:
-                continue  # superseded by a later write to the same note
-            note = self._stubs.get(unid) if is_stub else self._docs.get(unid)
-            if note is not None:
-                entries.append((seq, note))
-        return entries
-
-    def changed_since(self, cutoff: float) -> tuple[list[Document], list[DeletionStub]]:
-        """Documents/stubs changed *in this replica* at/after ``cutoff``.
-
-        Uses the local "modified in this file" times: a note installed here
-        by the replicator counts as changed *now*, even though its own
-        modified time is older — that is what makes multi-hop (hub) routing
-        of updates work.
-
-        Journal entries are appended in clock order, so the timestamp
-        cutoff (kept for pre-journal replication histories) is also a
-        suffix read, not a scan.
-        """
-        start = bisect_left(self._journal, cutoff, key=lambda entry: entry[3])
-        return self._changed_from(start)
-
-    def changed_since_scan(
-        self, cutoff: float
-    ) -> tuple[list[Document], list[DeletionStub]]:
-        """The pre-journal O(database) scan, kept as the ablation baseline
-        benchmark E13 measures the journal against."""
-        self.last_scan_cost = len(self._docs) + len(self._stubs)
-        docs = [
-            doc
-            for doc in self._docs.values()
-            if self._local_modified.get(doc.unid, doc.modified) >= cutoff
-        ]
-        stubs = [
-            stub
-            for stub in self._stubs.values()
-            if self._stub_local.get(stub.unid, stub.deleted_at) >= cutoff
-        ]
-        return docs, stubs
+        return self._live_suffix(after_seq)
 
     def raw_put(self, doc: Document, kind: ChangeKind = ChangeKind.REPLACE) -> None:
         """Install ``doc`` exactly as given (no revision bump).
@@ -968,14 +919,11 @@ class NotesDatabase:
             self._next_note_id += 1
         self._docs[doc.unid] = doc
         self._by_note_id[doc.note_id] = doc.unid
-        now = self.clock.now
-        self._local_modified[doc.unid] = now
         self._stubs.pop(doc.unid, None)
-        self._stub_local.pop(doc.unid, None)
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(doc.unid, False, now)
+        entry = self._journal_record(doc.unid, False)
         self._persist_doc(doc, entry, drop=[_STUB_PREFIX + doc.unid.encode()])
         self._notify(kind, doc, old)
 
@@ -992,9 +940,7 @@ class NotesDatabase:
         existing = self._stubs.get(stub.unid)
         if existing is None or tuple(stub.seq_time) > tuple(existing.seq_time):
             self._stubs[stub.unid] = stub
-            now = self.clock.now
-            self._stub_local[stub.unid] = now
-            entry = self._journal_record(stub.unid, True, now)
+            entry = self._journal_record(stub.unid, True)
             self._persist_stub(stub, entry, drop=drop)
         else:
             self._commit({}, drop=drop)
@@ -1129,11 +1075,15 @@ class NotesDatabase:
         journal is restored exactly (sequence numbers keep their meaning
         across restarts, so partners' seq-based histories and consumers'
         seq checkpoints stay valid) and the persisted journal identity +
-        purge log are restored with it. A pre-journal database file falls
-        back to seeding fresh sequence numbers in modified-time order
-        under a *new* journal identity; partners then re-examine via the
-        timestamp history and checkpoint holders rebuild, exactly as
-        before the journal existed.
+        purge log are restored with it. Only a record's first two fields
+        (seq, is_stub) are read, so records that still carry the local
+        time older builds appended stay readable. A file whose records do
+        not cover every live note (a pre-journal file) falls back to
+        seeding fresh sequence numbers in modified-time order under a
+        *new* journal identity: a partner's receive cursor and every
+        checkpoint cut from the old journal then no longer match, so the
+        partner's next pull re-examines from seq 0 and checkpoint holders
+        rebuild.
         """
         live_kinds = {unid: False for unid in self._docs}
         live_kinds.update({unid: True for unid in self._stubs})
@@ -1144,17 +1094,12 @@ class NotesDatabase:
         if recovered:
             if live_kinds:
                 entries = sorted(
-                    (seq_records[unid][0], unid, is_stub, seq_records[unid][2])
+                    (seq_records[unid][0], unid, is_stub)
                     for unid, is_stub in live_kinds.items()
                 )
                 self._journal = entries
                 self._note_seq = {entry[1]: entry[0] for entry in entries}
                 self._update_seq = entries[-1][0]
-                for seq, unid, is_stub, when in entries:
-                    if is_stub:
-                        self._stub_local[unid] = when
-                    else:
-                        self._local_modified[unid] = when
             if meta is not None:
                 self.journal_id = meta["journal_id"]
                 self._update_seq = max(
@@ -1165,8 +1110,8 @@ class NotesDatabase:
                     (int(seq), unid) for seq, unid in meta.get("purges", [])
                 ]
             return
-        # Fallback: order by the notes' own times (the pre-journal
-        # incremental-scan keys) and assign fresh sequence numbers. The
+        # Fallback: order by the notes' own times and assign fresh
+        # sequence numbers. The
         # reseeded journal gets a fresh identity — derived, not random, so
         # repeated recoveries of the same file are deterministic.
         if meta is not None:
@@ -1180,8 +1125,8 @@ class NotesDatabase:
                 for unid, stub in self._stubs.items()
             ]
         )
-        for when, unid, is_stub in pending:
-            entry = self._journal_record(unid, is_stub, when)
+        for _, unid, is_stub in pending:
+            entry = self._journal_record(unid, is_stub)
             self._commit({_SEQ_PREFIX + unid.encode(): _seq_payload(entry)})
 
     # -- access control hooks -----------------------------------------------
@@ -1221,7 +1166,6 @@ class NotesDatabase:
         doc = self._docs.pop(unid)
         self._by_note_id.pop(doc.note_id, None)
         self._trash_discard(unid)
-        self._local_modified.pop(unid, None)
         self._fp_acc ^= self._doc_contrib(doc)
         self._unindex_parent(doc)
         self._unindex_profile(doc)

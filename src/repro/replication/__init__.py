@@ -3,8 +3,9 @@
 Replicas of a database (same replica id, different servers) accept
 independent updates and converge through pairwise, incremental replication:
 
-* the **replication history** records the last successful exchange with each
-  partner, bounding the scan to documents changed since then;
+* the **replication history** records, per partner, a cursor into its
+  update-sequence journal, bounding each pass to the notes changed there
+  since the last exchange;
 * **sequence numbers + sequence times** (originator ids) decide which side
   holds the newer revision, with ``$Revisions`` ancestry telling *updates*
   apart from *divergence*;

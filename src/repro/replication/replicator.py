@@ -2,15 +2,22 @@
 
 One *pass* pulls changes from a source replica into a target replica:
 
-1. Read the target's replication history entry for the source; only notes
-   changed at/after that cutoff are candidates (the incremental scan).
-2. For each candidate document, compare originator ids and ``$Revisions``
-   ancestry against the target's copy: install plain updates, skip already
-   known revisions, and hand genuine divergence to the conflict policy.
-3. Deletion stubs propagate the same way; a stub beats a document revision
-   it supersedes, while a document edited *after* (more revisions than) the
-   deletion survives it.
-4. On success, record the pass in the replication history.
+1. Read the target's receive cursor for the source: the source's update
+   seq as of the last pass, valid only under the source journal it was
+   cut from. The candidates are the source's journal suffix past it — a
+   link with no cursor, or one cut from another journal, starts at seq 0.
+2. :meth:`Replicator.apply` decides what each candidate does to the
+   target. A document is compared by originator id and ``$Revisions``
+   ancestry against the target's copy: plain updates install, known
+   revisions are skipped, genuine divergence goes to the conflict policy.
+   Deletion stubs propagate the same way; a stub beats every revision it
+   has seen (in either direction), while a document edited *after* (more
+   revisions than) the deletion survives it.
+3. The cursor advances on both ends after every batch and at the end.
+
+``apply`` is also what the event-driven cluster replicator pushes each
+change through, so a scheduled pass and a cluster push never disagree on
+what a note does to a replica.
 
 ``full_copy`` implements the naive baseline (ship everything every time) and
 ``versioning="timestamp"`` the clock-skew-vulnerable ablation; experiment E1
@@ -28,19 +35,14 @@ from repro.replication.conflicts import ConflictPolicy, detect, resolve
 from repro.replication.network import SimulatedNetwork
 from repro.replication.selective import SelectiveReplication
 
-# Safety slack subtracted from the history cutoff so boundary-time changes
-# are re-examined rather than missed (re-examining is idempotent).
-CUTOFF_SLACK = 1e-9
-
 
 @dataclass
 class ReplicationStats:
     """Outcome of one replication pass (or an accumulation of passes)."""
 
     docs_examined: int = 0
-    # Journal/scan entries the source had to look at to find the
-    # candidates: O(changes) with the update-sequence journal, O(database)
-    # for the pre-journal scan baseline.
+    # Journal entries the source had to look at to find the candidates:
+    # O(changes), never O(database) (``full_copy`` counts every note).
     docs_scanned: int = 0
     docs_transferred: int = 0
     docs_skipped: int = 0
@@ -108,14 +110,6 @@ class Replicator:
         (plus the envelope) instead of the whole note — the R5 field-level
         replication optimisation. Semantically identical; only the wire
         accounting and the reconstruction path differ.
-    journal:
-        When True (default), passes read the source's update-sequence
-        journal: the history records the partner's last-seen sequence and
-        a pass walks only the journal suffix — O(changes). A history with
-        no sequence entry (pre-journal, or after ``clear_replication_
-        history``) falls back to the timestamp cutoff. When False, every
-        pass uses the pre-journal O(database) scan — the ablation baseline
-        benchmark E13 measures against.
     batch_size:
         Journal entries applied per resumable batch. After each full
         batch the per-link seq cursor is checkpointed on both ends, so an
@@ -137,7 +131,6 @@ class Replicator:
         conflict_policy: ConflictPolicy = ConflictPolicy.CONFLICT_DOC,
         versioning: str = "oid",
         field_level: bool = False,
-        journal: bool = True,
         batch_size: int = 64,
         resumable: bool = True,
     ) -> None:
@@ -149,7 +142,6 @@ class Replicator:
         self.conflict_policy = conflict_policy
         self.versioning = versioning
         self.field_level = field_level
-        self.journal = journal
         self.batch_size = batch_size
         self.resumable = resumable
 
@@ -164,6 +156,13 @@ class Replicator:
     ) -> ReplicationStats:
         """One incremental pass: bring ``target`` up to date from ``source``.
 
+        The source's journal suffix past the receive cursor is applied in
+        journal order. Resumable mode installs as it goes and checkpoints
+        the cursor after every full batch, so an exchange killed between
+        checkpoints re-examines at most ``batch_size`` entries on the
+        next attempt. The all-or-nothing ablation stages every install
+        and applies them only once the whole suffix transferred.
+
         ``into`` lets a caller keep the partial counters of a pass that a
         :class:`~repro.errors.LinkFailure` kills mid-flight — the
         schedulers pass their round accumulator so interrupted work is
@@ -177,72 +176,17 @@ class Replicator:
             self.network.begin_attempt(source.server, target.server)
         # Capture the source's sequence BEFORE applying anything: observers
         # of the target (cluster push-back, agents) may write into the
-        # source mid-pass, and those writes must be re-examined next time
-        # — the seq-domain analogue of CUTOFF_SLACK.
+        # source mid-pass, and those writes must be re-examined next time.
         source_seq = source.update_seq
-        seq_cutoff = (
-            target.replication_seq.get((source.server, "receive"))
-            if self.journal
-            else None
+        entries = source.journal_entries_since(
+            self._receive_cursor(target, source) or 0
         )
-        if seq_cutoff is None and self.journal and (
-            (source.server, "receive") not in target.replication_history
-        ):
-            # A link with no history at all (first exchange, or after a
-            # history clear) is journal-driven from seq 0, so even the
-            # initial bulk pull batches and checkpoints. Only a history
-            # written by the pre-journal scan replicator (a timestamp
-            # with no seq) still takes the timestamp fallback below.
-            seq_cutoff = 0
-        if seq_cutoff is not None:
-            self._pull_journal(target, source, seq_cutoff, selective, stats)
-        else:
-            cutoff = (
-                target.replication_history.get((source.server, "receive"), 0.0)
-                - CUTOFF_SLACK
-            )
-            if self.journal:
-                docs, stubs = source.changed_since(cutoff)
-            else:
-                docs, stubs = source.changed_since_scan(cutoff)
-            stats.docs_scanned += source.last_scan_cost
-            for doc in sorted(docs, key=lambda d: (d.modified, d.unid)):
-                self._consider_document(target, source, doc, selective, stats)
-            for stub in sorted(stubs, key=lambda s: (s.deleted_at, s.unid)):
-                self._consider_stub(target, stub, stats)
-        # The cutoff is compared against the SOURCE's local modification
-        # times on the next pass, so it must be recorded in the source's
-        # clock domain — replicas may have skewed clocks.
-        now = source.clock.now
-        target.replication_history[(source.server, "receive")] = now
-        source.replication_history[(target.server, "send")] = now
-        if self.journal:
-            self._record_cursor(source, target, source_seq)
-        return stats
-
-    def _pull_journal(
-        self,
-        target: NotesDatabase,
-        source: NotesDatabase,
-        seq_cutoff: int,
-        selective: SelectiveReplication | None,
-        stats: ReplicationStats,
-    ) -> None:
-        """The journal fast path, applied in journal order.
-
-        Resumable mode installs as it goes and checkpoints the per-link
-        seq cursor after every full batch, so an exchange killed between
-        checkpoints re-examines at most ``batch_size`` entries on the
-        next attempt. The all-or-nothing ablation stages every install
-        and applies them only once the whole suffix transferred.
-        """
-        entries = source.journal_entries_since(seq_cutoff)
         stats.docs_scanned += source.last_scan_cost
         staged: list | None = [] if not self.resumable else None
         in_batch = 0
         for seq, note in entries:
             if isinstance(note, DeletionStub):
-                self._consider_stub(target, note, stats, staged)
+                self._consider_stub(target, source, note, stats, staged)
             else:
                 self._consider_document(
                     target, source, note, selective, stats, staged
@@ -255,20 +199,39 @@ class Replicator:
         if staged is not None:
             for apply in staged:
                 apply(stats)
+        self._record_cursor(source, target, source_seq)
+        return stats
+
+    @staticmethod
+    def _receive_cursor(
+        target: NotesDatabase, source: NotesDatabase
+    ) -> int | None:
+        """``target``'s seq cursor into ``source``'s journal, or None.
+
+        None when the link has no cursor, or when the cursor was cut from
+        another journal: a source whose journal was reseeded (see
+        ``NotesDatabase._recover_journal``) reissues seqs from scratch, so
+        an old cursor would skip its notes.
+        """
+        if target.replication_journal.get(source.server) != source.journal_id:
+            return None
+        return target.replication_seq.get((source.server, "receive"))
 
     def _record_cursor(
         self, source: NotesDatabase, target: NotesDatabase, seq: int
     ) -> None:
-        """Advance both ends' seq cursors for this link (never backwards).
+        """Advance both ends' seq cursors for this link (never backwards
+        within one source journal).
 
         The ``"receive"`` side is the resume point of the next pull; the
         ``"send"`` side is the stub-purge acknowledgement — both are safe
         to record mid-pass because every journal entry at/below ``seq``
         has been applied to (or judged already present in) the target.
         """
-        receive = (source.server, "receive")
-        if seq > target.replication_seq.get(receive, -1):
-            target.replication_seq[receive] = seq
+        cursor = self._receive_cursor(target, source)
+        if cursor is None or seq > cursor:
+            target.replication_seq[(source.server, "receive")] = seq
+            target.replication_journal[source.server] = source.journal_id
         send = (target.server, "send")
         if seq > source.replication_seq.get(send, -1):
             source.replication_seq[send] = seq
@@ -282,9 +245,8 @@ class Replicator:
         quiet edges entirely (they are not even exposed to link faults).
         """
         return (
-            self.journal
-            and a.replication_seq.get((b.server, "receive")) == b.update_seq
-            and b.replication_seq.get((a.server, "receive")) == a.update_seq
+            self._receive_cursor(a, b) == b.update_seq
+            and self._receive_cursor(b, a) == a.update_seq
         )
 
     def replicate(
@@ -315,14 +277,37 @@ class Replicator:
         for doc in source.all_documents():
             stats.docs_examined += 1
             stats.docs_scanned += 1
-            self._transfer(source, target, doc, stats)
+            self._transfer(source, target, doc.size(), stats)
             self._install(target, doc, stats)
         for stub in source.stubs.values():
-            self._consider_stub(target, stub, stats)
-        target.replication_history[(source.server, "receive")] = source.clock.now
-        if self.journal:
-            target.replication_seq[(source.server, "receive")] = source_seq
+            self._consider_stub(target, source, stub, stats)
+        target.replication_seq[(source.server, "receive")] = source_seq
+        target.replication_journal[source.server] = source.journal_id
         return stats
+
+    def apply(
+        self,
+        target: NotesDatabase,
+        source: NotesDatabase,
+        note: Document | DeletionStub,
+        stats: ReplicationStats,
+    ) -> None:
+        """Decide what one note from ``source`` does to ``target``.
+
+        The per-note rule every replication path shares: a document goes
+        through the originator-id/ancestry comparison (losing to a target
+        stub that has seen its revision), a stub deletes every revision
+        it has seen. Scheduled pulls apply their journal suffix this way
+        and the cluster replicator pushes each change through it, so the
+        two can never resolve the same race differently. Transfers are
+        accounted in ``stats`` (and on the network, if any); a
+        :class:`~repro.errors.LinkFailure` from the network propagates
+        before the target changes.
+        """
+        if isinstance(note, DeletionStub):
+            self._consider_stub(target, source, note, stats)
+        else:
+            self._consider_document(target, source, note, None, stats)
 
     # -- document path ------------------------------------------------------
 
@@ -357,7 +342,7 @@ class Replicator:
                 return
         local = target.try_get(doc.unid)
         if local is None:
-            self._transfer(source, target, doc, stats)
+            self._transfer(source, target, doc.size(), stats)
             self._install(target, doc, stats, sink)
             return
         relation = self._relation(local, doc)
@@ -370,10 +355,10 @@ class Replicator:
                     source, target, local, doc, stats, sink
                 )
             else:
-                self._transfer(source, target, doc, stats)
+                self._transfer(source, target, doc.size(), stats)
                 self._install(target, doc, stats, sink)
             return
-        self._transfer(source, target, doc, stats)
+        self._transfer(source, target, doc.size(), stats)
         incoming = doc.copy()
 
         def apply(stats_: ReplicationStats) -> None:
@@ -484,7 +469,7 @@ class Replicator:
         rebuilt.parent_unid = incoming.parent_unid
         rebuilt.revisions = [tuple(s) for s in incoming.revisions]
         rebuilt.updated_by = list(incoming.updated_by)
-        self._account(target, delta_bytes, stats, src=source.server)
+        self._transfer(source, target, delta_bytes, stats)
 
         def apply(stats_: ReplicationStats) -> None:
             target.raw_put(rebuilt, ChangeKind.REPLACE)
@@ -500,6 +485,7 @@ class Replicator:
     def _consider_stub(
         self,
         target: NotesDatabase,
+        source: NotesDatabase,
         stub: DeletionStub,
         stats: ReplicationStats,
         sink: list | None = None,
@@ -510,7 +496,7 @@ class Replicator:
         existing = target.stubs.get(stub.unid)
         if existing is not None and tuple(existing.seq_time) >= tuple(stub.seq_time):
             return
-        self._account(target, _STUB_WIRE_SIZE, stats)
+        self._transfer(source, target, _STUB_WIRE_SIZE, stats)
 
         def apply(stats_: ReplicationStats) -> None:
             target.raw_delete(stub)
@@ -532,21 +518,16 @@ class Replicator:
         self,
         source: NotesDatabase,
         target: NotesDatabase,
-        doc: Document,
-        stats: ReplicationStats,
-    ) -> None:
-        self._account(target, doc.size(), stats, src=source.server)
-
-    def _account(
-        self,
-        target: NotesDatabase,
         nbytes: int,
         stats: ReplicationStats,
-        src: str | None = None,
     ) -> None:
+        """Account ``nbytes`` sent from ``source`` to ``target``; on a
+        network this may raise :class:`~repro.errors.LinkFailure`."""
         stats.bytes_transferred += nbytes
-        if self.network is not None and src is not None:
-            stats.seconds += self.network.transfer(src, target.server, nbytes)
+        if self.network is not None:
+            stats.seconds += self.network.transfer(
+                source.server, target.server, nbytes
+            )
 
     # -- guards -----------------------------------------------------------
 

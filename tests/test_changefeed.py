@@ -1,11 +1,13 @@
 """Tests for the update-sequence journal and its change-feed semantics.
 
-The journal turns ``changed_since`` from a full-database scan into a
-suffix read of a by-seq log (CouchDB ``_changes`` style). These tests pin
-the semantics the replicator relies on: seq cutoffs and timestamp cutoffs
-agree, multi-hop hub routing still counts an installed note as changed
-*now*, ``clear_replication_history`` forces a full re-examination, and the
-journal survives a storage-engine reopen.
+The journal makes "what changed since the last pass" a suffix read of a
+by-seq log (CouchDB ``_changes`` style) instead of a full-database scan.
+These tests pin the semantics the replicator relies on: the seq feed is
+exactly the set of notes whose revision changed past the mark, multi-hop
+hub routing still counts an installed note as changed *now*,
+``clear_replication_history`` forces a full re-examination, a receive
+cursor only counts against the journal it was cut from, and the journal
+survives a storage-engine reopen.
 """
 
 import random
@@ -69,28 +71,39 @@ class TestJournalBasics:
         assert docs == []
         assert [s.unid for s in stubs] == [doc.unid]
 
-    def test_seq_and_timestamp_paths_agree(self, db, clock):
+    def test_seq_feed_matches_snapshot_diff(self, db, clock):
+        """The feed past a mark holds exactly the notes whose revision (or
+        stub) differs between snapshots taken at the mark and now."""
         rng = random.Random(11)
         for index in range(30):
             db.create({"N": index})
             clock.advance(0.2)
-        mark_seq = db.update_seq
-        mark_time = clock.now
+
+        def snapshot():
+            return (
+                {d.unid: (d.seq, tuple(d.seq_time)) for d in db.all_documents()},
+                {u: (s.seq, tuple(s.seq_time)) for u, s in db.stubs.items()},
+            )
+
+        mark = db.update_seq
+        docs_before, stubs_before = snapshot()
         clock.advance(1)
         for unid in rng.sample(db.unids(), 8):
             db.update(unid, {"S": "new"})
-        doomed = rng.sample([u for u in db.unids()], 3)
-        for unid in doomed:
+        for unid in rng.sample(db.unids(), 3):
             db.delete(unid)
+        db.create({"N": "late"})
+        docs_after, stubs_after = snapshot()
 
-        def key(result):
-            docs, stubs = result
-            return ({d.unid for d in docs}, {s.unid for s in stubs})
-
-        via_seq = key(db.changed_since_seq(mark_seq))
-        via_time = key(db.changed_since(mark_time))
-        via_scan = key(db.changed_since_scan(mark_time))
-        assert via_seq == via_time == via_scan
+        docs, stubs = db.changed_since_seq(mark)
+        assert {d.unid for d in docs} == {
+            unid for unid, rev in docs_after.items()
+            if docs_before.get(unid) != rev
+        }
+        assert {s.unid for s in stubs} == {
+            unid for unid, rev in stubs_after.items()
+            if stubs_before.get(unid) != rev
+        }
 
     def test_compaction_preserves_the_feed(self, db, clock):
         doc = db.create({"S": "hot"})
@@ -117,8 +130,6 @@ class TestJournalBasics:
             db.update(unid, {"S": "touched"})
         db.changed_since_seq(mark)
         assert db.last_scan_cost <= 10
-        db.changed_since_scan(0.0)
-        assert db.last_scan_cost >= 2000
 
 
 class TestReplicationSeqHistory:
@@ -165,34 +176,15 @@ class TestReplicationSeqHistory:
         assert stats.docs_examined == 10  # everything re-examined
         assert stats.docs_transferred == 0  # ...but nothing re-shipped
 
-    def test_timestamp_history_fallback_interop(self, pair, clock):
-        """A history written by the pre-journal (scan) replicator still
-        yields a correct incremental pass when the journal path takes over,
-        and the pass upgrades the history to a seq cutoff."""
-        a, b = pair
-        old = a.create({"S": "old"})
-        clock.advance(1)
-        Replicator(journal=False).pull(b, a)
-        assert b.replication_seq == {}  # scan replicator records no seqs
-        clock.advance(1)
-        fresh = a.create({"S": "fresh"})
-        clock.advance(1)
-        stats = Replicator(journal=True).pull(b, a)
-        assert stats.docs_transferred == 1
-        assert fresh.unid in b and old.unid in b
-        assert b.replication_seq[(a.server, "receive")] == a.update_seq
-        clock.advance(1)
-        assert Replicator(journal=True).pull(b, a).docs_examined == 0
-
-    def test_journal_and_scan_replicas_converge_identically(self):
-        def run(journal: bool) -> str:
+    def test_incremental_and_full_copy_converge_identically(self):
+        def run(incremental: bool) -> str:
             clock = VirtualClock()
             base = NotesDatabase(
                 "conv.nsf", clock=clock, rng=random.Random(99), server="a1"
             )
             other = base.new_replica("a2")
             rng = random.Random(42)
-            rep = Replicator(journal=journal)
+            rep = Replicator()
             for round_no in range(4):
                 for index in range(5):
                     base.create({"N": f"{round_no}.{index}"})
@@ -200,13 +192,67 @@ class TestReplicationSeqHistory:
                 if base.unids():
                     other_doc = rng.choice(base.unids())
                     base.update(other_doc, {"S": "touched"})
+                victim = rng.choice(base.unids())
+                base.delete(victim)
                 clock.advance(1)
-                rep.replicate(base, other)
+                if incremental:
+                    rep.replicate(base, other)
+                else:
+                    rep.full_copy(other, base)
                 clock.advance(1)
             assert converged([base, other])
-            return base.state_fingerprint()
+            return other.state_fingerprint()
 
-        assert run(journal=True) == run(journal=False)
+        assert run(incremental=True) == run(incremental=False)
+
+    def test_reseeded_source_journal_resets_the_cursor(self, tmp_path):
+        """A cursor cut from a source journal that has since been reseeded
+        (a new journal_id with seqs reissued from 1) counts as seq 0: the
+        next pull re-examines everything instead of skipping the notes
+        the reseeded journal numbers below the old cursor."""
+        path = str(tmp_path / "a.nsf")
+        clock = VirtualClock()
+        a = NotesDatabase("reseed.nsf", clock=clock, rng=random.Random(5),
+                          server="alpha", engine=StorageEngine(path))
+        b = a.new_replica("beta")
+        rep = Replicator()
+        for index in range(3):
+            doc = a.create({"N": index})
+            for version in range(4):
+                clock.advance(0.1)
+                a.update(doc.unid, {"V": version})
+        assert a.update_seq == 15
+        rep.pull(b, a)
+        assert b.replication_seq[(a.server, "receive")] == 15
+        old_journal = a.journal_id
+        engine = a.engine
+        for key in list(engine.keys(prefix=b"seq:")):
+            engine.remove(key)
+        engine.close()
+
+        a = NotesDatabase("reseed.nsf", clock=clock, rng=random.Random(6),
+                          replica_id=a.replica_id, server="alpha",
+                          engine=StorageEngine(path))
+        assert a.journal_id != old_journal
+        assert a.update_seq == 3
+        for index in range(5):
+            clock.advance(0.1)
+            a.create({"N": f"new {index}"})
+        assert not rep.is_noop(a, b)
+        stats = rep.pull(b, a)
+        assert stats.docs_transferred == 5
+        assert len(b) == 8
+        assert converged([a, b])
+        assert b.replication_journal[a.server] == a.journal_id
+        assert rep.pull(b, a).docs_examined == 0
+
+    def test_clear_history_forgets_the_journal_identity(self, pair, clock, rep):
+        a, b = pair
+        a.create({"S": "x"})
+        rep.pull(b, a)
+        assert b.replication_journal == {a.server: a.journal_id}
+        b.clear_replication_history()
+        assert b.replication_journal == {}
 
 
 class TestAgentSeqTracking:
@@ -278,6 +324,31 @@ class TestJournalPersistence:
         docs, stubs = reloaded.changed_since_seq(mark)
         assert docs == []
         assert [s.unid for s in stubs] == [doc.unid]
+
+    def test_records_with_a_local_time_field_still_recover(self, store):
+        """Older builds stored ``[seq, is_stub, local_time]``; recovery
+        reads only the first two fields, so such a store keeps its
+        journal (identity and seqs) rather than being reseeded."""
+        import json
+
+        engine, db = store()
+        for index in range(4):
+            db.create({"N": index})
+            db.clock.advance(0.1)
+        mark = db.update_seq
+        late = db.create({"S": "late"})
+        db.delete(db.unids()[0])
+        journal_id, high_water = db.journal_id, db.update_seq
+        for key in list(engine.keys(prefix=b"seq:")):
+            seq, is_stub = json.loads(engine.get(key).decode())
+            engine.set(key, json.dumps([seq, is_stub, 12.5]).encode())
+        engine.close()
+        _, reloaded = store(seed=2)
+        assert reloaded.journal_id == journal_id
+        assert reloaded.update_seq == high_water
+        docs, stubs = reloaded.changed_since_seq(mark)
+        assert [d.unid for d in docs] == [late.unid]
+        assert len(stubs) == 1
 
     def test_fingerprint_stable_across_reopen(self, store):
         engine, db = store()

@@ -7,7 +7,12 @@ import pytest
 from repro.cluster import Cluster
 from repro.core import NotesDatabase
 from repro.errors import ClusterError
-from repro.replication import ConflictPolicy, SimulatedNetwork, converged
+from repro.replication import (
+    ConflictPolicy,
+    Replicator,
+    SimulatedNetwork,
+    converged,
+)
 from repro.sim import VirtualClock
 
 
@@ -65,6 +70,44 @@ class TestMembership:
         assert seeded.unid in replica
         assert db_deleted.unid in replica.stubs
 
+    def test_existing_member_replicas_are_levelled(self):
+        """Members that already hold a replica — here one at an older
+        revision of the same document (so the document counts match) plus
+        a note of its own — end up with the same state as the origin and
+        as a brand-new member, and are live members afterwards."""
+        clock = VirtualClock()
+        network = SimulatedNetwork(clock)
+        for name in ("c1", "c2", "c3"):
+            network.add_server(name)
+        db = NotesDatabase("old.nsf", clock=clock, rng=random.Random(4),
+                           server="c1")
+        network.server("c1").add_database(db)
+        doc = db.create({"S": "v1"})
+        stale = db.new_replica("c2")
+        network.server("c2").add_database(stale)
+        Replicator().pull(stale, db)
+        clock.advance(1)
+        db.update(doc.unid, {"S": "v2"})
+        own = stale.create({"S": "only on c2"})
+        gone = db.create({"S": "deleted before joining"})
+        db.delete(gone.unid)
+        cluster = Cluster("C", network)
+        for name in ("c1", "c2", "c3"):
+            cluster.add_member(name)
+        replicas = cluster.cluster_database(db)
+        fresh = next(r for r in replicas if r.server == "c3")
+        assert stale in replicas
+        assert stale.get(doc.unid).get("S") == "v2"
+        assert own.unid in db and own.unid in fresh
+        assert gone.unid in stale.stubs and gone.unid in fresh.stubs
+        assert converged(replicas)
+        for member in ("c2", "c3"):
+            assert db.replication_seq[(member, "send")] == db.update_seq
+        clock.advance(1)
+        db.update(doc.unid, {"S": "v3"})
+        assert stale.get(doc.unid).get("S") == "v3"
+        assert fresh.get(doc.unid).get("S") == "v3"
+
 
 class TestEventDrivenReplication:
     def test_create_propagates_immediately(self, world):
@@ -111,6 +154,91 @@ class TestEventDrivenReplication:
             replicator.catch_up()
         assert converged([a, b, c])
         assert replicator.stats.conflicts >= 1
+
+
+def _race(clustered: bool, stall_first: str, stub_wins: bool):
+    """One seeded partition race, replicated by a cluster or by
+    ``Replicator.replicate`` over plain replicas; returns the replicas.
+
+    Across a three-way partition, c1 updates a document that c2 deletes
+    (the later of the two writes has the later stamp, so ``stub_wins``
+    picks the winner) and both edit a second document. A note written
+    first on ``stall_first`` makes its links the first to stall, and so
+    the first to drain after the heal.
+    """
+    clock = VirtualClock()
+    network = SimulatedNetwork(clock)
+    names = ("c1", "c2", "c3")
+    for name in names:
+        network.add_server(name)
+    origin = NotesDatabase("race.nsf", clock=clock, rng=random.Random(8),
+                           server="c1")
+    network.server("c1").add_database(origin)
+    if clustered:
+        cluster = Cluster("Race", network)
+        for name in names:
+            cluster.add_member(name)
+        a, b, c = cluster.cluster_database(origin)
+    else:
+        a, b, c = origin, origin.new_replica("c2"), origin.new_replica("c3")
+    replicator = Replicator()
+
+    def replicate_all():
+        for x, y in ((a, b), (a, c), (b, c), (a, b), (a, c)):
+            replicator.replicate(x, y)
+
+    raced = a.create({"S": "base"})
+    edited = a.create({"S": "base"})
+    if not clustered:
+        replicate_all()
+    for x, y in ((0, 1), (0, 2), (1, 2)):
+        network.partition(names[x], names[y])
+    clock.advance(1)
+    (a if stall_first == "c1" else b).create({"S": "opens the stall"})
+    clock.advance(1)
+    if stub_wins:
+        a.update(raced.unid, {"S": "c1 edit"})
+        clock.advance(1)
+        b.delete(raced.unid)
+    else:
+        b.delete(raced.unid)
+        clock.advance(1)
+        a.update(raced.unid, {"S": "c1 edit"})
+    clock.advance(1)
+    a.update(edited.unid, {"S": "c1 edit"})
+    clock.advance(1)
+    b.update(edited.unid, {"S": "c2 edit"})
+    for x, y in ((0, 1), (0, 2), (1, 2)):
+        network.partition(names[x], names[y], partitioned=False)
+    if clustered:
+        cluster_replicator = next(iter(cluster.replicators.values()))
+        for _ in range(4):
+            if cluster_replicator.catch_up() == 0:
+                break
+    else:
+        replicate_all()
+    return a, b, c
+
+
+def _note_state(db):
+    return (
+        {d.unid: (d.seq, tuple(d.seq_time)) for d in db.all_documents()},
+        {u: (s.seq, tuple(s.seq_time)) for u, s in db.stubs.items()},
+    )
+
+
+class TestClusterMatchesScheduledReplication:
+    @pytest.mark.parametrize("stub_wins", [True, False])
+    @pytest.mark.parametrize("stall_first", ["c1", "c2"])
+    def test_partition_races_resolve_as_scheduled(self, stall_first, stub_wins):
+        expected = _note_state(_race(False, stall_first, stub_wins)[0])
+        for replica in _race(True, stall_first, stub_wins):
+            assert _note_state(replica) == expected
+        docs, stubs = expected
+        assert len(stubs) == (1 if stub_wins else 0)
+        # The stall opener, the edited note and its conflict note, plus
+        # the raced note when its update beats the delete.
+        assert len(docs) == (3 if stub_wins else 4)
 
 
 class TestFailover:

@@ -101,20 +101,24 @@ class TestDeletionStubs:
 
     def test_changed_since_includes_stubs(self, db, clock):
         doc = db.create({"S": "x"})
+        mark = db.update_seq
         clock.advance(10)
         db.delete(doc.unid)
-        docs, stubs = db.changed_since(5.0)
+        docs, stubs = db.changed_since_seq(mark)
         assert docs == [] and len(stubs) == 1
 
     def test_changed_since_uses_local_time(self, db, clock):
-        """A replicator-installed doc counts as changed now, not at its own
-        modified time — the property multi-hop replication depends on."""
+        """A replicator-installed doc counts as changed at its arrival (a
+        fresh local seq), not at its own older revision — the property
+        multi-hop replication depends on."""
         from repro.core import Document
 
-        old = Document("D" * 32, seq=3, seq_time=(1.0, 1), created=1.0, modified=1.0)
+        db.create({"S": "earlier local write"})
         clock.advance(100)
+        mark = db.update_seq
+        old = Document("D" * 32, seq=3, seq_time=(1.0, 1), created=1.0, modified=1.0)
         db.raw_put(old)
-        docs, _ = db.changed_since(50.0)
+        docs, _ = db.changed_since_seq(mark)
         assert [d.unid for d in docs] == ["D" * 32]
 
 

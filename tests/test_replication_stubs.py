@@ -30,6 +30,32 @@ class TestStubPropagation:
         assert doc.unid not in b
         assert doc.unid in b.stubs
 
+    def test_stub_bytes_reach_the_network(self, clock):
+        """A stub a scheduled pull transfers is accounted on the wire, on
+        its link, exactly like a document."""
+        import random
+
+        from repro.core import NotesDatabase
+        from repro.replication import SimulatedNetwork
+
+        network = SimulatedNetwork(clock)
+        for name in ("alpha", "beta"):
+            network.add_server(name)
+        a = NotesDatabase("net.nsf", clock=clock, rng=random.Random(2),
+                          server="alpha")
+        b = a.new_replica("beta")
+        rep = Replicator(network=network)
+        doc = a.create({"S": "shared"})
+        rep.pull(b, a)
+        sent_before = network.stats.bytes_sent
+        clock.advance(1)
+        a.delete(doc.unid)
+        stats = rep.pull(b, a)
+        assert stats.stubs_transferred == 1
+        assert stats.bytes_transferred > 0
+        assert network.stats.bytes_sent - sent_before == stats.bytes_transferred
+        assert network.stats.by_link[("alpha", "beta")][1] == 2
+
     def test_delete_beats_stale_copy_in_other_direction(self, synced_pair, clock, rep):
         a, b, doc = synced_pair
         a.delete(doc.unid)
