@@ -15,9 +15,14 @@ keeps only the origin seq it last drained, and ``catch_up`` replays
 ``journal_entries_since`` that cursor — O(1) state per link however many
 changes pile up during the outage, with a drain bounded by the number of
 distinct changed notes. The only per-note bookkeeping left is a small
-side-table of *un-journaled* events (soft deletes, restores, cutoff
-purges — none of which write journal entries) so a drain reproduces them
-too.
+side-table of *un-journaled* events (trash moves and cutoff purges, neither
+of which writes a journal entry) so a drain reproduces them too.
+
+A soft delete or restore is not a note change: it moves a held note into or
+out of the trash, and each member moves its own copy the same way
+(``NotesDatabase.raw_trash``). So a restore brings the note back on every
+member, and after a seed a note is in the trash on every member if it was
+in any member's trash.
 
 Successful pushes acknowledge the origin's ``update_seq`` into
 ``replication_seq[(target, "send")]`` — the same ledger scheduled
@@ -37,7 +42,11 @@ from repro.core.document import Document
 from repro.errors import LinkFailure
 from repro.replication.conflicts import ConflictPolicy
 from repro.replication.network import SimulatedNetwork
-from repro.replication.replicator import ReplicationStats, Replicator
+from repro.replication.replicator import (
+    _STUB_WIRE_SIZE,
+    ReplicationStats,
+    Replicator,
+)
 
 
 @dataclass
@@ -73,9 +82,9 @@ class ClusterReplicator:
         # A link appears here only while stalled; catch_up replays the
         # journal suffix past the cursor and removes it.
         self._stalled: dict[tuple[str, str], int] = {}
-        # Events the journal cannot replay (soft deletes, restores and
-        # cutoff purges never journal): (link) -> {unid: stub | None}.
-        # None means "push the current document" (a restore).
+        # Events the journal cannot replay (trash moves and cutoff purges
+        # never journal): (link) -> {unid: stub | None}. None means "move
+        # the target's copy into or out of the trash as the source's is".
         self._pending: dict[tuple[str, str], dict[str, DeletionStub | None]] = {}
         self._pushing = False
 
@@ -109,11 +118,11 @@ class ClusterReplicator:
             if kind in (ChangeKind.CREATE, ChangeKind.UPDATE,
                         ChangeKind.REPLACE):
                 self._push_all(origin, payload, journaled=True)
-            elif kind == ChangeKind.RESTORE:
-                self._push_all(origin, payload, journaled=False)
+            elif kind == ChangeKind.RESTORE or origin.in_trash(payload.unid):
+                self._push_all(origin, payload.unid, journaled=False)
             elif kind == ChangeKind.DELETE:
-                # delete() journals a stub; soft deletes and cutoff purges
-                # synthesize one that the journal never sees.
+                # delete() journals a stub; a cutoff purge synthesizes one
+                # that the journal never sees.
                 self._push_all(
                     origin, payload, journaled=payload.unid in origin.stubs
                 )
@@ -125,19 +134,15 @@ class ClusterReplicator:
     def _push_all(
         self,
         origin: NotesDatabase,
-        note: Document | DeletionStub,
+        note: Document | DeletionStub | str,
         journaled: bool,
     ) -> None:
+        """Push ``note`` (a bare UNID: its trash move) to every member."""
         for member in self._members:
             if member is origin:
                 continue
             link = (origin.server, member.server)
             if self.network.is_reachable(*link):
-                if not journaled:
-                    # A restore supersedes a pending soft-delete stub
-                    # queued on this link (and vice versa — latest event
-                    # wins).
-                    self._pending.get(link, {}).pop(note.unid, None)
                 try:
                     self.network.begin_attempt(*link)
                     self._push_one(origin, member, note)
@@ -147,6 +152,10 @@ class ClusterReplicator:
                 else:
                     if link not in self._stalled:
                         self._ack(origin, member)
+                    elif not journaled:
+                        # The link's drain replays older journal entries
+                        # first; the event must land again after them.
+                        self._queue(link, note)
                     continue
             # Stall the link at the seq *before* this change (the notify
             # runs after the journal append, so update_seq is this
@@ -156,9 +165,16 @@ class ClusterReplicator:
                 link, origin.update_seq - 1 if journaled else origin.update_seq
             )
             if not journaled:
-                stub = note if isinstance(note, DeletionStub) else None
-                self._pending.setdefault(link, {})[note.unid] = stub
+                self._queue(link, note)
             self.stats.queued += 1
+
+    def _queue(self, link: tuple[str, str], note: DeletionStub | str) -> None:
+        """Record an un-journaled event (a cutoff stub or a trash move) for
+        ``link``'s drain, replacing any earlier one for the same note."""
+        if isinstance(note, DeletionStub):
+            self._pending.setdefault(link, {})[note.unid] = note
+        else:
+            self._pending.setdefault(link, {})[note] = None
 
     def _ack(self, origin: NotesDatabase, target: NotesDatabase) -> None:
         """Record that ``target`` holds everything up to origin's seq."""
@@ -168,14 +184,18 @@ class ClusterReplicator:
         self,
         origin: NotesDatabase,
         target: NotesDatabase,
-        note: Document | DeletionStub,
+        note: Document | DeletionStub | str,
     ) -> None:
         """Apply one note from ``origin`` to ``target`` under the shared
-        rule, with the echo guard up so the target does not re-push it."""
+        rule (a bare UNID: move ``target``'s copy as ``origin``'s is), with
+        the echo guard up so the target does not re-push it."""
         outcome = ReplicationStats()
         self._pushing = True
         try:
-            self._rule.apply(target, origin, note, outcome)
+            if isinstance(note, str):
+                self._move_trash(origin, target, note, outcome)
+            else:
+                self._rule.apply(target, origin, note, outcome)
         finally:
             self._pushing = False
         if outcome.bytes_transferred:
@@ -183,6 +203,28 @@ class ClusterReplicator:
             self.stats.bytes_pushed += outcome.bytes_transferred
             self.stats.push_latency.append(outcome.seconds)
         self.stats.conflicts += outcome.conflicts
+
+    def _move_trash(
+        self,
+        origin: NotesDatabase,
+        target: NotesDatabase,
+        unid: str,
+        outcome: ReplicationStats,
+    ) -> None:
+        """Put ``target``'s copy of ``unid`` into the trash, or take it
+        out, as ``origin``'s copy is; the move costs a stub-sized message.
+        Nothing moves when either side no longer holds the note (a stub
+        settles it through the journal instead)."""
+        trashed = origin.in_trash(unid)
+        if not trashed and unid not in origin:
+            return
+        if not (unid in target if trashed else target.in_trash(unid)):
+            return
+        outcome.bytes_transferred += _STUB_WIRE_SIZE
+        outcome.seconds += self.network.transfer(
+            origin.server, target.server, _STUB_WIRE_SIZE
+        )
+        target.raw_trash(unid, trashed)
 
     # -- catch-up after failure ------------------------------------------
 
@@ -222,14 +264,11 @@ class ClusterReplicator:
                 pending = self._pending.get(link, {})
                 for unid in list(pending):
                     stub = pending[unid]
-                    if stub is not None:
-                        self._push_one(
-                            source, target, source.stubs.get(unid, stub)
-                        )
-                    else:
-                        live = source.try_get(unid)
-                        if live is not None:
-                            self._push_one(source, target, live)
+                    self._push_one(
+                        source,
+                        target,
+                        unid if stub is None else source.stubs.get(unid, stub),
+                    )
                     del pending[unid]
                     drained += 1
                 self._pending.pop(link, None)
@@ -247,22 +286,30 @@ class ClusterReplicator:
     def seed(self, origin: NotesDatabase) -> int:
         """Level every member with ``origin`` (the cluster-join path).
 
-        Each member's whole journal replays into ``origin``, then
+        Each member's whole journal and trash replay into ``origin``, then
         ``origin``'s into each member — a ``catch_up`` of links stalled
-        at seq 0, so every note goes through the shared rule with echo
-        suppressed, and each completed replay acknowledges the seq it
-        reached. A member that already holds some notes (at any revision)
-        ends up holding what scheduled replication would give it. A
-        member that is unreachable stays stalled for a later ``catch_up``.
-        Returns the number of notes replayed.
+        at seq 0 with every trashed note pending, so every note goes
+        through the shared rule with echo suppressed, and each completed
+        replay acknowledges the seq it reached. A member that already
+        holds some notes (at any revision) ends up holding what scheduled
+        replication would give it, and a note any member had in its trash
+        ends in the trash everywhere. A member that is unreachable stays
+        stalled for a later ``catch_up``. Returns the number of notes
+        replayed.
         """
         others = [member for member in self._members if member is not origin]
         for member in others:
-            self._stalled[(member.server, origin.server)] = 0
+            self._replay_all(member, origin)
         replayed = self.catch_up()
         for member in others:
-            self._stalled[(origin.server, member.server)] = 0
+            self._replay_all(origin, member)
         return replayed + self.catch_up()
+
+    def _replay_all(self, source: NotesDatabase, target: NotesDatabase) -> None:
+        """Stall the link at seq 0 with ``source``'s trash moves pending."""
+        link = (source.server, target.server)
+        self._stalled[link] = 0
+        self._pending.setdefault(link, {}).update(dict.fromkeys(source.trash))
 
     def _member_on(self, server: str) -> NotesDatabase | None:
         for member in self._members:

@@ -335,23 +335,6 @@ class NotesDatabase:
         ]
         self._journal_stale = 0
 
-    def _live_suffix(
-        self, after_seq: int
-    ) -> list[tuple[int, "Document | DeletionStub"]]:
-        """The live notes journaled above ``after_seq``, in seq order: a
-        binary search for the suffix start plus a walk over it."""
-        start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
-        suffix = self._journal[start:]
-        self.last_scan_cost = len(suffix)
-        entries: list[tuple[int, Document | DeletionStub]] = []
-        for seq, unid, is_stub in suffix:
-            if self._note_seq.get(unid) != seq:
-                continue  # superseded by a later write to the same note
-            note = self._stubs.get(unid) if is_stub else self._docs.get(unid)
-            if note is not None:
-                entries.append((seq, note))
-        return entries
-
     # -- purge log ----------------------------------------------------------
 
     @property
@@ -610,11 +593,8 @@ class NotesDatabase:
 
     def soft_delete(self, unid: str, author: str = "anonymous") -> None:
         """Move a document to the trash; views stop showing it."""
-        doc = self._require_doc(unid)
-        self._check_delete(author, doc)
-        self._trash_add(unid)
-        self._commit({_TRASH_PREFIX + unid.encode(): b""})
-        self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, author), doc)
+        self._check_delete(author, self._require_doc(unid))
+        self.raw_trash(unid, True, author)
 
     def restore(self, unid: str, author: str = "anonymous") -> Document:
         """Bring a soft-deleted document back from the trash."""
@@ -622,10 +602,28 @@ class NotesDatabase:
             raise DatabaseError(f"{unid} is not in the trash")
         doc = self._docs[unid]
         self._check_update(author, doc)
-        self._trash_discard(unid)
-        self._commit({}, drop=[_TRASH_PREFIX + unid.encode()])
-        self._notify(ChangeKind.RESTORE, doc, None)
+        self.raw_trash(unid, False)
         return doc
+
+    def raw_trash(self, unid: str, trashed: bool, author: str = "anonymous") -> None:
+        """Move a held document into (or out of) the trash with no access
+        check and no revision bump — the write path of :meth:`soft_delete`
+        and :meth:`restore`, and how a cluster member mirrors its mate's
+        trash. A no-op when ``unid`` is not held or already placed."""
+        doc = self._docs.get(unid)
+        if doc is None or (unid in self._trash) == trashed:
+            return
+        if trashed:
+            self._trash_add(unid)
+            self._commit({_TRASH_PREFIX + unid.encode(): b""})
+            self._notify(ChangeKind.DELETE, self._as_trash_stub(doc, author), doc)
+        else:
+            self._trash_discard(unid)
+            self._commit({}, drop=[_TRASH_PREFIX + unid.encode()])
+            self._notify(ChangeKind.RESTORE, doc, None)
+
+    def in_trash(self, unid: str) -> bool:
+        return unid in self._trash
 
     def empty_trash(self, author: str = "anonymous") -> int:
         """Hard-delete everything in the trash; returns the count.
@@ -880,7 +878,7 @@ class NotesDatabase:
         """
         docs: list[Document] = []
         stubs: list[DeletionStub] = []
-        for _, note in self._live_suffix(after_seq):
+        for _, note in self.journal_entries_since(after_seq):
             if isinstance(note, DeletionStub):
                 stubs.append(note)
             else:
@@ -898,7 +896,17 @@ class NotesDatabase:
         applies entries in this order may record any prefix's last seq as
         its cursor and resume from there after an interruption.
         """
-        return self._live_suffix(after_seq)
+        start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
+        suffix = self._journal[start:]
+        self.last_scan_cost = len(suffix)
+        entries: list[tuple[int, Document | DeletionStub]] = []
+        for seq, unid, is_stub in suffix:
+            if self._note_seq.get(unid) != seq:
+                continue  # superseded by a later write to the same note
+            note = self._stubs.get(unid) if is_stub else self._docs.get(unid)
+            if note is not None:
+                entries.append((seq, note))
+        return entries
 
     def raw_put(self, doc: Document, kind: ChangeKind = ChangeKind.REPLACE) -> None:
         """Install ``doc`` exactly as given (no revision bump).

@@ -92,6 +92,9 @@ class StorageEngine:
         # on load). Pages with no room for even an empty record are left
         # out.
         self._free_buckets: list[set[int]] = [set() for _ in range(_TOP + 1)]
+        # The page the heap last freed or filled a slot on: already dirty,
+        # so it is the first place a chunk is offered.
+        self._last_page: int | None = None
         self._next_txn = 1
         self._open = True
         self.last_recovery: recovery_mod.RecoveryReport | None = None
@@ -299,6 +302,7 @@ class StorageEngine:
             try:
                 page.delete(slot)
                 self._set_free(page_id, page.reclaimable)
+                self._last_page = page_id
             except PageError:
                 # Replay after a mid-apply crash can see slots that were
                 # already freed on disk; a stale free is harmless.
@@ -308,25 +312,40 @@ class StorageEngine:
 
     def _insert_chunk(self, chunk: bytes) -> tuple[int, int]:
         need = len(chunk)
-        # Smallest adequate size class first, so big holes stay available
-        # for big chunks. The first page probed fits unless its figure is
-        # stale; such a page moves to its true, lower class, out of this
-        # search.
+        # The page last written first: a rewritten value lands in the hole
+        # its old value just left and a note's records share a page, so
+        # neither dirties one more page.
+        if self._free.get(self._last_page, -1) >= need:
+            location = self._try_place(self._last_page, chunk)
+            if location is not None:
+                return location
+        # Else the smallest adequate size class, so big holes stay
+        # available for big chunks. The first page probed fits unless its
+        # figure is stale; such a page moves to its true, lower class, out
+        # of this search.
         for bucket in self._free_buckets[self._need_class(need) :]:
             while bucket:
-                page_id = next(iter(bucket))
-                page = self._pool.fetch(page_id)
-                if page.fits(need):
-                    return self._place(page_id, page, chunk)
-                self._set_free(page_id, page.reclaimable)
-                self._pool.unpin(page_id)
+                location = self._try_place(next(iter(bucket)), chunk)
+                if location is not None:
+                    return location
         return self._place(*self._pool.new_page(), chunk)
+
+    def _try_place(self, page_id: int, chunk: bytes) -> tuple[int, int] | None:
+        """Insert ``chunk`` into ``page_id`` if it fits; else re-file the
+        page under its true free figure and return None."""
+        page = self._pool.fetch(page_id)
+        if page.fits(len(chunk)):
+            return self._place(page_id, page, chunk)
+        self._set_free(page_id, page.reclaimable)
+        self._pool.unpin(page_id)
+        return None
 
     def _place(self, page_id: int, page: SlottedPage, chunk: bytes) -> tuple[int, int]:
         """Insert ``chunk`` into the pinned ``page``, then unpin it."""
         slot = page.insert(chunk)
         self._set_free(page_id, page.reclaimable)
         self._pool.unpin(page_id, dirty=True)
+        self._last_page = page_id
         return (page_id, slot)
 
     def _set_free(self, page_id: int, free: int) -> None:

@@ -91,6 +91,10 @@ class TestMembership:
         own = stale.create({"S": "only on c2"})
         gone = db.create({"S": "deleted before joining"})
         db.delete(gone.unid)
+        binned = db.create({"S": "in the trash before joining"})
+        db.soft_delete(binned.unid)
+        own_binned = stale.create({"S": "in c2's trash before joining"})
+        stale.soft_delete(own_binned.unid)
         cluster = Cluster("C", network)
         for name in ("c1", "c2", "c3"):
             cluster.add_member(name)
@@ -100,6 +104,9 @@ class TestMembership:
         assert stale.get(doc.unid).get("S") == "v2"
         assert own.unid in db and own.unid in fresh
         assert gone.unid in stale.stubs and gone.unid in fresh.stubs
+        for unid in (binned.unid, own_binned.unid):
+            for replica in replicas:
+                assert unid not in replica and replica.in_trash(unid)
         assert converged(replicas)
         for member in ("c2", "c3"):
             assert db.replication_seq[(member, "send")] == db.update_seq
@@ -154,6 +161,86 @@ class TestEventDrivenReplication:
             replicator.catch_up()
         assert converged([a, b, c])
         assert replicator.stats.conflicts >= 1
+
+
+class TestClusterTrash:
+    """A soft delete or restore moves each member's own copy into or out
+    of the trash; nothing a later seed replays can undo a restore."""
+
+    @staticmethod
+    def _assert_live_everywhere(replicas, unid):
+        for replica in replicas:
+            assert unid in replica and not replica.in_trash(unid)
+            assert unid not in replica.stubs
+        assert converged(replicas)
+
+    @staticmethod
+    def _reseed(cluster, replicas):
+        for replica in replicas:
+            cluster.cluster_database(replica)
+
+    def test_soft_delete_and_restore_push_live(self, world):
+        _, _, cluster, replicas = world
+        a, b, c = replicas
+        doc = a.create({"S": "x"})
+        a.soft_delete(doc.unid)
+        for replica in replicas:
+            assert doc.unid not in replica and replica.in_trash(doc.unid)
+            assert doc.unid not in replica.stubs
+        assert converged(replicas)
+        b.restore(doc.unid)
+        self._assert_live_everywhere(replicas, doc.unid)
+        self._reseed(cluster, replicas)
+        self._assert_live_everywhere(replicas, doc.unid)
+
+    @pytest.mark.parametrize("deleted_while_down", [True, False])
+    def test_soft_delete_and_restore_drain(self, world, deleted_while_down):
+        clock, _, cluster, replicas = world
+        a, b, c = replicas
+        doc = a.create({"S": "x"})
+        if not deleted_while_down:
+            a.soft_delete(doc.unid)
+        cluster.fail("c3")
+        if deleted_while_down:
+            a.soft_delete(doc.unid)
+            assert doc.unid in c
+        clock.advance(1)
+        a.restore(doc.unid)
+        assert c.in_trash(doc.unid) != deleted_while_down
+        cluster.restore("c3")
+        self._assert_live_everywhere(replicas, doc.unid)
+        self._reseed(cluster, replicas)
+        self._assert_live_everywhere(replicas, doc.unid)
+
+    def test_trash_move_on_a_stalled_link_lands_after_the_drain(self, world):
+        """A link healed but not yet drained: the soft delete reaches a
+        member that does not hold the note yet, and must still apply
+        after the drain installs it."""
+        _, network, cluster, replicas = world
+        a, b, c = replicas
+        network.partition("c1", "c2")
+        doc = a.create({"S": "created while c1-c2 was cut"})
+        network.partition("c1", "c2", partitioned=False)
+        a.soft_delete(doc.unid)
+        assert doc.unid not in b and not b.in_trash(doc.unid)
+        next(iter(cluster.replicators.values())).catch_up()
+        for replica in replicas:
+            assert doc.unid not in replica and replica.in_trash(doc.unid)
+
+    def test_trash_move_while_down_drains(self, world):
+        _, _, cluster, replicas = world
+        a, b, c = replicas
+        doc = a.create({"S": "x"})
+        cluster.fail("c2")
+        a.soft_delete(doc.unid)
+        assert doc.unid in b
+        cluster.restore("c2")
+        assert b.in_trash(doc.unid)
+        self._reseed(cluster, replicas)
+        for replica in replicas:
+            assert replica.in_trash(doc.unid)
+        c.restore(doc.unid)
+        self._assert_live_everywhere(replicas, doc.unid)
 
 
 def _race(clustered: bool, stall_first: str, stub_wins: bool):

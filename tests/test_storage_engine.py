@@ -185,6 +185,27 @@ class TestWritePath:
         writes[operation]()
         assert engine._wal.flushes - flushes == 1
 
+    def test_note_records_stay_on_the_page_already_written(self, notes):
+        """A new note's ``doc:`` and ``seq:`` records share a page, and an
+        update rewrites each in the hole its old value left, so a note
+        change dirties no page beyond the ones it must."""
+        engine, db = notes
+
+        def pages(unid):
+            return [
+                [page for page, _ in engine._index[prefix + unid.encode()]]
+                for prefix in (b"doc:", b"seq:")
+            ]
+
+        doc = db.create({"Subject": "new", "Body": "y" * 1500})
+        before = pages(doc.unid)
+        assert before[0] == before[1]
+        for unid in (doc.unid, db.unids()[0]):
+            before = pages(unid)
+            db.clock.advance(1)
+            db.update(unid, {"Body": "z" * 1400})
+            assert pages(unid) == before
+
     def test_mixed_size_churn_reuses_space(self, tmp_path):
         engine = StorageEngine(str(tmp_path / "churn"), pool_size=16)
         rng = random.Random(11)
