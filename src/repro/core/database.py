@@ -23,7 +23,10 @@ Responsibilities:
   profile-document lookup (``profile``), and an incrementally maintained
   state fingerprint.
 * Optional durability through :class:`repro.storage.StorageEngine`: each
-  note change is one engine transaction (one fsync under a WAL).
+  note is one engine record, ``doc:<unid>`` or ``stub:<unid>`` holding
+  ``[journal seq, note dict]``, and each note change is one engine
+  transaction (one fsync under a WAL). Open rebuilds the journal from the
+  seqs in those records.
 * Optional access control through an attached ACL (``repro.security``).
 
 The database never interprets item values — that is what views, formulas
@@ -132,7 +135,6 @@ Observer = Callable[[ChangeKind, Any, Document | None], None]
 
 _DOC_PREFIX = b"doc:"
 _STUB_PREFIX = b"stub:"
-_SEQ_PREFIX = b"seq:"
 _TRASH_PREFIX = b"trash:"
 _META_KEY = b"meta:journal"
 
@@ -147,12 +149,6 @@ _JOURNAL_COMPACT_MIN = 64
 # The purge log (journal entries dropped without a successor) is bounded:
 # consumers whose checkpoint predates the retained window rebuild instead.
 _PURGE_LOG_MAX = 1024
-
-
-def _seq_payload(entry: _JournalEntry) -> bytes:
-    """A journal entry as its ``seq:<unid>`` record stores it."""
-    seq, _, is_stub = entry
-    return json.dumps([seq, 1 if is_stub else 0]).encode()
 
 
 @lru_cache(maxsize=8192)
@@ -245,15 +241,20 @@ class NotesDatabase:
         self._purges: list[tuple[int, str]] = []
         # Journal identity: seq checkpoints (view sidecars, full-text
         # checkpoints, replication cursors) are only meaningful against the
-        # journal they were cut from. A reseeded journal (recovery of a
-        # pre-journal database file) gets a fresh identity, so stale
-        # checkpoints fall back to a rebuild instead of mis-reading seqs.
-        self.journal_id = hashlib.sha256(
-            f"journal:{self.replica_id}:{self.server}".encode()
-        ).hexdigest()[:16]
+        # journal they were cut from. Each incarnation of a replica numbers
+        # its seqs from 1, so one re-created empty on the same server must
+        # not pass for its predecessor: the identity mixes in a timestamp
+        # taken when the store holds no journal yet, and is persisted in
+        # ``meta:journal`` so a reopen keeps it.
+        self.journal_id = ""
         if engine is not None:
             self._load_from_engine()
-            self._commit({_META_KEY: self._meta_payload()})
+        if not self.journal_id:
+            now, tick = self.clock.timestamp()
+            self.journal_id = hashlib.sha256(
+                f"journal:{self.replica_id}:{self.server}:{now}:{tick}".encode()
+            ).hexdigest()[:16]
+        self._commit({_META_KEY: self._meta_payload()})
 
     # -- observers -----------------------------------------------------------
 
@@ -306,7 +307,7 @@ class NotesDatabase:
         """The highest local update sequence number assigned so far."""
         return self._update_seq
 
-    def _journal_record(self, unid: str, is_stub: bool) -> _JournalEntry:
+    def _journal_record(self, unid: str, is_stub: bool) -> None:
         """Assign the next seq to ``unid`` and append its journal entry."""
         if unid in self._note_seq:
             self._journal_stale += 1
@@ -319,11 +320,10 @@ class NotesDatabase:
             and self._journal_stale * 2 > len(self._journal)
         ):
             self._compact_journal()
-        return entry
 
     def _journal_drop(self, unid: str) -> None:
         """Forget ``unid``'s journal entry; the caller's transaction drops
-        its ``seq:`` record (see :meth:`_removal_keys`)."""
+        the note record that carries its seq."""
         if self._note_seq.pop(unid, None) is not None:
             self._journal_stale += 1
 
@@ -504,8 +504,8 @@ class NotesDatabase:
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(doc.unid, False)
-        self._persist_doc(doc, entry)
+        self._journal_record(doc.unid, False)
+        self._persist_note(_DOC_PREFIX, doc)
         self._notify(ChangeKind.CREATE, doc, None)
         return doc
 
@@ -536,8 +536,8 @@ class NotesDatabase:
             self._unindex_profile(old)
             self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(unid, False)
-        self._persist_doc(doc, entry)
+        self._journal_record(unid, False)
+        self._persist_note(_DOC_PREFIX, doc)
         self._notify(ChangeKind.UPDATE, doc, old)
         return doc
 
@@ -565,8 +565,8 @@ class NotesDatabase:
         doc.bump_revision(stamp, author)
         doc.item_times[ATTACHMENT_PREFIX + filename] = stamp
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(unid, False)
-        self._persist_doc(doc, entry)
+        self._journal_record(unid, False)
+        self._persist_note(_DOC_PREFIX, doc)
         self._notify(ChangeKind.UPDATE, doc, old)
         return doc
 
@@ -584,8 +584,8 @@ class NotesDatabase:
         )
         self._remove_doc_internal(unid)
         self._stubs[unid] = stub
-        entry = self._journal_record(unid, True)
-        self._persist_stub(stub, entry, drop=self._removal_keys(unid))
+        self._journal_record(unid, True)
+        self._persist_note(_STUB_PREFIX, stub, drop=self._removal_keys(unid))
         self._notify(ChangeKind.DELETE, stub, doc)
         return stub
 
@@ -783,8 +783,8 @@ class NotesDatabase:
         """Drop ``victims`` from the stub table, journal and engine.
 
         The engine write is one transaction covering the purge-log update
-        and every record removal, so recovery never sees a purged seq
-        record with an un-advanced purge log.
+        and every record removal, so recovery never sees a purged stub
+        with an un-advanced purge log.
         """
         if not victims:
             return 0
@@ -794,11 +794,7 @@ class NotesDatabase:
             self._log_purge(unid)
         self._commit(
             {_META_KEY: self._meta_payload()},
-            drop=[
-                prefix + unid.encode()
-                for unid in victims
-                for prefix in (_SEQ_PREFIX, _STUB_PREFIX)
-            ],
+            drop=[_STUB_PREFIX + unid.encode() for unid in victims],
         )
         return len(victims)
 
@@ -931,8 +927,8 @@ class NotesDatabase:
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        entry = self._journal_record(doc.unid, False)
-        self._persist_doc(doc, entry, drop=[_STUB_PREFIX + doc.unid.encode()])
+        self._journal_record(doc.unid, False)
+        self._persist_note(_DOC_PREFIX, doc, drop=[_STUB_PREFIX + doc.unid.encode()])
         self._notify(kind, doc, old)
 
     def raw_delete(self, stub: DeletionStub) -> None:
@@ -948,8 +944,8 @@ class NotesDatabase:
         existing = self._stubs.get(stub.unid)
         if existing is None or tuple(stub.seq_time) > tuple(existing.seq_time):
             self._stubs[stub.unid] = stub
-            entry = self._journal_record(stub.unid, True)
-            self._persist_stub(stub, entry, drop=drop)
+            self._journal_record(stub.unid, True)
+            self._persist_note(_STUB_PREFIX, stub, drop=drop)
         else:
             self._commit({}, drop=drop)
         if old is not None:
@@ -970,39 +966,20 @@ class NotesDatabase:
 
     # -- persistence ------------------------------------------------------
 
-    def _persist_doc(
-        self,
-        doc: Document,
-        journal: _JournalEntry | None = None,
-        drop: Iterable[bytes] = (),
-    ) -> None:
-        self._persist_note(_DOC_PREFIX, doc, journal, drop)
-
-    def _persist_stub(
-        self,
-        stub: DeletionStub,
-        journal: _JournalEntry | None = None,
-        drop: Iterable[bytes] = (),
-    ) -> None:
-        self._persist_note(_STUB_PREFIX, stub, journal, drop)
-
     def _persist_note(
         self,
         prefix: bytes,
         note: Document | DeletionStub,
-        journal: _JournalEntry | None,
-        drop: Iterable[bytes],
+        drop: Iterable[bytes] = (),
     ) -> None:
-        """One transaction covering the note, its journal record and the
-        removal of the ``drop`` keys, so a crash can never durably separate
-        a note from its sequence number or from what it replaces."""
+        """One transaction writing the note's record — its journal seq
+        beside its dict — and removing the ``drop`` keys, so a crash can
+        never durably separate a note from its seq or from what it
+        replaces."""
         if self.engine is None:
             return
-        key = note.unid.encode()
-        puts = {prefix + key: json.dumps(note.to_dict()).encode()}
-        if journal is not None:
-            puts[_SEQ_PREFIX + key] = _seq_payload(journal)
-        self._commit(puts, drop)
+        record = json.dumps([self._note_seq[note.unid], note.to_dict()])
+        self._commit({prefix + note.unid.encode(): record.encode()}, drop)
 
     def _commit(self, puts: dict[bytes, bytes], drop: Iterable[bytes] = ()) -> None:
         """Write ``puts`` and remove the ``drop`` keys the engine holds, in
@@ -1023,7 +1000,7 @@ class NotesDatabase:
     def _removal_keys(unid: str) -> list[bytes]:
         """The records a removed document leaves behind in the engine."""
         key = unid.encode()
-        return [_DOC_PREFIX + key, _SEQ_PREFIX + key, _TRASH_PREFIX + key]
+        return [_DOC_PREFIX + key, _TRASH_PREFIX + key]
 
     def _meta_payload(self) -> bytes:
         return json.dumps(
@@ -1039,103 +1016,64 @@ class NotesDatabase:
         ).encode()
 
     def _load_from_engine(self) -> None:
-        # Iterate only the note-record prefixes: the engine also holds
-        # derived-structure sidecars (view indexes, full-text checkpoint
-        # blobs) that are not ours to parse — and not all of them are JSON.
-        max_note_id = 0
-        seq_records: dict[str, list] = {}
-        meta: dict | None = None
+        """Load every note, then rebuild the journal from their seqs.
+
+        Iterate only the note-record prefixes: the engine also holds
+        derived-structure sidecars (view indexes, full-text checkpoint
+        blobs) that are not ours to parse — and not all of them are JSON.
+        """
+        entries: list[_JournalEntry] = []
         for key in self.engine.keys(prefix=_DOC_PREFIX):
-            doc = Document.from_dict(json.loads(self.engine.get(key).decode()))
-            doc.note_id = self._next_note_id + max_note_id
-            max_note_id += 1
+            seq, payload = self._read_note_record(key)
+            doc = Document.from_dict(payload)
+            doc.note_id = self._next_note_id
+            self._next_note_id += 1
             self._docs[doc.unid] = doc
             self._by_note_id[doc.note_id] = doc.unid
+            entries.append((seq, doc.unid, False))
         for key in self.engine.keys(prefix=_STUB_PREFIX):
-            stub = DeletionStub.from_dict(
-                json.loads(self.engine.get(key).decode())
-            )
+            seq, payload = self._read_note_record(key)
+            stub = DeletionStub.from_dict(payload)
             self._stubs[stub.unid] = stub
-        for key in self.engine.keys(prefix=_SEQ_PREFIX):
-            seq_records[key[len(_SEQ_PREFIX):].decode()] = json.loads(
-                self.engine.get(key).decode()
-            )
-        raw_meta = self.engine.get(_META_KEY)
-        if raw_meta is not None:
-            meta = json.loads(raw_meta.decode())
+            entries.append((seq, stub.unid, True))
         for key in self.engine.keys(prefix=_TRASH_PREFIX):
             unid = key[len(_TRASH_PREFIX):].decode()
             if unid in self._docs:
                 self._trash.add(unid)
-        self._next_note_id += max_note_id
         for doc in self._docs.values():
             self._index_parent(doc)
             self._index_profile(doc)
         self._fp_acc = int(self._fingerprint_recompute(), 16)
-        self._recover_journal(seq_records, meta)
+        # Seqs keep their meaning across restarts, so partners' receive
+        # cursors and consumers' checkpoints stay valid.
+        entries.sort()
+        self._journal = entries
+        self._note_seq = {unid: seq for seq, unid, _ in entries}
+        self._update_seq = entries[-1][0] if entries else 0
+        raw_meta = self.engine.get(_META_KEY)
+        if raw_meta is not None:
+            meta = json.loads(raw_meta.decode())
+            self.journal_id = meta["journal_id"]
+            self._update_seq = max(self._update_seq, int(meta["update_seq"]))
+            self._purge_seq = int(meta["purge_seq"])
+            self._purges = [(int(seq), unid) for seq, unid in meta["purges"]]
 
-    def _recover_journal(
-        self, seq_records: dict[str, list], meta: dict | None = None
-    ) -> None:
-        """Rebuild the by-seq journal after an engine load.
-
-        When every live note carries a persisted sequence record the
-        journal is restored exactly (sequence numbers keep their meaning
-        across restarts, so partners' seq-based histories and consumers'
-        seq checkpoints stay valid) and the persisted journal identity +
-        purge log are restored with it. Only a record's first two fields
-        (seq, is_stub) are read, so records that still carry the local
-        time older builds appended stay readable. A file whose records do
-        not cover every live note (a pre-journal file) falls back to
-        seeding fresh sequence numbers in modified-time order under a
-        *new* journal identity: a partner's receive cursor and every
-        checkpoint cut from the old journal then no longer match, so the
-        partner's next pull re-examines from seq 0 and checkpoint holders
-        rebuild.
-        """
-        live_kinds = {unid: False for unid in self._docs}
-        live_kinds.update({unid: True for unid in self._stubs})
-        recovered = all(
-            unid in seq_records and bool(seq_records[unid][1]) == is_stub
-            for unid, is_stub in live_kinds.items()
-        )
-        if recovered:
-            if live_kinds:
-                entries = sorted(
-                    (seq_records[unid][0], unid, is_stub)
-                    for unid, is_stub in live_kinds.items()
-                )
-                self._journal = entries
-                self._note_seq = {entry[1]: entry[0] for entry in entries}
-                self._update_seq = entries[-1][0]
-            if meta is not None:
-                self.journal_id = meta["journal_id"]
-                self._update_seq = max(
-                    self._update_seq, int(meta.get("update_seq", 0))
-                )
-                self._purge_seq = int(meta.get("purge_seq", 0))
-                self._purges = [
-                    (int(seq), unid) for seq, unid in meta.get("purges", [])
-                ]
-            return
-        # Fallback: order by the notes' own times and assign fresh
-        # sequence numbers. The
-        # reseeded journal gets a fresh identity — derived, not random, so
-        # repeated recoveries of the same file are deterministic.
-        if meta is not None:
-            self.journal_id = hashlib.sha256(
-                f"{meta['journal_id']}:reseed".encode()
-            ).hexdigest()[:16]
-        pending = sorted(
-            [(doc.modified, unid, False) for unid, doc in self._docs.items()]
-            + [
-                (stub.deleted_at, unid, True)
-                for unid, stub in self._stubs.items()
-            ]
-        )
-        for _, unid, is_stub in pending:
-            entry = self._journal_record(unid, is_stub)
-            self._commit({_SEQ_PREFIX + unid.encode(): _seq_payload(entry)})
+    def _read_note_record(self, key: bytes) -> tuple[int, dict]:
+        """A note record's ``(journal seq, note dict)``; a record in any
+        other layout was written before notes carried their seq."""
+        record = json.loads(self.engine.get(key).decode())
+        if not (
+            isinstance(record, list)
+            and len(record) == 2
+            and type(record[0]) is int
+            and isinstance(record[1], dict)
+        ):
+            raise DatabaseError(
+                f"{key.decode()!r} in {self.title!r} is not a [seq, note] "
+                "record: the store predates per-note journal seqs. "
+                "Re-create the replica and pull its notes from a partner."
+            )
+        return record[0], record[1]
 
     # -- access control hooks -----------------------------------------------
 

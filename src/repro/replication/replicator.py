@@ -209,9 +209,9 @@ class Replicator:
         """``target``'s seq cursor into ``source``'s journal, or None.
 
         None when the link has no cursor, or when the cursor was cut from
-        another journal: a source whose journal was reseeded (see
-        ``NotesDatabase._recover_journal``) reissues seqs from scratch, so
-        an old cursor would skip its notes.
+        another journal: a source replica re-created on the same server
+        reissues seqs from 1 under a new ``journal_id``, so an old cursor
+        would skip its notes.
         """
         if target.replication_journal.get(source.server) != source.journal_id:
             return None

@@ -313,8 +313,7 @@ class StorageEngine:
     def _insert_chunk(self, chunk: bytes) -> tuple[int, int]:
         need = len(chunk)
         # The page last written first: a rewritten value lands in the hole
-        # its old value just left and a note's records share a page, so
-        # neither dirties one more page.
+        # its old value just left, so it dirties no other page.
         if self._free.get(self._last_page, -1) >= need:
             location = self._try_place(self._last_page, chunk)
             if location is not None:

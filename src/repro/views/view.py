@@ -454,9 +454,9 @@ class View:
         :meth:`~NotesDatabase.changes_since` reports), ``"merge"`` (a
         top-up on a persistent view whose checkpoint save also folded
         sidecar segments — the amortized compaction bill coming due), or
-        ``"rebuild"`` (the O(n log n) fallback, taken only after a journal
-        reseed or when the purge log no longer reaches back to the
-        checkpoint).
+        ``"rebuild"`` (the O(n log n) fallback, taken only when the
+        checkpoint was cut from another journal or the purge log no
+        longer reaches back to it).
 
         ``rebuilds`` increments only on the rebuild path; top-ups count
         in ``catch_up.topups`` whether or not the save folded.

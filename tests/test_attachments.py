@@ -87,8 +87,7 @@ class TestAttachmentReplication:
     def test_attachments_replicate(self, pair, clock):
         a, b = pair
         doc = a.create({"Subject": "carrier"})
-        attach(a.get(doc.unid), "payload.bin", PAYLOAD)
-        a._persist_doc(a.get(doc.unid))
+        a.attach_file(doc.unid, "payload.bin", PAYLOAD)
         clock.advance(1)
         Replicator().replicate(a, b)
         assert detach(b.get(doc.unid), "payload.bin") == PAYLOAD

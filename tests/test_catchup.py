@@ -212,8 +212,8 @@ class TestFallbacks:
         db = NotesDatabase("r.nsf", clock=VirtualClock(),
                            rng=random.Random(2), engine=engine)
         db.create({"Form": "Memo", "Subject": "b", "Amount": 2})
-        # A sidecar stamped by a different journal (pre-journal file or a
-        # reseeded one) must not be topped up — seqs are not comparable.
+        # A sidecar stamped by a different journal (another incarnation
+        # of the replica) must not be topped up — seqs are not comparable.
         db.journal_id = "0123456789abcdef"
         warm = make_view(db)
         assert not warm.loaded_from_disk

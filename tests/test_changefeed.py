@@ -10,11 +10,13 @@ cursor only counts against the journal it was cut from, and the journal
 survives a storage-engine reopen.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.core import NotesDatabase
+from repro.errors import DatabaseError
 from repro.replication import Replicator, converged
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
@@ -205,15 +207,17 @@ class TestReplicationSeqHistory:
 
         assert run(incremental=True) == run(incremental=False)
 
-    def test_reseeded_source_journal_resets_the_cursor(self, tmp_path):
-        """A cursor cut from a source journal that has since been reseeded
-        (a new journal_id with seqs reissued from 1) counts as seq 0: the
-        next pull re-examines everything instead of skipping the notes
-        the reseeded journal numbers below the old cursor."""
-        path = str(tmp_path / "a.nsf")
+    def test_recreated_source_gets_a_new_journal(self, tmp_path):
+        """A replica re-created empty on the same server numbers its seqs
+        from 1 again, under a journal identity of its own: a partner's
+        cursor into its predecessor counts as seq 0, so the next pull
+        transfers the new notes instead of skipping every one the new
+        journal numbers below the old cursor. A reopen keeps the new
+        identity and high-water mark."""
         clock = VirtualClock()
-        a = NotesDatabase("reseed.nsf", clock=clock, rng=random.Random(5),
-                          server="alpha", engine=StorageEngine(path))
+        a = NotesDatabase("recreate.nsf", clock=clock, rng=random.Random(5),
+                          server="alpha",
+                          engine=StorageEngine(str(tmp_path / "old.nsf")))
         b = a.new_replica("beta")
         rep = Replicator()
         for index in range(3):
@@ -225,26 +229,32 @@ class TestReplicationSeqHistory:
         rep.pull(b, a)
         assert b.replication_seq[(a.server, "receive")] == 15
         old_journal = a.journal_id
-        engine = a.engine
-        for key in list(engine.keys(prefix=b"seq:")):
-            engine.remove(key)
-        engine.close()
+        a.close()
 
-        a = NotesDatabase("reseed.nsf", clock=clock, rng=random.Random(6),
-                          replica_id=a.replica_id, server="alpha",
-                          engine=StorageEngine(path))
+        def recreated():
+            return NotesDatabase("recreate.nsf", clock=clock,
+                                 rng=random.Random(6),
+                                 replica_id=b.replica_id, server="alpha",
+                                 engine=StorageEngine(str(tmp_path / "new.nsf")))
+
+        a = recreated()
         assert a.journal_id != old_journal
-        assert a.update_seq == 3
         for index in range(5):
             clock.advance(0.1)
             a.create({"N": f"new {index}"})
+        journal_id, high_water = a.journal_id, a.update_seq
+        a.close()
+        a = recreated()
+        assert (a.journal_id, a.update_seq) == (journal_id, high_water)
+
         assert not rep.is_noop(a, b)
         stats = rep.pull(b, a)
         assert stats.docs_transferred == 5
         assert len(b) == 8
-        assert converged([a, b])
         assert b.replication_journal[a.server] == a.journal_id
         assert rep.pull(b, a).docs_examined == 0
+        rep.pull(a, b)
+        assert converged([a, b])
 
     def test_clear_history_forgets_the_journal_identity(self, pair, clock, rep):
         a, b = pair
@@ -294,10 +304,11 @@ class TestJournalPersistence:
         db.clock.advance(1)
         db.update(doc.unid, {"S": "b"})
         db.create({"S": "c"})
-        high_water = db.update_seq
+        journal_id, high_water = db.journal_id, db.update_seq
         engine.close()
         _, reloaded = store(seed=2)
         assert reloaded.update_seq == high_water
+        assert reloaded.journal_id == journal_id
 
     def test_feed_continues_across_reopen(self, store):
         engine, db = store()
@@ -325,30 +336,17 @@ class TestJournalPersistence:
         assert docs == []
         assert [s.unid for s in stubs] == [doc.unid]
 
-    def test_records_with_a_local_time_field_still_recover(self, store):
-        """Older builds stored ``[seq, is_stub, local_time]``; recovery
-        reads only the first two fields, so such a store keeps its
-        journal (identity and seqs) rather than being reseeded."""
-        import json
-
+    def test_store_without_seqs_in_note_records_is_refused(self, store):
+        """A note record that is not ``[seq, note]`` (the layout stores
+        had before the seq moved into the note's record) fails the open,
+        and the error names the way out."""
         engine, db = store()
-        for index in range(4):
-            db.create({"N": index})
-            db.clock.advance(0.1)
-        mark = db.update_seq
-        late = db.create({"S": "late"})
-        db.delete(db.unids()[0])
-        journal_id, high_water = db.journal_id, db.update_seq
-        for key in list(engine.keys(prefix=b"seq:")):
-            seq, is_stub = json.loads(engine.get(key).decode())
-            engine.set(key, json.dumps([seq, is_stub, 12.5]).encode())
+        doc = db.create({"S": "a"})
+        engine.set(b"doc:" + doc.unid.encode(),
+                   json.dumps(doc.to_dict()).encode())
         engine.close()
-        _, reloaded = store(seed=2)
-        assert reloaded.journal_id == journal_id
-        assert reloaded.update_seq == high_water
-        docs, stubs = reloaded.changed_since_seq(mark)
-        assert [d.unid for d in docs] == [late.unid]
-        assert len(stubs) == 1
+        with pytest.raises(DatabaseError, match="pull its notes from a partner"):
+            store(seed=2)
 
     def test_fingerprint_stable_across_reopen(self, store):
         engine, db = store()

@@ -188,15 +188,32 @@ def reopen(path):
 
 
 def assert_note_whole(engine, db, unid):
-    """The UNID is a live doc with a doc seq record, or a stub with a
-    stub seq record: never gone, and never separated from its seq."""
-    record = engine.get(b"seq:" + unid.encode())
-    assert record is not None
-    is_stub = json.loads(record.decode())[1]
+    """The UNID is a live doc with a ``doc:`` record, or a stub with a
+    ``stub:`` record, and the seq embedded in that record is the one the
+    reopened journal holds for it: never gone, never both, and never
+    separated from its seq."""
+    key = unid.encode()
     if unid in db:
-        assert unid not in db.stubs and is_stub == 0
+        assert unid not in db.stubs and engine.get(b"stub:" + key) is None
+        record = engine.get(b"doc:" + key)
     else:
-        assert unid in db.stubs and is_stub == 1
+        assert unid in db.stubs and engine.get(b"doc:" + key) is None
+        record = engine.get(b"stub:" + key)
+    seq, _ = json.loads(record.decode())
+    journal = {note.unid: entry for entry, note in db.journal_entries_since(0)}
+    assert journal[unid] == seq
+
+
+@pytest.mark.parametrize("operation", ["update", "delete", "raw_delete", "raw_put"])
+def test_note_change_puts_one_note_record(tmp_path, operation):
+    engine, db, operations = note_scenario(str(tmp_path / "nsf"))
+    unid, write = operations[operation]
+    puts = []
+    put = engine.put
+    engine.put = lambda txn, key, value: (puts.append(key), put(txn, key, value))
+    write()
+    assert puts in ([b"doc:" + unid.encode()], [b"stub:" + unid.encode()])
+    engine.close()
 
 
 @pytest.mark.parametrize("operation", ["update", "delete", "raw_delete", "raw_put"])

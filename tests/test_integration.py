@@ -11,7 +11,7 @@ import pytest
 
 from repro.agents import Agent, AgentRunner, AgentTrigger
 from repro.bench.runners import build_deployment
-from repro.core import ItemType, NotesDatabase
+from repro.core import Item, ItemType, NotesDatabase
 from repro.fulltext import FullTextIndex
 from repro.replication import (
     ReplicationScheduler,
@@ -125,9 +125,12 @@ class TestDiscussionApplication:
             {"Form": "Review", "Subject": "annual review", "Rating": 4},
             author="hr-admin/Acme",
         )
-        hr.get(review.unid).set("SecretReaders", ["hr-admin/Acme"],
-                                ItemType.READERS)
-        hr._persist_doc(hr.get(review.unid))
+        hr.update(
+            review.unid,
+            {"SecretReaders": Item("SecretReaders", ItemType.READERS,
+                                   ["hr-admin/Acme"])},
+            author="hr-admin/Acme",
+        )
         laptop = hr.new_replica("laptop")
         hr.clock.advance(1)
         Replicator().replicate(hr, laptop)
