@@ -40,6 +40,7 @@ def commit_throughput(tmp_path, durability: str, n_txns: int = 100) -> dict:
         engine.checkpoint()  # start the measured window with an empty log
     pages_before = engine._pages.page_writes
     log_before = engine._wal.end_lsn if engine._wal else 0
+    writes = write_set_bytes = 0
     start = time.perf_counter()
     for _ in range(n_txns):
         txn = engine.begin()
@@ -47,6 +48,10 @@ def commit_throughput(tmp_path, durability: str, n_txns: int = 100) -> dict:
             key = f"key-{rng.randrange(400)}".encode()
             engine.put(txn, key, payload)
         engine.commit(txn)
+        writes += len(txn.writes)
+        write_set_bytes += sum(
+            len(key) + len(value) for key, value in txn.writes.items()
+        )
     elapsed = time.perf_counter() - start
     log_bytes = (engine._wal.end_lsn if engine._wal else 0) - log_before
     if durability == "wal":
@@ -61,6 +66,8 @@ def commit_throughput(tmp_path, durability: str, n_txns: int = 100) -> dict:
         "tps": n_txns / elapsed,
         "pages_per_commit": pages / n_txns,
         "log_bytes_per_commit": log_bytes / n_txns,
+        "write_set_bytes_per_commit": write_set_bytes / n_txns,
+        "log_framing_per_write": (log_bytes - write_set_bytes) / writes,
         "modeled_ms_per_commit": modeled_ms,
     }
 
@@ -90,12 +97,15 @@ def test_e07_commit_throughput_table(benchmark, tmp_path):
         rows.clear()
         for durability in ("none", "wal", "force"):
             result = commit_throughput(tmp_path, durability)
+            log = result["log_bytes_per_commit"]
             rows.append([
                 durability,
                 round(result["tps"]),
                 round(result["pages_per_commit"], 1),
                 round(result["log_bytes_per_commit"]),
                 round(result["modeled_ms_per_commit"], 2),
+                round(result["write_set_bytes_per_commit"]),
+                round(result["log_framing_per_write"], 1) if log else "-",
             ])
         return rows
 
@@ -103,7 +113,7 @@ def test_e07_commit_throughput_table(benchmark, tmp_path):
     print_table(
         "E7a  commit cost by durability mode (10 updates per txn)",
         ["mode", "commits/s (tmpfs)", "page writes/commit", "log B/commit",
-         "modeled ms/commit (disk)"],
+         "modeled ms/commit (disk)", "write-set B/commit", "log framing B/write"],
         rows,
         note=f"modeled disk: {SEEK_MS} ms/page seek, "
              f"{LOG_MB_PER_S} MB/s sequential log — the 1999 physics the "
@@ -115,6 +125,9 @@ def test_e07_commit_throughput_table(benchmark, tmp_path):
     assert by_mode["force"][2] > 4 * by_mode["wal"][2]
     assert by_mode["wal"][4] < by_mode["force"][4] / 2
     assert by_mode["none"][1] >= by_mode["wal"][1]
+    # The log holds each commit's write-set and little else: one record
+    # per transaction, a few bytes of framing per write.
+    assert by_mode["wal"][6] < 16
 
 
 def test_e07_recovery_scales_with_log(benchmark, tmp_path):

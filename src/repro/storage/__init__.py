@@ -3,8 +3,8 @@
 This package plays the role the NSF on-disk layer plays for Domino: it
 stores variable-length note records in slotted pages behind an LRU buffer
 pool, makes committed updates durable through a write-ahead log with
-checkpoints and crash recovery, and provides the ordered index structure
-(B+tree) that backs note tables and view indexes.
+checkpoints and crash recovery, and provides the ordered in-memory index
+structure (B+tree) behind view and folder indexes.
 """
 
 from repro.storage.btree import BPlusTree
@@ -19,17 +19,15 @@ from repro.storage.segments import (
     SegmentStack,
     SegmentStats,
 )
-from repro.storage.wal import LogRecord, RecordType, WriteAheadLog
+from repro.storage.wal import WriteAheadLog
 
 __all__ = [
     "BPlusTree",
     "BufferPool",
     "DEFAULT_POLICY",
-    "LogRecord",
     "MergePolicy",
     "PAGE_SIZE",
     "PagedFile",
-    "RecordType",
     "SINGLE_SEGMENT",
     "SegmentStack",
     "SegmentStats",

@@ -1,10 +1,10 @@
 """An order-N B+tree with full delete rebalancing and range scans.
 
-This is the ordered index structure behind the note table (UNID order) and
-every view index (collation-key order). It is deliberately a textbook
-B+tree — leaf chaining for range scans, borrow/merge on underflow — so the
-log-N navigation cost the paper attributes to view indexes is structural,
-not an artifact of Python dict behaviour.
+This is the ordered in-memory index structure behind every view and folder
+index (collation-key order). It is deliberately a textbook B+tree — leaf
+chaining for range scans, borrow/merge on underflow — so the log-N
+navigation cost the paper attributes to view indexes is structural, not an
+artifact of Python dict behaviour.
 
 Keys must be mutually comparable; values are arbitrary. Keys are unique:
 inserting an existing key replaces its value (callers that need duplicate

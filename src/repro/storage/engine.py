@@ -10,10 +10,11 @@ checkpoint time.
 Durability modes (experiment E7 compares them):
 
 ``"wal"``
-    Commit appends a COMMIT record and flushes the log; heap pages are
-    written back lazily (no-force). Crash recovery replays the log.
-    ``put``/``delete`` only append (they read no page), so a transaction
-    costs one fsync however many keys it writes.
+    Commit appends the transaction's whole write-set as one log record and
+    flushes the log; heap pages are written back lazily (no-force). Crash
+    recovery replays the log. ``put``/``delete`` only buffer, so a
+    transaction costs one fsync however many keys it writes, and an open
+    transaction has nothing in the log.
 ``"force"``
     No log. Commit applies the write-set and forces every dirty page to
     disk — the pre-R5 Notes discipline the paper contrasts with logging.
@@ -32,7 +33,7 @@ from repro.storage import recovery as recovery_mod
 from repro.storage.bufferpool import BufferPool
 from repro.storage.pagedfile import PagedFile
 from repro.storage.pages import SlottedPage
-from repro.storage.wal import LogRecord, RecordType, WriteAheadLog
+from repro.storage.wal import WriteAheadLog, encode_commit
 
 _CHUNK_SIZE = SlottedPage.max_record_size() - 8
 
@@ -49,14 +50,13 @@ _DURABILITY_MODES = ("wal", "force", "none")
 class Transaction:
     """A unit of atomic update against one :class:`StorageEngine`."""
 
-    def __init__(self, txn_id: int) -> None:
-        self.txn_id = txn_id
+    def __init__(self) -> None:
         # key -> bytes (put) or None (delete); insertion order preserved.
         self.writes: dict[bytes, bytes | None] = {}
         self.state = "active"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Transaction(id={self.txn_id}, writes={len(self.writes)}, {self.state})"
+        return f"Transaction(writes={len(self.writes)}, {self.state})"
 
 
 class StorageEngine:
@@ -95,12 +95,16 @@ class StorageEngine:
         # The page the heap last freed or filled a slot on: already dirty,
         # so it is the first place a chunk is offered.
         self._last_page: int | None = None
-        self._next_txn = 1
         self._open = True
         self.last_recovery: recovery_mod.RecoveryReport | None = None
         self._load_checkpoint()
         if self._wal is not None:
-            self.last_recovery = recovery_mod.redo(self, self._wal)
+            self.last_recovery = recovery_mod.replay(self, self._wal)
+            if self._wal.end_lsn:
+                # Start from an empty log: later commits must not land
+                # behind a torn tail, which a second recovery would then
+                # meet mid-log.
+                self.checkpoint()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -139,31 +143,23 @@ class StorageEngine:
     def begin(self) -> Transaction:
         """Start a transaction."""
         self._require_open()
-        txn = Transaction(self._next_txn)
-        self._next_txn += 1
-        if self._wal is not None:
-            self._wal.append(LogRecord(RecordType.BEGIN, txn.txn_id))
-        return txn
+        return Transaction()
 
     def put(self, txn: Transaction, key: bytes, value: bytes) -> None:
         """Buffer a write of ``key`` in ``txn`` (visible to ``txn`` only)."""
         self._require_active(txn)
-        if self._wal is not None:
-            self._wal.append(LogRecord(RecordType.PUT, txn.txn_id, key, value))
         txn.writes[key] = value
 
     def delete(self, txn: Transaction, key: bytes) -> None:
         """Buffer a delete of ``key`` in ``txn``."""
         self._require_active(txn)
-        if self._wal is not None:
-            self._wal.append(LogRecord(RecordType.DELETE, txn.txn_id, key))
         txn.writes[key] = None
 
     def commit(self, txn: Transaction) -> None:
         """Make ``txn``'s writes durable and visible."""
         self._require_active(txn)
-        if self._wal is not None:
-            self._wal.append(LogRecord(RecordType.COMMIT, txn.txn_id))
+        if self._wal is not None and txn.writes:
+            self._wal.append(encode_commit(txn.writes))
             self._wal.flush()
         for key, value in txn.writes.items():
             if value is None:
@@ -177,8 +173,6 @@ class StorageEngine:
     def abort(self, txn: Transaction) -> None:
         """Discard ``txn``'s buffered writes."""
         self._require_active(txn)
-        if self._wal is not None:
-            self._wal.append(LogRecord(RecordType.ABORT, txn.txn_id))
         txn.writes.clear()
         txn.state = "aborted"
 
@@ -238,7 +232,6 @@ class StorageEngine:
         return {
             "index": {key.hex(): locs for key, locs in self._index.items()},
             "free": self._free,
-            "next_txn": self._next_txn,
         }
 
     def _restore(self, snapshot: dict) -> None:
@@ -251,7 +244,6 @@ class StorageEngine:
         self._free_buckets = [set() for _ in range(_TOP + 1)]
         for page_id, free in self._free.items():
             self._file_free(page_id, free)
-        self._next_txn = snapshot.get("next_txn", 1)
 
     def _load_checkpoint(self) -> None:
         chk_path = self.path + ".chk"
@@ -378,7 +370,7 @@ class StorageEngine:
     def _require_active(self, txn: Transaction) -> None:
         self._require_open()
         if txn.state != "active":
-            raise WalError(f"transaction {txn.txn_id} is {txn.state}")
+            raise WalError(f"transaction is {txn.state}")
 
 
 def write_snapshot(path: str, snapshot: dict) -> None:

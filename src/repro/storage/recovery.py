@@ -1,77 +1,50 @@
 """Crash recovery: replay the write-ahead log onto the page store.
 
 The engine uses a *no-steal, no-force* discipline for transaction data:
-uncommitted writes never reach the heap, and committed writes are not forced
-at commit (the WAL record is). Recovery is therefore redo-only, in two
-passes over the log — the standard simplification of ARIES when undo is
-unnecessary:
-
-1. **Analysis** — scan the log and collect the set of committed
-   transaction ids (a transaction with no COMMIT record lost the race with
-   the crash and is ignored).
-2. **Redo** — re-apply the PUT/DELETE records of committed transactions in
-   log order. Replay is idempotent at the key/value level: re-applying a PUT
-   stores the same value (possibly at a new heap location) and re-applying a
-   DELETE of an absent key is a no-op.
+uncommitted writes never reach the heap or the log, and committed writes
+are not forced at commit (their log record is). A transaction is in the
+log only as its commit record, so recovery is one redo pass: re-apply the
+writes of every whole record in log order. Replay is idempotent at the
+key/value level: re-applying a put stores the same value (possibly at a
+new heap location) and re-applying a delete of an absent key is a no-op.
+A torn final record belongs to a commit that never returned, and is
+skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.storage.wal import RecordType, WriteAheadLog
+from repro.storage.wal import WriteAheadLog, decode_commit
 
 
 @dataclass
 class RecoveryReport:
     """What a recovery pass saw and did — recorded for experiment E7."""
 
-    records_scanned: int = 0
     committed_txns: int = 0
-    losers: int = 0
     puts_replayed: int = 0
     deletes_replayed: int = 0
-    loser_txn_ids: list[int] = field(default_factory=list)
 
     @property
     def ops_replayed(self) -> int:
         return self.puts_replayed + self.deletes_replayed
 
 
-def analyze(wal: WriteAheadLog, from_lsn: int = 0) -> tuple[set[int], RecoveryReport]:
-    """Pass 1: find committed transactions; build a report skeleton."""
-    report = RecoveryReport()
-    committed: set[int] = set()
-    seen: set[int] = set()
-    for _, record in wal.records(from_lsn):
-        report.records_scanned += 1
-        if record.type == RecordType.BEGIN:
-            seen.add(record.txn_id)
-        elif record.type == RecordType.COMMIT:
-            committed.add(record.txn_id)
-        elif record.type == RecordType.ABORT:
-            seen.discard(record.txn_id)
-    report.committed_txns = len(committed)
-    losers = seen - committed
-    report.losers = len(losers)
-    report.loser_txn_ids = sorted(losers)
-    return committed, report
-
-
-def redo(engine, wal: WriteAheadLog, from_lsn: int = 0) -> RecoveryReport:
-    """Pass 1 + 2: replay committed operations into ``engine``.
+def replay(engine, wal: WriteAheadLog) -> RecoveryReport:
+    """Re-apply every committed write in ``wal`` to ``engine``.
 
     ``engine`` is a :class:`repro.storage.engine.StorageEngine`; replay uses
     its internal apply hooks so the heap, index and free map stay coherent.
     """
-    committed, report = analyze(wal, from_lsn)
-    for _, record in wal.records(from_lsn):
-        if record.txn_id not in committed:
-            continue
-        if record.type == RecordType.PUT:
-            engine._apply_put(record.key, record.after)
-            report.puts_replayed += 1
-        elif record.type == RecordType.DELETE:
-            engine._apply_delete(record.key, missing_ok=True)
-            report.deletes_replayed += 1
+    report = RecoveryReport()
+    for payload in wal.records():
+        for key, value in decode_commit(payload):
+            if value is None:
+                engine._apply_delete(key, missing_ok=True)
+                report.deletes_replayed += 1
+            else:
+                engine._apply_put(key, value)
+                report.puts_replayed += 1
+        report.committed_txns += 1
     return report

@@ -421,16 +421,6 @@ class SegmentStack:
         self.stats.merges += 1
         self._refresh_stats()
 
-    def delete_all(self, txn) -> None:
-        """Delete every segment key (a rebuild is replacing the stack)."""
-        for segment in self._segments:
-            self.engine.delete(txn, self._dir_key(segment.seg_id))
-            self.engine.delete(txn, self._blob_key(segment.seg_id))
-        self._segments = []
-        self._tombstones = set()
-        self._newest = {}
-        self._refresh_stats()
-
     # -- bookkeeping -------------------------------------------------------
 
     def _rebuild_newest(self) -> None:

@@ -1,12 +1,13 @@
-"""Write-ahead log: durable, CRC-guarded, replayable operation records.
+"""Write-ahead log: durable, CRC-guarded, replayable commit records.
 
-The engine logs logical operations (PUT with its after-image, DELETE with
-only the key) plus transaction control records. Recovery is redo-only
-(see :mod:`repro.storage.recovery`), so no record carries a before-image.
-The LSN of a record is its byte offset in the log file, so LSNs are
-totally ordered and "flush up to LSN" is a plain file flush. A torn final
-record (partial write at crash) is detected by the length/CRC envelope and
-ignored on replay, exactly like the tail-scan in ARIES-style recovery.
+A committed transaction is one log record holding its whole write-set in
+write order: the key and after-image of each put, the key alone of each
+delete. Nothing else is logged, so an open transaction has nothing in the
+log and recovery (:mod:`repro.storage.recovery`) replays every whole record
+it finds. The LSN of a record is its byte offset in the log file, so LSNs
+are totally ordered and "flush up to LSN" is a plain file flush. A torn
+final record (partial write at crash) is detected by the length/CRC
+envelope and ignored on replay.
 """
 
 from __future__ import annotations
@@ -14,65 +15,51 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass
-from enum import IntEnum
 from typing import Iterator
 
 from repro.errors import WalError
 
 _ENVELOPE = struct.Struct("<II")  # payload length, crc32(payload)
-_FIXED = struct.Struct("<BQ")  # record type, txn id
-_LEN = struct.Struct("<I")
+_WRITE = struct.Struct("<II")  # key length, value length (or _DELETE)
+_DELETE = 0xFFFFFFFF
+# First byte of a commit record. A record of the older BEGIN/PUT/.../COMMIT
+# layout starts with its type, 1 to 6.
+_COMMIT = b"C"
 
 
-class RecordType(IntEnum):
-    """Kinds of log record."""
+def encode_commit(writes: dict[bytes, bytes | None]) -> bytes:
+    """The log payload of a write-set (``None`` marks a delete)."""
+    parts = [_COMMIT]
+    for key, value in writes.items():
+        if value is None:
+            parts += (_WRITE.pack(len(key), _DELETE), key)
+        else:
+            parts += (_WRITE.pack(len(key), len(value)), key, value)
+    return b"".join(parts)
 
-    BEGIN = 1
-    PUT = 2
-    DELETE = 3
-    COMMIT = 4
-    ABORT = 5
-    CHECKPOINT = 6
 
+def decode_commit(payload: bytes) -> Iterator[tuple[bytes, bytes | None]]:
+    """Yield the ``(key, value)`` writes of an :func:`encode_commit` payload.
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One logical log record.
-
-    ``after`` is the value image redo installs. Control records and
-    DELETEs carry an empty image; control records an empty key too.
+    Raises :class:`WalError` for a record in the older layout.
     """
-
-    type: RecordType
-    txn_id: int
-    key: bytes = b""
-    after: bytes = b""
-
-    def encode(self) -> bytes:
-        parts = [
-            _FIXED.pack(int(self.type), self.txn_id),
-            _LEN.pack(len(self.key)),
-            self.key,
-            _LEN.pack(len(self.after)),
-            self.after,
-        ]
-        return b"".join(parts)
-
-    @classmethod
-    def decode(cls, payload: bytes) -> "LogRecord":
-        rtype, txn_id = _FIXED.unpack_from(payload, 0)
-        pos = _FIXED.size
-        fields = []
-        # A record in the older layout holds three images (key, before,
-        # after): read on to the last one.
-        while pos < len(payload):
-            (length,) = _LEN.unpack_from(payload, pos)
-            pos += _LEN.size
-            fields.append(payload[pos : pos + length])
-            pos += length
-        key, after = fields[0], fields[-1]
-        return cls(RecordType(rtype), txn_id, key, after)
+    if payload[:1] != _COMMIT:
+        raise WalError(
+            "the log holds records of an older layout: this store crashed "
+            "under the previous build; open it once with that build to "
+            "recover it, then reopen"
+        )
+    pos = 1
+    while pos < len(payload):
+        key_len, value_len = _WRITE.unpack_from(payload, pos)
+        pos += _WRITE.size
+        key = payload[pos : pos + key_len]
+        pos += key_len
+        if value_len == _DELETE:
+            yield key, None
+        else:
+            yield key, payload[pos : pos + value_len]
+            pos += value_len
 
 
 class WriteAheadLog:
@@ -89,9 +76,9 @@ class WriteAheadLog:
 
     # -- writing --------------------------------------------------------
 
-    def append(self, record: LogRecord) -> int:
-        """Append ``record``; returns its LSN. Not yet durable until flush."""
-        payload = record.encode()
+    def append(self, payload: bytes) -> int:
+        """Append ``payload`` as one record; returns its LSN. Not yet
+        durable until flush."""
         lsn = self._end
         self._file.write(_ENVELOPE.pack(len(payload), zlib.crc32(payload)))
         self._file.write(payload)
@@ -143,8 +130,8 @@ class WriteAheadLog:
 
     # -- reading --------------------------------------------------------
 
-    def records(self, from_lsn: int = 0) -> Iterator[tuple[int, LogRecord]]:
-        """Yield ``(lsn, record)`` pairs starting at ``from_lsn``.
+    def records(self, from_lsn: int = 0) -> Iterator[bytes]:
+        """Yield the payload of each record starting at ``from_lsn``.
 
         Stops silently at a torn or corrupt tail (the crash case); raises
         :class:`WalError` for corruption *before* the tail.
@@ -166,5 +153,5 @@ class WriteAheadLog:
                     if remaining:
                         raise WalError(f"CRC mismatch mid-log at lsn {pos}")
                     return  # corrupt tail record: treat as torn
-                yield pos, LogRecord.decode(payload)
+                yield payload
                 pos += _ENVELOPE.size + length

@@ -50,7 +50,6 @@ def compact_engine(engine: StorageEngine) -> CompactResult:
     scratch._pool.flush_all()
     # The scratch index and free map become the engine's checkpoint.
     snapshot = scratch._snapshot()
-    snapshot["next_txn"] = engine._next_txn
     scratch._pages.close()
 
     # Swap page files; reset WAL and checkpoint to the compacted state.

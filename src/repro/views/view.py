@@ -262,13 +262,10 @@ class View:
             components.append(Descending(value) if kind == "d" else value)
         return tuple(components)
 
-    def _namespace(self) -> bytes:
-        return b"viewidx:" + self.name.encode()
-
     def _make_stack(self) -> None:
         self._stack = SegmentStack(
             self.db.engine,
-            self._namespace(),
+            self._index_key(),
             policy=self.merge_policy,
             stats=self._segment_stats,
         )
@@ -317,7 +314,7 @@ class View:
             if raw is not None:
                 old_meta = json.loads(raw.decode())
                 SegmentStack.delete_manifest(
-                    engine, txn, self._namespace(), old_meta.get("index", {})
+                    engine, txn, self._index_key(), old_meta.get("index", {})
                 )
             self._make_stack()
         self._stack.policy = self.merge_policy  # honour runtime swaps

@@ -1,9 +1,15 @@
 """Property-based storage tests: pages behave like dicts, the engine's
-committed state always survives a crash."""
+committed state always survives a crash.
+
+The multi-transaction crash-cycle property runs twice: a reduced-example
+fast lane in the default job, and a ``slow``-marked lane with the full
+example budget (``pytest -m slow``).
+"""
 
 import os
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -145,3 +151,79 @@ def test_abort_leaves_no_trace(tmp_path_factory, pairs):
         assert engine.get(b"anchor") == b"stays"
     finally:
         engine.close()
+
+
+# -- multi-key transactions across crash cycles --------------------------
+
+CYCLE_KEYS = [b"k%d" % index for index in range(8)]
+# Values big enough that a few fill a page, so a 2-page pool evicts.
+big_values = st.builds(
+    lambda byte, length: bytes([byte]) * length,
+    st.integers(0, 255),
+    st.integers(0, 3000),
+)
+TXN = st.tuples(
+    st.lists(  # writes in order; None means delete
+        st.tuples(st.sampled_from(CYCLE_KEYS), st.one_of(st.none(), big_values)),
+        max_size=4,
+    ),
+    st.booleans(),  # committed, or left open at the crash
+    st.lists(st.sampled_from(CYCLE_KEYS), max_size=5),  # reads inside it
+)
+# Each cycle runs its transactions, optionally cuts bytes off the final
+# log record (0 = no cut), then crashes and reopens.
+CRASH_CYCLES = st.lists(
+    st.tuples(st.lists(TXN, max_size=6), st.integers(0, 60)),
+    min_size=1,
+    max_size=3,
+)
+RELAXED = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def check_crash_cycles(tmp_path_factory, cycles):
+    """Committed write-sets survive every crash; open transactions, and a
+    commit whose record lost its tail, leave nothing behind."""
+    path = str(tmp_path_factory.mktemp("cycles") / "db")
+    state: dict[bytes, bytes] = {}
+    engine = StorageEngine(path, pool_size=2)
+    try:
+        for txns, cut in cycles:
+            last_record = None  # (state before it, its length) if logged
+            for writes, committed, reads in txns:
+                txn = engine.begin()
+                for key, value in writes:
+                    if value is None:
+                        engine.delete(txn, key)
+                    else:
+                        engine.put(txn, key, value)
+                view = {**state, **dict(writes)}
+                for key in reads:
+                    assert engine.get(key, txn) == view.get(key)
+                if committed:
+                    before, start = state, engine._wal.end_lsn
+                    engine.commit(txn)
+                    if writes:
+                        last_record = (before, engine._wal.end_lsn - start)
+                    state = {k: v for k, v in view.items() if v is not None}
+            engine.simulate_crash()
+            if cut and last_record is not None:
+                state, length = last_record
+                wal_size = os.path.getsize(path + ".wal")
+                os.truncate(path + ".wal", wal_size - min(cut, length))
+            engine = StorageEngine(path, pool_size=2)
+            assert {key: engine.get(key) for key in engine.keys()} == state
+    finally:
+        engine.close()
+
+
+@settings(max_examples=30, parent=RELAXED)
+@given(cycles=CRASH_CYCLES)
+def test_transactions_survive_crash_cycles(tmp_path_factory, cycles):
+    check_crash_cycles(tmp_path_factory, cycles)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, parent=RELAXED)
+@given(cycles=CRASH_CYCLES)
+def test_transactions_survive_crash_cycles_full(tmp_path_factory, cycles):
+    check_crash_cycles(tmp_path_factory, cycles)

@@ -1,7 +1,13 @@
 """Crash-recovery tests: the WAL discipline actually holds."""
 
+import json
+import os
+import struct
+import zlib
+
 import pytest
 
+from repro.errors import WalError
 from repro.storage import StorageEngine
 
 
@@ -65,23 +71,6 @@ class TestCrashRecovery:
         assert report.deletes_replayed == 1
         recovered.close()
 
-    def test_loser_transaction_reported_and_ignored(self, tmp_path):
-        """A flushed-but-uncommitted transaction is a 'loser': analysis
-        reports it and redo skips its operations."""
-        engine = reopen(tmp_path)
-        engine.set(b"winner", b"w")
-        txn = engine.begin()
-        engine.put(txn, b"loser-key", b"l")
-        engine._wal.flush()  # records hit disk, COMMIT never does
-        engine.simulate_crash()
-        recovered = reopen(tmp_path)
-        report = recovered.last_recovery
-        assert report.losers == 1
-        assert report.loser_txn_ids == [txn.txn_id]
-        assert recovered.get(b"loser-key") is None
-        assert recovered.get(b"winner") == b"w"
-        recovered.close()
-
     def test_checkpoint_truncates_log(self, tmp_path):
         engine = reopen(tmp_path)
         for index in range(20):
@@ -91,7 +80,7 @@ class TestCrashRecovery:
         engine.set(b"after", b"chk")
         engine.simulate_crash()
         recovered = reopen(tmp_path)
-        assert recovered.last_recovery.records_scanned <= 3  # only post-ckpt
+        assert recovered.last_recovery.committed_txns == 1  # only post-ckpt
         assert recovered.get(b"k7") == b"v"
         assert recovered.get(b"after") == b"chk"
         recovered.close()
@@ -137,6 +126,114 @@ class TestCrashRecovery:
         engine.set(b"k", b"v")
         engine.close()
         recovered = reopen(tmp_path)
-        assert recovered.last_recovery.records_scanned == 0
+        assert recovered.last_recovery.committed_txns == 0
         assert recovered.get(b"k") == b"v"
         recovered.close()
+
+
+class TestCommitRecord:
+    def test_open_transaction_logs_nothing_and_commit_logs_one_record(
+        self, tmp_path, monkeypatch
+    ):
+        engine = reopen(tmp_path, pool_size=2)
+        for index in range(20):
+            engine.set(b"k%d" % index, bytes([index]) * 3000)
+        wal = engine._wal
+        end, appends = wal.end_lsn, wal.appends
+        txn = engine.begin()
+        engine.put(txn, b"new", b"n" * 3000)
+        engine.delete(txn, b"k3")
+        # Reads through the transaction evict the dirty pages the
+        # autocommits above left; the write-ahead hook finds nothing new.
+        writes_before = engine._pages.page_writes
+        for index in range(10):
+            engine.get(b"k%d" % index, txn)
+        assert engine._pages.page_writes > writes_before
+        assert (wal.end_lsn, wal.appends) == (end, appends)
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: fsyncs.append(fd) or real_fsync(fd)
+        )
+        engine.commit(txn)
+        assert wal.appends == appends + 1
+        assert len(fsyncs) == 1
+        empty = engine.begin()
+        end = wal.end_lsn
+        engine.commit(empty)
+        assert wal.end_lsn == end and len(fsyncs) == 1
+        engine.close()
+
+    def test_uncommitted_write_never_resurrects(self, tmp_path):
+        """An open transaction whose reads evict a dirty page, then a crash,
+        then two more commits and a crash: its write must stay lost."""
+        engine = reopen(tmp_path, pool_size=2)
+        for index in range(20):
+            engine.set(b"k%d" % index, b"v" * 3000)
+        engine.checkpoint()
+        engine.set(b"k0", b"w" * 3000)  # dirties a page
+        txn = engine.begin()
+        engine.put(txn, b"ghost", b"never committed")
+        for index in range(15, 20):
+            engine.get(b"k%d" % index, txn)
+        engine.simulate_crash()
+        engine = reopen(tmp_path, pool_size=2)
+        engine.set(b"a", b"1")
+        engine.set(b"b", b"2")
+        engine.simulate_crash()
+        recovered = reopen(tmp_path, pool_size=2)
+        assert recovered.get(b"ghost") is None
+        assert recovered.get(b"k0") == b"w" * 3000
+        assert recovered.get(b"b") == b"2"
+        recovered.close()
+
+    def test_torn_tail_does_not_break_the_next_recovery(self, tmp_path):
+        engine = reopen(tmp_path)
+        engine.set(b"a", b"1")
+        engine.set(b"b", b"2")
+        engine.simulate_crash()
+        wal_path = str(tmp_path / "db.wal")
+        os.truncate(wal_path, os.path.getsize(wal_path) - 3)
+        engine = reopen(tmp_path)
+        assert engine.get(b"a") == b"1"
+        assert engine.get(b"b") is None  # its commit never completed
+        engine.set(b"c", b"3")
+        engine.simulate_crash()
+        recovered = reopen(tmp_path)
+        assert recovered.get(b"a") == b"1"
+        assert recovered.get(b"c") == b"3"
+        recovered.close()
+
+
+class TestOlderStores:
+    def test_log_in_the_older_layout_is_refused(self, tmp_path):
+        engine = reopen(tmp_path)
+        engine.set(b"k", b"v")
+        engine.close()
+        # BEGIN, PUT, COMMIT of txn 1 as the older layout framed them.
+        with open(tmp_path / "db.wal", "wb") as log:
+            for rtype, key, value in ((1, b"", b""), (2, b"x", b"y"), (4, b"", b"")):
+                payload = struct.pack("<BQ", rtype, 1) + b"".join(
+                    struct.pack("<I", len(part)) + part for part in (key, value)
+                )
+                log.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+                log.write(payload)
+        with pytest.raises(WalError, match="previous build"):
+            reopen(tmp_path)
+
+    def test_cleanly_closed_store_with_a_txn_counter_opens(self, tmp_path):
+        engine = reopen(tmp_path)
+        for index in range(50):
+            engine.set(b"k%d" % index, b"v%d" % index)
+        engine.close()
+        chk = tmp_path / "db.chk"
+        snapshot = json.loads(chk.read_text())
+        snapshot["next_txn"] = 51  # the older builds' transaction counter
+        chk.write_text(json.dumps(snapshot))
+        reopened = reopen(tmp_path)
+        assert {key: reopened.get(key) for key in reopened.keys()} == {
+            b"k%d" % index: b"v%d" % index for index in range(50)
+        }
+        reopened.set(b"after", b"x")
+        reopened.close()
+        assert "next_txn" not in json.loads(chk.read_text())
