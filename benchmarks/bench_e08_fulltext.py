@@ -2,7 +2,9 @@
 
 Claims: adding one document to the inverted index costs ~the document's
 token count, while the rebuild path re-tokenizes the corpus; query latency
-is driven by posting-list sizes, not corpus scans.
+is driven by posting-list sizes, not corpus scans. A reader's top-k search
+(``limit=25``) checks READERS access only down the ranking until the 25th
+readable hit, not on every match.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import time
 
 from repro.bench.runners import build_deployment, populate
 from repro.bench.tables import print_table
+from repro.core import Item, ItemType
 from repro.fulltext import FullTextIndex
+from repro.security import AccessControlList, AclLevel
 
 
 def build_corpus(n_docs: int):
@@ -69,6 +73,87 @@ def test_e08_table(benchmark):
     assert rebuilds[-1] > rebuilds[0] * 8  # 16x corpus -> ~linear rebuild
     assert adds[-1] < adds[0] * 4  # add-one stays roughly flat
     assert all(r[4] > 50 for r in rows)
+
+
+TOP_K = 25
+RESTRICTED_SHARE = 0.25
+TOPK_QUERIES = (
+    "subject:budget",
+    "subject:budget OR subject:meeting",
+    "subject:budget OR subject:meeting OR subject:release OR subject:replica",
+    "budget",
+)
+
+
+def build_restricted_corpus(n_docs: int):
+    """A corpus where a quarter of the memos only ``boss/Acme`` may read."""
+    deployment, db = build_corpus(n_docs)
+    for unid in db.unids():
+        if deployment.rng.random() < RESTRICTED_SHARE:
+            db.update(unid, {
+                "Readers": Item.of("Readers", ["boss/Acme"], ItemType.READERS),
+            })
+    db.acl = AccessControlList(default_level=AclLevel.READER)
+    return db
+
+
+def topk_row(index, query: str, repeats: int = 5):
+    """Matches, unreadable hits ranked above the 25th readable one, and
+    access checks and latency per search with and without the limit."""
+    db = index.db
+    ranked = index.search(query)  # also warms the term merges
+    readable = hidden_above = 0
+    for hit in ranked:
+        if readable == TOP_K:
+            break
+        if db.acl.can_read("peon/Acme", db.get(hit.unid)):
+            readable += 1
+        else:
+            hidden_above += 1
+    checks = []
+    can_read = db.acl.can_read
+    db.acl.can_read = lambda user, doc: checks.append(1) or can_read(user, doc)
+    row = [len(ranked), hidden_above]
+    try:
+        for limit in (TOP_K, None):
+            checks.clear()
+            start = time.perf_counter()
+            for _ in range(repeats):
+                hits = index.search(query, limit=limit, as_user="peon/Acme")
+            elapsed = (time.perf_counter() - start) / repeats
+            row += [len(checks) // repeats, round(elapsed * 1000, 3)]
+            if limit == TOP_K:
+                top = hits
+    finally:
+        del db.acl.can_read
+    assert top == hits[:TOP_K]  # the top-k is the head of the full answer
+    matches, hidden, top_checks, top_ms, all_checks, all_ms = row
+    return [matches, hidden, top_checks, all_checks, top_ms, all_ms]
+
+
+def test_e08_topk_table(benchmark):
+    index = FullTextIndex(build_restricted_corpus(1600))
+    rows = []
+
+    def sweep():
+        rows.clear()
+        rows.extend(topk_row(index, query) for query in TOPK_QUERIES)
+        return rows
+
+    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print_table(
+        "E8b  top-k search as a reader (limit=25, 25% of memos restricted)",
+        ["matches", "hidden above 25th", "checks top-25", "checks all",
+         "top-25 ms", "all ms"],
+        rows,
+        note="access checks stop at the 25th readable hit; "
+             "checking every match is the no-limit column",
+    )
+    for matches, hidden_above, topk_checks, all_checks, _, _ in rows:
+        assert topk_checks <= TOP_K + hidden_above
+        assert all_checks == matches
+    assert [row[0] for row in rows] == sorted(row[0] for row in rows)
+    assert rows[-1][2] * 10 < rows[-1][3]  # 1600 matches, ~33 checks
 
 
 def test_e08_query_speed(benchmark):

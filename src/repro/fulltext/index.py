@@ -29,14 +29,21 @@ re-tokenized (none when the state fingerprint still matches). That keeps
 reopen O(directories + changes) and close O(delta) — both ends of the
 session now ride the delta (experiments E14 and E15).
 
-Scoring is tf–idf: ``tf * log(N / df)`` summed over the positive terms of
-the query. Phrases verify adjacent positions inside one field.
+Scoring is tf–idf: ``tf * (log(N / df) + 1)`` summed over the words of
+the query's positive terms, with ``tf`` the field-weighted occurrence
+count. A search plans the query once — each word stemmed, its merged
+postings fetched and its idf computed a single time — so scoring a
+matched document is dictionary lookups alone. Every match is scored and
+ranked *before* any access check; a reader's READERS checks then run in
+rank order and stop at the ``limit``-th readable hit. Phrases verify
+adjacent positions inside one field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from time import perf_counter
 
 from repro.errors import FullTextError
@@ -486,22 +493,28 @@ class FullTextIndex:
         limit: int | None = None,
         as_user: str | None = None,
     ) -> list[SearchHit]:
-        """Run ``query``; returns hits ranked by tf–idf, best first."""
+        """Run ``query``; returns hits ranked by tf–idf, best first.
+
+        Matches are ranked before any access check, then walked in rank
+        order: ``as_user`` is checked against one document at a time
+        until ``limit`` readable hits are found, so a reader pays for the
+        page it sees plus the unreadable hits ranked above it.
+        """
+        if limit is not None and limit < 0:
+            raise FullTextError(f"limit must not be negative, got {limit}")
         tree = parse_query(query)
         matched = self._eval(tree)
-        scored = [
-            SearchHit(unid, self._score(unid, tree))
-            for unid in matched
-            if unid in self.db
-        ]
+        plan = self._plan(tree)
+        db = self.db
+        # (-score, unid): best first, ties broken by UNID.
+        ranked = sorted(
+            (-self._score(unid, plan), unid) for unid in matched if unid in db
+        )
         if as_user is not None:
-            scored = [
-                hit
-                for hit in scored
-                if self.db._can_read(as_user, self.db.get(hit.unid))
-            ]
-        scored.sort(key=lambda hit: (-hit.score, hit.unid))
-        return scored[:limit] if limit is not None else scored
+            ranked = (
+                key for key in ranked if db._can_read(as_user, db.get(key[1]))
+            )
+        return [SearchHit(unid, -neg) for neg, unid in islice(ranked, limit)]
 
     # -- boolean evaluation --------------------------------------------------
 
@@ -529,18 +542,21 @@ class FullTextIndex:
         raise FullTextError(f"cannot evaluate query node {node!r}")
 
     def _term_docs(self, term: Term) -> set[str]:
-        postings = self._merged(stem(term.text.lower()))
-        if term.field is None:
+        return self._docs_in(self._merged(stem(term.text.lower())), term.field)
+
+    @staticmethod
+    def _docs_in(postings, field: str | None) -> set[str]:
+        if field is None:
             return set(postings)
-        field = term.field.lower()
+        field = field.lower()
         return {unid for unid, fields in postings.items() if field in fields}
 
     def _phrase_docs(self, phrase: Phrase) -> set[str]:
-        words = tokenize(phrase.text)
+        words = tokenize(phrase.text)  # already stemmed
         if not words:
             return set()
         if len(words) == 1:
-            return self._term_docs(Term(words[0], field=phrase.field))
+            return self._docs_in(self._merged(words[0]), phrase.field)
         candidates = None
         for word in words:
             docs = set(self._merged(word))
@@ -585,9 +601,13 @@ class FullTextIndex:
             return out
         return []  # NOT subtrees do not contribute to relevance
 
-    def _score(self, unid: str, tree) -> float:
-        total = 0.0
+    def _plan(self, tree) -> list[tuple[dict, float]]:
+        """The query's term plan: one ``(postings, idf)`` pair per word
+        of its positive terms, in query order (a repeated word counts
+        each time), each word stemmed and looked up once per query.
+        Words with no postings score nothing and are left out."""
         n_docs = max(self._doc_count, 1)
+        plan = []
         for node in self._positive_terms(tree):
             words = (
                 tokenize(node.text)
@@ -596,12 +616,21 @@ class FullTextIndex:
             )
             for word in words:
                 postings = self._merged(word)
-                if not postings or unid not in postings:
-                    continue
-                tf = sum(
-                    len(positions) * self.field_weights.get(field, 1.0)
-                    for field, positions in postings[unid].items()
-                )
-                idf = math.log(n_docs / len(postings)) + 1.0
-                total += tf * idf
+                if postings:
+                    plan.append((postings, math.log(n_docs / len(postings)) + 1.0))
+        return plan
+
+    def _score(self, unid: str, plan: list[tuple[dict, float]]) -> float:
+        """One matched document's tf–idf over the query's ``plan``."""
+        total = 0.0
+        weights = self.field_weights
+        for postings, idf in plan:
+            fields = postings.get(unid)
+            if fields is None:
+                continue
+            tf = sum(
+                len(positions) * weights.get(field, 1.0)
+                for field, positions in fields.items()
+            )
+            total += tf * idf
         return total

@@ -8,6 +8,7 @@ meet at a common stem. The same pipeline runs at index and query time.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 _WORD = re.compile(r"[a-z0-9]+")
 
@@ -21,8 +22,12 @@ _SUFFIXES = ("ingly", "edly", "ation", "ions", "ing", "ies", "ied", "ion",
              "es", "ed", "ly", "s")
 
 
+@lru_cache(maxsize=1 << 16)
 def stem(word: str) -> str:
-    """Very light suffix stripping; never shortens below three characters."""
+    """Very light suffix stripping; never shortens below three characters.
+
+    Memoised: a corpus repeats a small vocabulary, so indexing and query
+    planning mostly hit the memo (bounded, least recently used out)."""
     for suffix in _SUFFIXES:
         if word.endswith(suffix) and len(word) - len(suffix) >= 3:
             base = word[: -len(suffix)]
@@ -34,10 +39,7 @@ def stem(word: str) -> str:
 
 def tokenize(text: str, stop: bool = True, do_stem: bool = True) -> list[str]:
     """Text -> token list. Stopwords dropped, stems applied, order kept."""
-    tokens = []
-    for match in _WORD.finditer(text.lower()):
-        word = match.group()
-        if stop and word in STOPWORDS:
-            continue
-        tokens.append(stem(word) if do_stem else word)
-    return tokens
+    words = _WORD.findall(text.lower())
+    if stop:
+        words = [word for word in words if word not in STOPWORDS]
+    return [stem(word) for word in words] if do_stem else words

@@ -101,6 +101,7 @@ class StorageEngine:
         if self._wal is not None:
             self.last_recovery = recovery_mod.replay(self, self._wal)
             if self._wal.end_lsn:
+                self._sweep_orphans()
                 # Start from an empty log: later commits must not land
                 # behind a torn tail, which a second recovery would then
                 # meet mid-log.
@@ -163,7 +164,7 @@ class StorageEngine:
             self._wal.flush()
         for key, value in txn.writes.items():
             if value is None:
-                self._apply_delete(key, missing_ok=True)
+                self._apply_delete(key)
             else:
                 self._apply_put(key, value)
         if self.durability == "force":
@@ -271,21 +272,55 @@ class StorageEngine:
         old = self._index.pop(key, None)
         if old is not None:
             self._free_locations(old)
+        self._index[key] = self._insert_value(value)
+
+    def _insert_value(self, value: bytes) -> list[tuple[int, int]]:
         # max(len, 1) so a zero-length value still gets one (empty) chunk
         # and therefore exists in the heap.
-        locations = [
+        return [
             self._insert_chunk(value[start : start + _CHUNK_SIZE])
             for start in range(0, max(len(value), 1), _CHUNK_SIZE)
         ]
-        self._index[key] = locations
 
-    def _apply_delete(self, key: bytes, missing_ok: bool = False) -> None:
+    def _redo(self, key: bytes, value: bytes | None) -> None:
+        """Replay one logged write: forget the key's checkpoint-time
+        chunks *without* freeing them, then place ``value`` afresh.
+
+        A dirty page written back after the checkpoint may already have
+        freed those slots and reused them for another key's chunk, so
+        freeing by the checkpoint's locations could delete live data.
+        :meth:`_sweep_orphans` frees whatever the replayed index no
+        longer references.
+        """
+        self._index.pop(key, None)
+        if value is not None:
+            self._index[key] = self._insert_value(value)
+
+    def _sweep_orphans(self) -> None:
+        """After replay: delete every live slot no index entry references
+        and re-file each page's free figure.
+
+        Orphans are the checkpoint-time chunks of replayed keys and the
+        chunks committed after the checkpoint that pool eviction wrote
+        back before the crash (replay placed those values again).
+        """
+        referenced: dict[int, set[int]] = {}
+        for locations in self._index.values():
+            for page_id, slot in locations:
+                referenced.setdefault(page_id, set()).add(slot)
+        for page_id in range(1, self._pages.page_count + 1):
+            page = self._pool.fetch(page_id)
+            keep = referenced.get(page_id, ())
+            orphans = [slot for slot in page.slots() if slot not in keep]
+            for slot in orphans:
+                page.delete(slot)
+            self._set_free(page_id, page.reclaimable)
+            self._pool.unpin(page_id, dirty=bool(orphans))
+
+    def _apply_delete(self, key: bytes) -> None:
         locations = self._index.pop(key, None)
-        if locations is None:
-            if missing_ok:
-                return
-            raise StorageError(f"delete of unknown key {key!r}")
-        self._free_locations(locations)
+        if locations is not None:
+            self._free_locations(locations)
 
     def _free_locations(self, locations: list[tuple[int, int]]) -> None:
         for page_id, slot in locations:
@@ -296,8 +331,9 @@ class StorageEngine:
                 self._set_free(page_id, page.reclaimable)
                 self._last_page = page_id
             except PageError:
-                # Replay after a mid-apply crash can see slots that were
-                # already freed on disk; a stale free is harmless.
+                # A "force" store reopened after a crash has no log to
+                # replay: its checkpoint-time index can name slots that
+                # pages forced since have freed. A stale free is skipped.
                 dirty = False
             finally:
                 self._pool.unpin(page_id, dirty=dirty)

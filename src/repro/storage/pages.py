@@ -34,9 +34,13 @@ class SlottedPage:
     def __init__(self, raw: bytearray | None = None) -> None:
         if raw is None:
             raw = bytearray(PAGE_SIZE)
-            _HEADER.pack_into(raw, 0, 0, _HEADER.size)
         if len(raw) != PAGE_SIZE:
             raise PageError(f"page must be exactly {PAGE_SIZE} bytes, got {len(raw)}")
+        if _HEADER.unpack_from(raw, 0)[1] == 0:
+            # Only an unformatted (all-zero) page has data_end 0: a fresh
+            # one, or one the file allocated but a crash kept from ever
+            # being written back. Format it empty.
+            _HEADER.pack_into(raw, 0, 0, _HEADER.size)
         self.raw = raw
         # Bytes held by live records: summed over the slot directory on
         # first use, then kept current by every record operation.

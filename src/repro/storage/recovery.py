@@ -3,12 +3,15 @@
 The engine uses a *no-steal, no-force* discipline for transaction data:
 uncommitted writes never reach the heap or the log, and committed writes
 are not forced at commit (their log record is). A transaction is in the
-log only as its commit record, so recovery is one redo pass: re-apply the
-writes of every whole record in log order. Replay is idempotent at the
-key/value level: re-applying a put stores the same value (possibly at a
-new heap location) and re-applying a delete of an absent key is a no-op.
-A torn final record belongs to a commit that never returned, and is
-skipped.
+log only as its commit record, so recovery is one redo pass: replay the
+writes of every whole record in log order onto the checkpoint's index.
+Replay never frees a key's checkpoint-time chunks — pages written back
+after the checkpoint may have reused those slots for other keys — it
+only re-points the key; the engine then sweeps every slot the replayed
+index leaves unreferenced. Replay is idempotent at the key/value level:
+a put stores the same value (possibly at a new heap location) and a
+delete of an absent key is a no-op. A torn final record belongs to a
+commit that never returned, and is skipped.
 """
 
 from __future__ import annotations
@@ -32,19 +35,18 @@ class RecoveryReport:
 
 
 def replay(engine, wal: WriteAheadLog) -> RecoveryReport:
-    """Re-apply every committed write in ``wal`` to ``engine``.
+    """Replay every committed write in ``wal`` onto ``engine``.
 
-    ``engine`` is a :class:`repro.storage.engine.StorageEngine`; replay uses
-    its internal apply hooks so the heap, index and free map stay coherent.
+    ``engine`` is a :class:`repro.storage.engine.StorageEngine`; replay goes
+    through its ``_redo`` hook, and the engine sweeps orphaned slots after.
     """
     report = RecoveryReport()
     for payload in wal.records():
         for key, value in decode_commit(payload):
+            engine._redo(key, value)
             if value is None:
-                engine._apply_delete(key, missing_ok=True)
                 report.deletes_replayed += 1
             else:
-                engine._apply_put(key, value)
                 report.puts_replayed += 1
         report.committed_txns += 1
     return report

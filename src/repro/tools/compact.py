@@ -1,7 +1,7 @@
 """Storage compaction: rewrite the heap, dropping dead space.
 
-The engine's no-steal redo design can orphan heap slots after crash
-recovery, and deletes leave free space scattered across pages. Compaction —
+Deletes leave free space scattered across pages (crash recovery frees
+orphaned slots, but not the pages they sat on). Compaction —
 the Domino admin's nightly ``compact`` task — rewrites every live record
 into a fresh heap and atomically swaps the files.
 """

@@ -209,3 +209,47 @@ class TestIndex:
         index = FullTextIndex(db, field_weights={"Keywords": 10.0})
         hits = index.search("alpha")
         assert hits[0].unid == a.unid
+
+    def test_one_word_phrase_matches_like_the_word(self, db):
+        memo = db.create({"Subject": "Cleanup", "Body": "the kitchen messes"})
+        index = FullTextIndex(db)
+        expected = [memo.unid]
+        assert [h.unid for h in index.search("messes")] == expected
+        assert [h.unid for h in index.search('"messes kitchen"')] == []
+        assert [h.unid for h in index.search('"kitchen messes"')] == expected
+        assert [h.unid for h in index.search('"messes"')] == expected
+        assert [h.unid for h in index.search('body:"messes"')] == expected
+
+    def test_negative_limit_is_rejected(self, corpus):
+        db, docs = corpus
+        index = FullTextIndex(db)
+        with pytest.raises(FullTextError, match="negative"):
+            index.search("budget", limit=-1)
+
+    def test_zero_limit_returns_nothing(self, corpus):
+        from repro.security import AccessControlList, AclLevel
+
+        db, docs = corpus
+        index = FullTextIndex(db)
+        assert index.search("budget", limit=0) == []
+        db.acl = AccessControlList(default_level=AclLevel.READER)
+        assert index.search("budget", limit=0, as_user="peon/Acme") == []
+
+    def test_reader_checks_stop_at_the_limit(self, db):
+        from repro.core import ItemType
+        from repro.security import AccessControlList, AclLevel
+
+        docs = [
+            db.create({"Subject": "report " * (10 - rank)}) for rank in range(10)
+        ]
+        for doc in docs[:3]:  # the three best-ranked are hidden
+            doc.set("R", ["boss/Acme"], ItemType.READERS)
+        acl = AccessControlList(default_level=AclLevel.READER)
+        db.acl = acl
+        index = FullTextIndex(db)
+        checked = []
+        can_read = acl.can_read
+        acl.can_read = lambda user, doc: checked.append(doc.unid) or can_read(user, doc)
+        hits = index.search("report", limit=2, as_user="peon/Acme")
+        assert [h.unid for h in hits] == [docs[3].unid, docs[4].unid]
+        assert checked == [doc.unid for doc in docs[:5]]

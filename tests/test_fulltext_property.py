@@ -1,0 +1,216 @@
+"""Property: top-k search ranks exactly as scoring every match would.
+
+``FullTextIndex.search`` plans a query once, ranks the matches before any
+access check and stops checking at the ``limit``-th readable hit. The
+oracle here is the plain formula: score every matched live document by
+walking the query tree (stemming each word and computing its idf per
+document), drop what ``as_user`` may not read, sort by
+``(-score, unid)`` and slice. Hits and scores must be equal exactly, on
+an in-memory index and on a persisted one whose postings come from
+segments plus an edited overlay after a reopen.
+
+Each property runs twice: a reduced-example fast lane in the default
+job, and a ``slow``-marked lane with the full example budget
+(``pytest -m slow``).
+"""
+
+import math
+import os
+import random
+import tempfile
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import Item, ItemType, NotesDatabase
+from repro.fulltext import FullTextIndex, parse_query
+from repro.fulltext.query import Phrase
+from repro.fulltext.tokenizer import stem, tokenize
+from repro.security import AccessControlList, AclLevel
+from repro.sim import VirtualClock
+from repro.storage import StorageEngine
+
+RELAXED = settings(
+    deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+# Stemming variants and a stopword, so query words and indexed tokens
+# meet through the stemmer.
+WORDS = ("budget", "budgets", "meeting", "meetings", "replica", "review",
+         "reviewed", "forecast", "stub", "stubs", "category", "categories",
+         "the")
+FIELDS = (None, "subject", "body")
+USERS = (None, "peon/Acme", "boss/Acme")
+
+MEMO = st.tuples(
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),   # subject
+    st.lists(st.sampled_from(WORDS), max_size=8),               # body
+    st.sampled_from([None, ["boss/Acme"], ["peon/Acme", "boss/Acme"]]),
+)
+
+_TERM = st.builds(
+    lambda word, field: f"{field}:{word}" if field else word,
+    st.sampled_from(WORDS), st.sampled_from(FIELDS),
+)
+_PHRASE = st.builds(
+    lambda words, field: (f"{field}:" if field else "") + f'"{" ".join(words)}"',
+    st.one_of(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=2),
+        st.sampled_from(WORDS).map(lambda word: [word, word]),  # counts twice
+    ),
+    st.sampled_from(FIELDS),
+)
+QUERY = st.recursive(
+    st.one_of(_TERM, _TERM, _PHRASE),
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: f"({a} AND {b})", inner, inner),
+        st.builds(lambda a, b: f"({a} {b})", inner, inner),
+        st.builds(lambda a, b: f"({a} OR {b})", inner, inner),
+        st.builds(lambda a, b: f"({a} NOT {b})", inner, inner),
+    ),
+    max_leaves=4,
+)
+SEARCH = st.tuples(
+    QUERY, st.sampled_from([None, 0, 1, 3, 5]), st.sampled_from(USERS)
+)
+# Edits past the checkpoint: (memo index, new memo or None to delete).
+EDITS = st.lists(st.tuples(st.integers(0, 30), st.one_of(st.none(), MEMO)),
+                 max_size=6)
+
+
+def _items(memo):
+    subject, body, readers = memo
+    items = {"Subject": " ".join(subject), "Body": " ".join(body)}
+    if readers is not None:
+        items["Readers"] = Item.of("Readers", readers, ItemType.READERS)
+    return items
+
+
+def _oracle_score(index, unid, tree):
+    total = 0.0
+    n_docs = max(index.document_count, 1)
+    for node in index._positive_terms(tree):
+        words = (
+            tokenize(node.text)
+            if isinstance(node, Phrase)
+            else [stem(node.text.lower())]
+        )
+        for word in words:
+            postings = index._merged(word)
+            if not postings or unid not in postings:
+                continue
+            tf = sum(
+                len(positions) * index.field_weights.get(field, 1.0)
+                for field, positions in postings[unid].items()
+            )
+            idf = math.log(n_docs / len(postings)) + 1.0
+            total += tf * idf
+    return total
+
+
+def _oracle(index, query, limit, as_user):
+    db = index.db
+    tree = parse_query(query)
+    scored = [
+        (unid, _oracle_score(index, unid, tree))
+        for unid in index._eval(tree)
+        if unid in db
+    ]
+    if as_user is not None:
+        scored = [hit for hit in scored if db._can_read(as_user, db.get(hit[0]))]
+    scored.sort(key=lambda hit: (-hit[1], hit[0]))
+    return scored[:limit] if limit is not None else scored
+
+
+def _check_searches(index, searches):
+    # Reader checks bite only at search time; the writes ran without an ACL.
+    index.db.acl = AccessControlList(default_level=AclLevel.READER)
+    for query, limit, as_user in searches:
+        hits = index.search(query, limit=limit, as_user=as_user)
+        assert [(hit.unid, hit.score) for hit in hits] == _oracle(
+            index, query, limit, as_user
+        ), query
+
+
+def _new_db(**kw):
+    return NotesDatabase("prop.nsf", clock=VirtualClock(),
+                         rng=random.Random(7), **kw)
+
+
+def _apply_edits(db, unids, edits):
+    for position, memo in edits:
+        db.clock.advance(0.1)
+        live = [unid for unid in unids if unid in db]
+        if not live:
+            return
+        unid = live[position % len(live)]
+        if memo is None:
+            db.delete(unid)
+        else:
+            db.update(unid, _items(memo))
+
+
+def check_in_memory(memos, edits, searches):
+    db = _new_db()
+    unids = [db.create(_items(memo)).unid for memo in memos]
+    index = FullTextIndex(db)
+    _apply_edits(db, unids, edits)
+    _check_searches(index, searches)
+
+
+def check_persisted(memos, edits, searches):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db")
+        db = _new_db(engine=StorageEngine(path))
+        unids = [db.create(_items(memo)).unid for memo in memos]
+        index = FullTextIndex(db, persist=True)
+        index.save_checkpoint()
+        half = len(edits) // 2
+        _apply_edits(db, unids, edits[:half])
+        index.save_checkpoint()
+        # Edited past the last checkpoint, then reopened without a save:
+        # the reopened index reads segments and re-tokenizes the edits.
+        _apply_edits(db, unids, edits[half:])
+        db.engine.close()
+        db = _new_db(engine=StorageEngine(path))
+        index = FullTextIndex(db, persist=True)
+        assert index.loaded_from_disk
+        _check_searches(index, searches)
+        db.engine.close()
+
+
+# -- fast lane (default job: reduced examples) --------------------------
+
+
+@settings(max_examples=40, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=12), edits=EDITS,
+       searches=st.lists(SEARCH, min_size=1, max_size=6))
+def test_top_k_matches_score_all_oracle(memos, edits, searches):
+    check_in_memory(memos, edits, searches)
+
+
+@settings(max_examples=15, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=12), edits=EDITS,
+       searches=st.lists(SEARCH, min_size=1, max_size=6))
+def test_top_k_matches_score_all_oracle_persisted(memos, edits, searches):
+    check_persisted(memos, edits, searches)
+
+
+# -- slow lane (full budget: pytest -m slow) ----------------------------
+
+
+@pytest.mark.slow
+@settings(max_examples=300, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=30), edits=EDITS,
+       searches=st.lists(SEARCH, min_size=1, max_size=10))
+def test_top_k_matches_score_all_oracle_full(memos, edits, searches):
+    check_in_memory(memos, edits, searches)
+
+
+@pytest.mark.slow
+@settings(max_examples=80, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=30), edits=EDITS,
+       searches=st.lists(SEARCH, min_size=1, max_size=10))
+def test_top_k_matches_score_all_oracle_persisted_full(memos, edits, searches):
+    check_persisted(memos, edits, searches)

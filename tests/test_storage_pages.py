@@ -51,6 +51,16 @@ class TestInsertGet:
         with pytest.raises(PageError):
             SlottedPage(bytearray(100))
 
+    def test_all_zero_page_reads_as_empty(self):
+        """A page the file allocated but never had written back (a crash
+        before write-back) is all zeros; it must behave as a fresh page."""
+        page = SlottedPage(bytearray(PAGE_SIZE))
+        assert page.slots() == []
+        assert page.reclaimable == SlottedPage().reclaimable
+        slot = page.insert(b"abc")
+        assert page.get(slot) == b"abc"
+        assert SlottedPage(page.raw).get(slot) == b"abc"
+
 
 class TestDelete:
     def test_deleted_slot_unreadable(self):

@@ -204,6 +204,36 @@ class TestCommitRecord:
         assert recovered.get(b"c") == b"3"
         recovered.close()
 
+    def test_replay_never_frees_a_slot_eviction_reused(self, tmp_path):
+        """Dirty pages written back after the checkpoint free and reuse
+        slots the checkpoint's index still names; replaying the log must
+        not delete another key's chunk through those stale locations."""
+        engine = reopen(tmp_path, pool_size=2)
+        txn = engine.begin()
+        for key, size in ((b"k3", 338), (b"k2", 117), (b"k4", 3000), (b"k1", 622)):
+            engine.put(txn, key, key[1:] * size)
+        engine.commit(txn)
+        engine.simulate_crash()
+        engine = reopen(tmp_path, pool_size=2)
+        txn = engine.begin()
+        engine.put(txn, b"k0", b"0" * 2179)
+        engine.put(txn, b"k2", b"2" * 52)
+        engine.commit(txn)
+        txn = engine.begin()
+        engine.put(txn, b"k3", b"3" * 1025)
+        engine.delete(txn, b"k0")
+        engine.commit(txn)
+        engine.simulate_crash()
+        recovered = reopen(tmp_path, pool_size=2)
+        assert {key: recovered.get(key) for key in recovered.keys()} == {
+            b"k1": b"1" * 622, b"k2": b"2" * 52,
+            b"k3": b"3" * 1025, b"k4": b"4" * 3000,
+        }
+        recovered.close()
+        reopened = reopen(tmp_path, pool_size=2)
+        assert reopened.get(b"k2") == b"2" * 52
+        reopened.close()
+
 
 class TestOlderStores:
     def test_log_in_the_older_layout_is_refused(self, tmp_path):

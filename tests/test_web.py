@@ -305,6 +305,13 @@ class TestPageParameters:
         assert 'class="doc"' not in response.body
         assert 'class="next"' not in response.body  # not a link to itself
 
+    def test_zero_count_search_returns_no_hits(self, site):
+        _, server, _ = site
+        response = server.handle(
+            "/sales.nsf/ByCustomer?SearchView&Query=widget&Count=0")
+        assert response.status == 200
+        assert "<li>" not in response.body
+
     @pytest.mark.parametrize("start", ["0", "-7"])
     def test_start_below_one_reads_from_the_top(self, site, start):
         _, server, _ = site
