@@ -8,6 +8,7 @@ database size.
 
 from __future__ import annotations
 
+import gc
 import time
 
 from repro.bench.runners import build_deployment, populate
@@ -39,11 +40,16 @@ def run_cell(n_docs: int, delta: int):
     manual_view = make_view(db, "manual")
     unids = db.unids()
 
+    # Collect before each timed section, so a gen-2 collection of what
+    # earlier cells (or earlier benchmark files) allocated never lands
+    # inside it.
+    gc.collect()
     start = time.perf_counter()
     for index in range(delta):
         db.update(unids[index], {"Subject": f"moved {index}"})
     incremental_seconds = time.perf_counter() - start
 
+    gc.collect()
     start = time.perf_counter()
     manual_view.rebuild()
     rebuild_seconds = time.perf_counter() - start
@@ -108,8 +114,6 @@ def test_e05_warm_open_table(benchmark, tmp_path):
         )
 
     def sweep():
-        import gc
-
         rows.clear()
         for n_docs in (500, 2000):
             path = str(tmp_path / f"warm{n_docs}")
@@ -127,14 +131,15 @@ def test_e05_warm_open_table(benchmark, tmp_path):
             engine = StorageEngine(path)
             db = NotesDatabase("w.nsf", clock=VirtualClock(),
                                rng=random.Random(2), engine=engine)
-            gc.collect()
             cold_times, warm_times = [], []
             for _ in range(5):
+                gc.collect()
                 start = time.perf_counter()
                 view = persisted_view(db, persist=True)
                 warm_times.append(time.perf_counter() - start)
                 assert view.loaded_from_disk
                 assert view.all_unids() == expected
+                gc.collect()
                 start = time.perf_counter()
                 view.rebuild()
                 cold_times.append(time.perf_counter() - start)

@@ -13,14 +13,14 @@ With ``persist=True`` the postings plus that checkpoint are written
 through the storage engine as a **stack of immutable segments**
 (:class:`repro.storage.SegmentStack`): each ``save_checkpoint`` appends
 the live overlay as a *new* segment — close cost O(delta), the other
-half of what the seq journal did for reopen — and a merge policy folds
-segments back together (smallest adjacent pair first) when their count
-or dead ratio crosses a threshold, the LSM/Lucene amortization. Two
-stacks ride in positional lockstep: ``ftidx:terms`` holds each segment's
-term → postings records (every segment's record is live data for the
-documents written in that segment) and ``ftidx:docs`` holds the
-doc → terms table whose newest-wins positions arbitrate which segment's
-postings for a document still count.
+half of what the seq journal did for reopen — and segments fold back
+together when a newer one grows as big as its older neighbour (or the
+merge policy's count or dead-ratio backstop trips), the LSM/Lucene
+amortization. Two stacks ride in positional lockstep: ``ftidx:terms``
+holds each segment's term → postings records (every segment's record is
+live data for the documents written in that segment) and ``ftidx:docs``
+holds the doc → terms table whose newest-wins positions arbitrate which
+segment's postings for a document still count.
 
 A reopened database loads only the meta record and the per-segment
 offset directories; postings blobs stay unparsed bytes until a query
@@ -364,15 +364,6 @@ class FullTextIndex:
             and unid not in self._dead
             and self._docs_stack.position_of(unid) is not None
         )
-
-    def _terms_of(self, unid: str) -> set[str]:
-        terms = self._doc_terms.get(unid)
-        if terms is not None:
-            return terms
-        if not self._in_stack(unid):
-            return set()
-        record = self._docs_stack.get(unid)
-        return set(record) if record else set()
 
     def _all_doc_unids(self) -> set[str]:
         unids = set(self._doc_terms)

@@ -4,8 +4,16 @@ This is the layer the NSF file plays for a Domino server: a durable store of
 variable-length records (serialized notes) addressed by key (the note UNID),
 with transactional updates, write-ahead logging, sharp checkpoints, and crash
 recovery. Values larger than a page are chunked across heap pages; an
-in-memory index maps each key to its chunk locations and is persisted at
-checkpoint time.
+in-memory index maps each key to its chunk locations.
+
+The index persists in the ``.chk`` file as a chain: a JSON *base* (the
+whole index and free map, ended by a newline) followed by CRC-framed
+*deltas*, each the entries and free figures that changed between two
+checkpoints. A checkpoint appends one delta, so it costs what changed,
+not the size of the store. Once the deltas' bytes reach half the base's,
+the chain folds into a fresh base (temp file, fsync, rename); a clean
+close always folds, so a closed store's ``.chk`` is a lone base. Open
+reads the base, applies the deltas in order, and cuts off a torn tail.
 
 Durability modes (experiment E7 compares them):
 
@@ -16,8 +24,12 @@ Durability modes (experiment E7 compares them):
     transaction costs one fsync however many keys it writes, and an open
     transaction has nothing in the log.
 ``"force"``
-    No log. Commit applies the write-set and forces every dirty page to
-    disk — the pre-R5 Notes discipline the paper contrasts with logging.
+    No log. Commit places the after-images, forces every dirty page to
+    disk and appends the commit's index delta to the ``.chk`` — the pre-R5
+    Notes discipline the paper contrasts with logging. The before-images'
+    slots are freed only after the delta is durable, so the ``.chk`` never
+    names a slot another key may have reused; open sweeps the slots a
+    crash stranded.
 ``"none"``
     No durability at all (fastest; for pure in-memory experiments).
 """
@@ -25,15 +37,16 @@ Durability modes (experiment E7 compares them):
 from __future__ import annotations
 
 import json
+import marshal
 import os
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.errors import PageError, StorageError, WalError
+from repro.errors import StorageError, WalError
 from repro.storage import recovery as recovery_mod
 from repro.storage.bufferpool import BufferPool
 from repro.storage.pagedfile import PagedFile
 from repro.storage.pages import SlottedPage
-from repro.storage.wal import WriteAheadLog, encode_commit
+from repro.storage.wal import WriteAheadLog, encode_commit, frame, unframe
 
 _CHUNK_SIZE = SlottedPage.max_record_size() - 8
 
@@ -95,6 +108,15 @@ class StorageEngine:
         # The page the heap last freed or filled a slot on: already dirty,
         # so it is the first place a chunk is offered.
         self._last_page: int | None = None
+        # The keys and pages whose index entry or free figure changed
+        # since the .chk last recorded them: the next delta.
+        self._dirty_keys: set[bytes] = set()
+        self._dirty_pages: set[int] = set()
+        # Bytes of the .chk base and of the delta chain behind it. A base
+        # of 0 bytes (no .chk yet, or one an older build wrote) makes the
+        # next checkpoint write a fresh base.
+        self._base_bytes = 0
+        self._delta_bytes = 0
         self._open = True
         self.last_recovery: recovery_mod.RecoveryReport | None = None
         self._load_checkpoint()
@@ -106,15 +128,26 @@ class StorageEngine:
                 # behind a torn tail, which a second recovery would then
                 # meet mid-log.
                 self.checkpoint()
+        elif durability == "force":
+            # A crash can strand the after-images of a commit whose delta
+            # never reached the .chk, and the before-images of one whose
+            # frees never reached the heap.
+            self._sweep_orphans()
 
     # -- lifecycle --------------------------------------------------------
 
     def close(self) -> None:
-        """Checkpoint (when durable) and release file handles."""
+        """Checkpoint into a fresh ``.chk`` base (when durable) and release
+        file handles."""
         if not self._open:
             return
         if self.durability != "none":
-            self.checkpoint()
+            self._pool.flush_all()
+            if self._delta_bytes or self._dirty_keys or self._dirty_pages \
+                    or not self._base_bytes:
+                self._write_base()
+            if self._wal is not None:
+                self._wal.truncate()
         if self._wal is not None:
             self._wal.close()
         self._pool.flush_all()
@@ -162,13 +195,24 @@ class StorageEngine:
         if self._wal is not None and txn.writes:
             self._wal.append(encode_commit(txn.writes))
             self._wal.flush()
+        force = self.durability == "force"
+        stale: list[tuple[int, int]] = []
         for key, value in txn.writes.items():
-            if value is None:
-                self._apply_delete(key)
-            else:
-                self._apply_put(key, value)
-        if self.durability == "force":
+            old = self._index.get(key)
+            if old is not None:
+                if force:
+                    stale += old
+                else:
+                    # Free first: the new value lands in the hole the old
+                    # one left, so it dirties no other page.
+                    self._free_locations(old)
+            self._repoint(key, value)
+        if force and txn.writes:
+            # After-images, then the index naming them, reach disk before
+            # any before-image slot is freed for reuse.
             self._pool.flush_all()
+            self._persist_index()
+            self._free_locations(stale)
         txn.state = "committed"
 
     def abort(self, txn: Transaction) -> None:
@@ -221,12 +265,44 @@ class StorageEngine:
     # -- checkpointing -------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Sharp checkpoint: flush heap, persist the index, truncate the log."""
+        """Sharp checkpoint: flush heap, persist the index changes, truncate
+        the log."""
         self._require_open()
         self._pool.flush_all()
-        write_snapshot(self.path + ".chk", self._snapshot())
+        self._persist_index()
         if self._wal is not None:
             self._wal.truncate()
+
+    def _persist_index(self) -> None:
+        """Bring the ``.chk`` up to the in-memory index: append one delta
+        of what changed since it last did, or fold the chain into a fresh
+        base once the deltas' bytes would reach half the base's."""
+        if not self._base_bytes:
+            self._write_base()
+            return
+        if not (self._dirty_keys or self._dirty_pages):
+            return
+        record = frame(marshal.dumps((
+            {key: self._index.get(key) for key in self._dirty_keys},
+            {page_id: self._free[page_id] for page_id in self._dirty_pages},
+        )))
+        if 2 * (self._delta_bytes + len(record)) >= self._base_bytes:
+            self._write_base()
+            return
+        with open(self.path + ".chk", "ab") as out:
+            out.write(record)
+            out.flush()
+            os.fsync(out.fileno())
+        self._delta_bytes += len(record)
+        self._dirty_keys.clear()
+        self._dirty_pages.clear()
+
+    def _write_base(self) -> None:
+        """Replace the ``.chk`` with a base holding the whole index."""
+        self._base_bytes = write_snapshot(self.path + ".chk", self._snapshot())
+        self._delta_bytes = 0
+        self._dirty_keys.clear()
+        self._dirty_pages.clear()
 
     def _snapshot(self) -> dict:
         """The index and free map as the ``.chk`` file stores them."""
@@ -235,22 +311,52 @@ class StorageEngine:
             "free": self._free,
         }
 
-    def _restore(self, snapshot: dict) -> None:
-        """Adopt a :meth:`_snapshot` (read back from a ``.chk`` file)."""
+    def _restore(self, snapshot: dict, deltas: Iterable[bytes] = ()) -> None:
+        """Adopt a :meth:`_snapshot` and then each delta over it, as the
+        ``.chk`` holds them; nothing is left to persist afterwards."""
         self._index = {
             bytes.fromhex(key): [tuple(loc) for loc in locs]
             for key, locs in snapshot["index"].items()
         }
         self._free = {int(page): free for page, free in snapshot["free"].items()}
+        for payload in deltas:
+            index_delta, free_delta = marshal.loads(payload)
+            for key, locations in index_delta.items():
+                if locations is None:
+                    self._index.pop(key, None)
+                else:
+                    self._index[key] = locations
+            self._free.update(free_delta)
         self._free_buckets = [set() for _ in range(_TOP + 1)]
         for page_id, free in self._free.items():
             self._file_free(page_id, free)
+        self._dirty_keys.clear()
+        self._dirty_pages.clear()
 
     def _load_checkpoint(self) -> None:
+        """Read the ``.chk`` chain; cut off a torn or corrupt tail (a
+        checkpoint that never returned) so later deltas follow whole
+        ones."""
         chk_path = self.path + ".chk"
-        if os.path.exists(chk_path):
-            with open(chk_path, encoding="utf-8") as source:
-                self._restore(json.load(source))
+        if not os.path.exists(chk_path):
+            return
+        with open(chk_path, "rb") as source:
+            data = source.read()
+        base_end = data.find(b"\n") + 1
+        if not base_end:
+            # An older build's base has no terminator to append behind;
+            # _base_bytes stays 0, so the next checkpoint rewrites it.
+            self._restore(json.loads(data))
+            return
+        deltas = []
+        end = base_end
+        for payload, end in unframe(data, base_end):
+            deltas.append(payload)
+        self._restore(json.loads(data[:base_end]), deltas)
+        if end < len(data):
+            os.truncate(chk_path, end)
+        self._base_bytes = base_end
+        self._delta_bytes = end - base_end
 
     # -- heap operations (committed state) -------------------------------
 
@@ -267,13 +373,6 @@ class StorageEngine:
                 self._pool.unpin(page_id)
         return b"".join(chunks)
 
-    def _apply_put(self, key: bytes, value: bytes) -> None:
-        """Write ``value`` into the heap and point the index at it."""
-        old = self._index.pop(key, None)
-        if old is not None:
-            self._free_locations(old)
-        self._index[key] = self._insert_value(value)
-
     def _insert_value(self, value: bytes) -> list[tuple[int, int]]:
         # max(len, 1) so a zero-length value still gets one (empty) chunk
         # and therefore exists in the heap.
@@ -282,17 +381,18 @@ class StorageEngine:
             for start in range(0, max(len(value), 1), _CHUNK_SIZE)
         ]
 
-    def _redo(self, key: bytes, value: bytes | None) -> None:
-        """Replay one logged write: forget the key's checkpoint-time
-        chunks *without* freeing them, then place ``value`` afresh.
+    def _repoint(self, key: bytes, value: bytes | None) -> None:
+        """Point ``key`` at ``value`` placed afresh (or drop it for None),
+        *without* freeing its old chunks.
 
-        A dirty page written back after the checkpoint may already have
-        freed those slots and reused them for another key's chunk, so
-        freeing by the checkpoint's locations could delete live data.
-        :meth:`_sweep_orphans` frees whatever the replayed index no
-        longer references.
+        Replay calls this directly: a dirty page written back after the
+        checkpoint may already have freed the key's checkpoint-time slots
+        and reused them for another key's chunk, so freeing by those
+        locations could delete live data. :meth:`_sweep_orphans` frees
+        whatever the replayed index no longer references.
         """
         self._index.pop(key, None)
+        self._dirty_keys.add(key)
         if value is not None:
             self._index[key] = self._insert_value(value)
 
@@ -302,7 +402,9 @@ class StorageEngine:
 
         Orphans are the checkpoint-time chunks of replayed keys and the
         chunks committed after the checkpoint that pool eviction wrote
-        back before the crash (replay placed those values again).
+        back before the crash (replay placed those values again); in a
+        ``force`` store, the chunks of a commit the crash cut off on
+        either side of its delta.
         """
         referenced: dict[int, set[int]] = {}
         for locations in self._index.values():
@@ -317,26 +419,15 @@ class StorageEngine:
             self._set_free(page_id, page.reclaimable)
             self._pool.unpin(page_id, dirty=bool(orphans))
 
-    def _apply_delete(self, key: bytes) -> None:
-        locations = self._index.pop(key, None)
-        if locations is not None:
-            self._free_locations(locations)
-
     def _free_locations(self, locations: list[tuple[int, int]]) -> None:
         for page_id, slot in locations:
             page = self._pool.fetch(page_id)
-            dirty = True
             try:
                 page.delete(slot)
-                self._set_free(page_id, page.reclaimable)
-                self._last_page = page_id
-            except PageError:
-                # A "force" store reopened after a crash has no log to
-                # replay: its checkpoint-time index can name slots that
-                # pages forced since have freed. A stale free is skipped.
-                dirty = False
             finally:
-                self._pool.unpin(page_id, dirty=dirty)
+                self._pool.unpin(page_id, dirty=True)
+            self._set_free(page_id, page.reclaimable)
+            self._last_page = page_id
 
     def _insert_chunk(self, chunk: bytes) -> tuple[int, int]:
         need = len(chunk)
@@ -381,6 +472,7 @@ class StorageEngine:
         if old is not None and old >= 0:
             self._free_buckets[self._bucket(old)].discard(page_id)
         self._free[page_id] = free
+        self._dirty_pages.add(page_id)
         self._file_free(page_id, free)
 
     def _file_free(self, page_id: int, free: int) -> None:
@@ -409,15 +501,19 @@ class StorageEngine:
             raise WalError(f"transaction is {txn.state}")
 
 
-def write_snapshot(path: str, snapshot: dict) -> None:
-    """Write a ``.chk`` snapshot durably and atomically (temp file + rename).
+def write_snapshot(path: str, snapshot: dict) -> int:
+    """Write a ``.chk`` base durably and atomically (temp file + rename);
+    returns its length in bytes.
 
-    ``json.dumps`` runs the C encoder; ``json.dump`` streams through the
-    pure-Python one for the same bytes.
+    The newline ends the base, so deltas can follow it. ``json.dumps``
+    runs the C encoder (and escapes every newline inside strings);
+    ``json.dump`` streams through the pure-Python one for the same bytes.
     """
+    data = (json.dumps(snapshot) + "\n").encode()
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as out:
-        out.write(json.dumps(snapshot))
+    with open(tmp, "wb") as out:
+        out.write(data)
         out.flush()
         os.fsync(out.fileno())
     os.replace(tmp, path)
+    return len(data)

@@ -38,12 +38,12 @@ def replay(engine, wal: WriteAheadLog) -> RecoveryReport:
     """Replay every committed write in ``wal`` onto ``engine``.
 
     ``engine`` is a :class:`repro.storage.engine.StorageEngine`; replay goes
-    through its ``_redo`` hook, and the engine sweeps orphaned slots after.
+    through its ``_repoint`` hook, and the engine sweeps orphaned slots after.
     """
     report = RecoveryReport()
     for payload in wal.records():
         for key, value in decode_commit(payload):
-            engine._redo(key, value)
+            engine._repoint(key, value)
             if value is None:
                 report.deletes_replayed += 1
             else:

@@ -6,11 +6,13 @@ an offset directory (``key -> (offset, length)``, one small marshal
 record parsed eagerly on open) over a blob of concatenated marshal
 records (fetched lazily, materialized per key on first touch). Saving a
 checkpoint appends the live overlay as a **new** segment instead of
-rewriting the whole structure, so close cost is O(delta); a configurable
-merge policy folds segments back together — smallest adjacent pair first
-— when their count or the fraction of dead entries crosses a threshold,
-exactly the amortization argument of an LSM tree or Lucene's segment
-merges.
+rewriting the whole structure, so close cost is O(delta). Segments fold
+back together by a binary-counter rule (the "logarithmic method"): a
+segment that holds at least as many bytes as its older neighbour folds
+into it, so K equal appends leave at most log2(K) + 1 segments and copy
+each record about log2(K) times — the amortization argument of an LSM
+tree or Lucene's tiered segment merges. A configurable merge policy
+adds backstops on the segment count and the fraction of dead entries.
 
 Two read disciplines exist, chosen per stack:
 
@@ -45,7 +47,8 @@ Combine = Callable[[str, Any, Any], Any]
 
 @dataclass(frozen=True)
 class MergePolicy:
-    """When to fold segments back together.
+    """When to fold segments back together, beyond the binary-counter
+    rule every stack follows (see :meth:`SegmentStack.maintain`).
 
     ``max_segments``
         Fold (smallest adjacent pair first) while the stack holds more
@@ -94,7 +97,7 @@ class SegmentStats:
 class _Segment:
     """One immutable on-disk segment: directory + lazily-fetched blob."""
 
-    __slots__ = ("seg_id", "directory", "blob", "cache")
+    __slots__ = ("seg_id", "directory", "blob", "cache", "size")
 
     def __init__(
         self,
@@ -108,11 +111,8 @@ class _Segment:
         # None = committed earlier, fetch from the engine on first touch.
         self.blob = blob
         self.cache = cache if cache is not None else {}
-
-    @property
-    def size(self) -> int:
-        """Blob length, computable from the directory without the blob."""
-        return sum(length for _, length in self.directory.values())
+        # Blob length, computed from the directory without the blob.
+        self.size = sum(length for _, length in directory.values())
 
 
 class SegmentStack:
@@ -294,7 +294,14 @@ class SegmentStack:
         combine: Combine | None = None,
         mirror: Callable[[int, set[str]], None] | None = None,
     ) -> list[int]:
-        """Fold until the merge policy is satisfied; returns fold indices.
+        """Fold until every segment holds fewer bytes than its older
+        neighbour and the merge policy is satisfied; returns fold indices.
+
+        After an append only the top pair can break the byte rule, so a
+        save folds the top pair while the newer segment is at least as
+        big as the older one — a carry in a binary counter. The policy's
+        backstops then fold the smallest adjacent pair while there are
+        too many segments or dead entries.
 
         ``mirror(index, newer_keys)`` runs after each fold with the
         directory keys the pair's newer segment held *before* folding —
@@ -316,8 +323,11 @@ class SegmentStack:
                 mirror(index, newer_keys)
             folded.append(index)
 
-        while len(self._segments) > 1 and self._violates_policy():
-            run_fold(self._pick_fold_index())
+        while len(self._segments) > 1:
+            index = self._pick_fold_index()
+            if index is None:
+                break
+            run_fold(index)
         if (
             len(self._segments) == 1
             and self.stats.dead_entries > 0
@@ -335,10 +345,20 @@ class SegmentStack:
             and self.stats.dead_ratio > self.policy.max_dead_ratio
         )
 
-    def _pick_fold_index(self) -> int:
-        """Smallest adjacent pair first (folds must respect stack order:
-        merging non-neighbours would reorder which copy is newest)."""
+    def _pick_fold_index(self) -> int | None:
+        """The adjacent pair to fold next, or None when none must.
+
+        The newest pair whose newer segment holds at least as many bytes
+        as the older comes first; then, if the policy is still violated,
+        the smallest pair. Folds must respect stack order: merging
+        non-neighbours would reorder which copy is newest.
+        """
         sizes = [segment.size for segment in self._segments]
+        for index in range(len(sizes) - 2, -1, -1):
+            if sizes[index + 1] >= sizes[index]:
+                return index
+        if not self._violates_policy():
+            return None
         best = 0
         best_cost = None
         for index in range(len(sizes) - 1):

@@ -27,6 +27,34 @@ _DELETE = 0xFFFFFFFF
 _COMMIT = b"C"
 
 
+def frame(payload: bytes) -> bytes:
+    """``payload`` in the length + CRC32 envelope that makes a torn or
+    corrupt record detectable (log records and ``.chk`` deltas alike)."""
+    return _ENVELOPE.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def unframe(data: bytes, pos: int = 0) -> Iterator[tuple[bytes, int]]:
+    """Yield ``(payload, end)`` for each whole :func:`frame` in ``data``
+    from offset ``pos`` on, ``end`` being the offset one past it.
+
+    Stops silently at a torn or corrupt tail (the crash case); raises
+    :class:`WalError` for corruption *before* the tail.
+    """
+    while pos + _ENVELOPE.size <= len(data):
+        length, crc = _ENVELOPE.unpack_from(data, pos)
+        start = pos + _ENVELOPE.size
+        end = start + length
+        if end > len(data):
+            return  # torn payload at the tail
+        payload = data[start:end]
+        if zlib.crc32(payload) != crc:
+            if end < len(data):
+                raise WalError(f"CRC mismatch before the tail, at offset {pos}")
+            return  # corrupt tail record: treat as torn
+        yield payload, end
+        pos = end
+
+
 def encode_commit(writes: dict[bytes, bytes | None]) -> bytes:
     """The log payload of a write-set (``None`` marks a delete)."""
     parts = [_COMMIT]
@@ -80,9 +108,9 @@ class WriteAheadLog:
         """Append ``payload`` as one record; returns its LSN. Not yet
         durable until flush."""
         lsn = self._end
-        self._file.write(_ENVELOPE.pack(len(payload), zlib.crc32(payload)))
-        self._file.write(payload)
-        self._end += _ENVELOPE.size + len(payload)
+        record = frame(payload)
+        self._file.write(record)
+        self._end += len(record)
         self.appends += 1
         return lsn
 
@@ -99,10 +127,6 @@ class WriteAheadLog:
     def end_lsn(self) -> int:
         """LSN one past the last appended record."""
         return self._end
-
-    @property
-    def flushed_lsn(self) -> int:
-        return self._flushed
 
     def truncate(self) -> None:
         """Discard all records (used after a sharp checkpoint)."""
@@ -138,20 +162,6 @@ class WriteAheadLog:
         """
         self._file.flush()
         with open(self.path, "rb") as reader:
-            reader.seek(from_lsn)
-            pos = from_lsn
-            while True:
-                envelope = reader.read(_ENVELOPE.size)
-                if len(envelope) < _ENVELOPE.size:
-                    return  # clean end or torn envelope
-                length, crc = _ENVELOPE.unpack(envelope)
-                payload = reader.read(length)
-                if len(payload) < length:
-                    return  # torn payload at the tail
-                if zlib.crc32(payload) != crc:
-                    remaining = reader.read(1)
-                    if remaining:
-                        raise WalError(f"CRC mismatch mid-log at lsn {pos}")
-                    return  # corrupt tail record: treat as torn
-                yield payload
-                pos += _ENVELOPE.size + length
+            data = reader.read()
+        for payload, _ in unframe(data, from_lsn):
+            yield payload

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from repro.storage.bufferpool import BufferPool
-from repro.storage.engine import StorageEngine, write_snapshot
+from repro.storage.engine import StorageEngine
 from repro.storage.pagedfile import PagedFile
 
 
@@ -52,14 +52,16 @@ def compact_engine(engine: StorageEngine) -> CompactResult:
     snapshot = scratch._snapshot()
     scratch._pages.close()
 
-    # Swap page files; reset WAL and checkpoint to the compacted state.
+    # Swap page files; reset the WAL, and the .chk to a fresh base of the
+    # compacted state with nothing pending against it.
     engine._pool.drop_all()
     engine._pages.close()
     os.replace(scratch_path + ".pages", engine.path + ".pages")
     for leftover in (scratch_path + ".wal", scratch_path + ".chk"):
         if os.path.exists(leftover):
             os.remove(leftover)
-    write_snapshot(engine.path + ".chk", snapshot)
+    engine._restore(snapshot)
+    engine._write_base()
     if engine._wal is not None:
         engine._wal.truncate()
 
@@ -69,7 +71,6 @@ def compact_engine(engine: StorageEngine) -> CompactResult:
         capacity=engine._pool.capacity,
         before_write=engine._wal.flush if engine._wal else None,
     )
-    engine._restore(snapshot)
 
     result.pages_after = engine._pages.page_count
     result.bytes_after = os.path.getsize(engine._pages.path)

@@ -210,10 +210,6 @@ class View:
     def _sorted_columns(self) -> list[ViewColumn]:
         return [c for c in self.columns if c.sort != SortOrder.NONE]
 
-    @property
-    def _categorized_columns(self) -> list[ViewColumn]:
-        return [c for c in self.columns if c.categorized]
-
     # -- maintenance --------------------------------------------------------
 
     def close(self) -> None:
@@ -287,8 +283,8 @@ class View:
 
         The entries live in a segment stack: a save appends only the
         dirtied entries as a new immutable segment — O(delta), however
-        big the view — then folds segments if the merge policy demands
-        it. One engine transaction covers the segment, any folds, and
+        big the view — then folds segments where the stack's fold rule
+        says to. One engine transaction covers the segment, any folds, and
         the meta record naming them, so a crash mid-save leaves the
         previous checkpoint fully readable.
 

@@ -19,6 +19,7 @@ job, and a ``slow``-marked lane with the full example budget
 (``pytest -m slow``).
 """
 
+import math
 import os
 import random
 import tempfile
@@ -91,6 +92,13 @@ BATCHES = st.lists(
 )
 
 
+def assert_sizes_fall(stack):
+    """The binary-counter rule holds: every segment holds fewer bytes
+    than its older neighbour."""
+    sizes = [segment.size for segment in stack._segments]
+    assert all(newer < older for older, newer in zip(sizes, sizes[1:])), sizes
+
+
 def check_newest_wins(batches, policy):
     engine = FakeEngine()
     stack = SegmentStack(engine, b"nw", policy=policy)
@@ -107,6 +115,7 @@ def check_newest_wins(batches, policy):
         assert stack.live_count() == len(shadow)
         assert all(stack.get(key) == value for key, value in shadow.items())
         assert len(stack) <= policy.max_segments
+        assert_sizes_fall(stack)
         assert stack.stats.segments == len(stack)
         assert stack.stats.dead_entries == (
             stack.stats.total_entries - len(shadow)
@@ -143,6 +152,7 @@ def check_accumulate(batches, policy):
         for key, value in records.items():
             history[key].append(value)
         assert len(stack) <= policy.max_segments
+        assert_sizes_fall(stack)
         for key, values in history.items():
             # Folds concatenate older-then-newer, so the flattened
             # oldest-first read is exactly the append history.
@@ -160,6 +170,29 @@ def check_accumulate(batches, policy):
         assert [
             value for _, record in reopened.records(key) for value in record
         ] == values
+
+
+def check_equal_appends(appends, newest_wins):
+    """K appends of equal byte size leave at most log2(K) + 1 segments,
+    and copy each record about log2(K) times, under the default policy."""
+    engine = FakeEngine()
+    stack = SegmentStack(engine, b"eq", newest_wins=newest_wins)
+
+    def combine(key, older, newer):
+        return older if newer is None else newer
+
+    appended = 0
+    for count in range(1, appends + 1):
+        txn = engine.begin()
+        # Fresh keys of one width and values of one marshal size.
+        stack.append(txn, {f"k{count:05d}-{i}": 1000 + i for i in range(5)})
+        appended += stack._segments[-1].size
+        stack.maintain(txn, combine=combine)
+        engine.commit(txn)
+        assert_sizes_fall(stack)
+        assert len(stack) <= math.log2(count) + 1, (count, len(stack))
+        assert len(stack) <= DEFAULT_POLICY.max_segments
+    assert stack.stats.bytes_folded <= appended * math.log2(appends)
 
 
 CONSUMER_OPS = st.lists(
@@ -272,6 +305,13 @@ def test_newest_wins_matches_dict(batches, policy):
 @given(batches=BATCHES, policy=POLICIES)
 def test_accumulate_preserves_history(batches, policy):
     check_accumulate(batches, policy)
+
+
+@settings(max_examples=10, parent=RELAXED)
+@given(appends=st.integers(min_value=1, max_value=200),
+       newest_wins=st.booleans())
+def test_equal_appends_stay_logarithmic(appends, newest_wins):
+    check_equal_appends(appends, newest_wins)
 
 
 @settings(max_examples=6, parent=RELAXED)

@@ -6,7 +6,9 @@ fast lane in the default job, and a ``slow``-marked lane with the full
 example budget (``pytest -m slow``).
 """
 
+import json
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.storage import SlottedPage, StorageEngine
+from repro.storage import engine as engine_mod
 
 small_bytes = st.binary(max_size=300)
 keys = st.binary(min_size=1, max_size=24)
@@ -132,6 +135,85 @@ def test_checkpoint_position_never_affects_recovery(
         for key, value in shadow.items():
             assert recovered.get(key) == value
         assert len(recovered) == len(shadow)
+    finally:
+        recovered.close()
+
+
+class CrashPoint(Exception):
+    """Injected failure standing in for the process dying mid-checkpoint."""
+
+
+def crash(*args, **kwargs):
+    raise CrashPoint
+
+
+def torn_base(path, snapshot):
+    """A base rewrite that dies with half its temp file written."""
+    data = json.dumps(snapshot).encode()
+    with open(path + ".tmp", "wb") as out:
+        out.write(data[: len(data) // 2])
+    raise CrashPoint
+
+
+# Where the final checkpoint dies: not at all, after the page flush,
+# after the delta is durable but before the log truncates (with the
+# delta torn or whole), or halfway through rewriting the base.
+CHECKPOINT_STAGES = st.sampled_from(
+    ["none", "before_delta", "before_truncate", "torn_delta", "mid_base"]
+)
+
+
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(keys, st.one_of(st.none(), small_bytes)),
+            st.just("checkpoint"),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    stage=CHECKPOINT_STAGES,
+    cut=st.integers(min_value=1, max_value=64),
+)
+@settings(max_examples=40, deadline=None)
+def test_checkpoint_chain_survives_a_crash_at_every_stage(
+    tmp_path_factory, ops, stage, cut
+):
+    """Checkpoints append index deltas to the ``.chk`` (and now and then
+    fold it into a fresh base); a crash anywhere in the last one reopens
+    to the committed state."""
+    path = str(tmp_path_factory.mktemp("chain") / "db")
+    engine = StorageEngine(path, pool_size=2)
+    shadow: dict[bytes, bytes] = {}
+    for op in ops:
+        if op == "checkpoint":
+            engine.checkpoint()
+        elif op[1] is None:
+            engine.remove(op[0])
+            shadow.pop(op[0], None)
+        else:
+            engine.set(*op)
+            shadow[op[0]] = op[1]
+    chain_before = engine._delta_bytes
+    if stage == "before_delta":
+        engine._persist_index = crash
+    elif stage in ("before_truncate", "torn_delta"):
+        engine._wal.truncate = crash
+    with mock.patch.object(
+        engine_mod, "write_snapshot",
+        torn_base if stage == "mid_base" else engine_mod.write_snapshot,
+    ):
+        try:
+            engine.checkpoint()
+        except CrashPoint:
+            pass
+    appended = engine._delta_bytes - chain_before
+    engine.simulate_crash()
+    if stage == "torn_delta" and appended > 0:
+        os.truncate(path + ".chk", os.path.getsize(path + ".chk") - min(cut, appended))
+    recovered = StorageEngine(path, pool_size=2)
+    try:
+        assert {k: recovered.get(k) for k in recovered.keys()} == shadow
     finally:
         recovered.close()
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import WalError
 from repro.storage import StorageEngine
+from repro.storage import engine as engine_mod
 
 
 def reopen(tmp_path, name="db", **kw):
@@ -233,6 +234,264 @@ class TestCommitRecord:
         reopened = reopen(tmp_path, pool_size=2)
         assert reopened.get(b"k2") == b"2" * 52
         reopened.close()
+
+
+class CrashPoint(Exception):
+    """Injected failure standing in for the process dying mid-write."""
+
+
+def arm(engine, fail_at=None, points=("_pages.write", "_pages.sync",
+                                       "_persist_index", "_free_locations")):
+    """Count calls to the engine's write points; raise CrashPoint on the
+    ``fail_at``-th. With ``fail_at=None`` it only counts.
+
+    The default points are those of a ``force`` commit: each page
+    write-back, the heap fsync, the ``.chk`` delta append, and the frees
+    of the before-image slots that follow it.
+    """
+    counter = {"n": 0}
+    for point in points:
+        owner_name, _, attr = point.rpartition(".")
+        owner = getattr(engine, owner_name) if owner_name else engine
+        original = getattr(owner, attr)
+
+        def inner(*args, original=original, **kwargs):
+            counter["n"] += 1
+            if fail_at is not None and counter["n"] == fail_at:
+                raise CrashPoint(f"write point {fail_at}")
+            return original(*args, **kwargs)
+
+        setattr(owner, attr, inner)
+    return counter
+
+
+def contents(engine):
+    return {key: engine.get(key) for key in engine.keys()}
+
+
+def live_slots(engine):
+    """Live heap slots across every page (each should be some key's chunk)."""
+    count = 0
+    for page_id in range(1, engine._pages.page_count + 1):
+        count += len(engine._pool.fetch(page_id).slots())
+        engine._pool.unpin(page_id)
+    return count
+
+
+class TestForceMode:
+    def test_committed_writes_survive_a_crash(self, tmp_path):
+        engine = reopen(tmp_path, durability="force")
+        engine.set(b"a", b"1")
+        engine.checkpoint()
+        engine.set(b"b", b"2")
+        engine.set(b"a", b"3")
+        engine.simulate_crash()
+        recovered = reopen(tmp_path, durability="force")
+        assert contents(recovered) == {b"a": b"3", b"b": b"2"}
+        recovered.close()
+
+    @staticmethod
+    def force_scenario(path):
+        """A force store of single- and multi-chunk values behind a
+        2-page pool, and the commit under test: updates (one growing past
+        a page), a delete and an insert."""
+        engine = StorageEngine(path, durability="force", pool_size=2)
+        for index in range(6):
+            engine.set(b"k%d" % index, bytes([65 + index]) * (700 * index + 10))
+        engine.checkpoint()
+        engine.set(b"k1", b"x" * 50)
+        before = contents(engine)
+
+        def commit():
+            txn = engine.begin()
+            engine.put(txn, b"k1", b"y" * 5000)
+            engine.put(txn, b"k2", b"z" * 20)
+            engine.delete(txn, b"k3")
+            engine.put(txn, b"new", b"n" * 900)
+            engine.commit(txn)
+
+        after = {**before, b"k1": b"y" * 5000, b"k2": b"z" * 20,
+                 b"new": b"n" * 900}
+        del after[b"k3"]
+        return engine, commit, before, after
+
+    def test_force_commit_is_atomic_under_crash(self, tmp_path):
+        engine, commit, before, after = self.force_scenario(str(tmp_path / "clean"))
+        counter = arm(engine)
+        commit()
+        write_points = counter["n"]
+        engine.close()
+        assert write_points >= 4
+
+        for fail_at in range(1, write_points + 1):
+            path = str(tmp_path / f"crash{fail_at}")
+            engine, commit, before, after = self.force_scenario(path)
+            arm(engine, fail_at=fail_at)
+            with pytest.raises(CrashPoint):
+                commit()
+            engine.simulate_crash()
+            recovered = StorageEngine(path, durability="force", pool_size=2)
+            state = contents(recovered)
+            assert state in (before, after), fail_at
+            # Open swept the chunks the crash stranded on either side of
+            # the delta: every live slot belongs to a key.
+            assert live_slots(recovered) == sum(
+                len(locations) for locations in recovered._index.values()
+            ), fail_at
+            # The store stays writable: what the crash stranded is swept,
+            # so later commits and another crash lose nothing.
+            recovered.set(b"later", b"l" * 3000)
+            recovered.set(b"k0", b"w" * 2000)
+            recovered.simulate_crash()
+            again = StorageEngine(path, durability="force", pool_size=2)
+            assert contents(again) == {
+                **state, b"later": b"l" * 3000, b"k0": b"w" * 2000}, fail_at
+            again.close()
+
+
+def chk_base(tmp_path, name="db"):
+    """The ``.chk`` file's base and the bytes of its delta chain."""
+    data = (tmp_path / f"{name}.chk").read_bytes()
+    end = data.index(b"\n") + 1
+    return data[:end], data[end:]
+
+
+class TestCheckpointChain:
+    """The ``.chk`` is a JSON base plus appended index deltas; each crash
+    point of a checkpoint reopens to the committed state."""
+
+    @staticmethod
+    def churn(engine, keys=40, updates=5, tag=b"v"):
+        """Seed ``keys`` keys, checkpoint them into a base, then update a
+        few: a delta's worth of change."""
+        for index in range(keys):
+            engine.set(b"k%d" % index, tag * (30 + index))
+        engine.checkpoint()
+        for index in range(updates):
+            engine.set(b"k%d" % index, b"u" * (index + 1) * 200)
+        engine.remove(b"k%d" % (keys - 1))
+        return contents(engine)
+
+    def test_checkpoint_appends_a_delta_behind_the_base(self, tmp_path):
+        engine = reopen(tmp_path)
+        self.churn(engine)
+        base, deltas = chk_base(tmp_path)
+        assert deltas == b""
+        engine.checkpoint()
+        assert chk_base(tmp_path)[0] == base  # the base is not rewritten
+        assert 0 < len(chk_base(tmp_path)[1]) < len(base) // 2
+        engine.checkpoint()  # nothing changed since: nothing written
+        assert len(chk_base(tmp_path)[1]) == engine._delta_bytes
+
+    def test_cleanly_closed_store_is_a_lone_base(self, tmp_path):
+        engine = reopen(tmp_path)
+        state = self.churn(engine)
+        engine.checkpoint()
+        engine.set(b"k0", b"last")
+        engine.close()
+        data = (tmp_path / "db.chk").read_bytes()
+        assert data.count(b"\n") == 1 and data.endswith(b"\n")
+        assert set(json.loads(data)) == {"index", "free"}
+        assert os.path.getsize(tmp_path / "db.wal") == 0
+        reopened = reopen(tmp_path)
+        assert contents(reopened) == {**state, b"k0": b"last"}
+        reopened.close()
+
+    def test_chain_folds_into_a_fresh_base_at_half_its_size(self, tmp_path):
+        engine = reopen(tmp_path)
+        state = self.churn(engine, updates=0)
+        base, _ = chk_base(tmp_path)
+        for round_ in range(40):
+            engine.set(b"k%d" % (round_ % 39), b"r%d" % round_)
+            state[b"k%d" % (round_ % 39)] = b"r%d" % round_
+            engine.checkpoint()
+            assert 2 * engine._delta_bytes < engine._base_bytes
+        assert chk_base(tmp_path)[0] != base
+        engine.simulate_crash()
+        assert contents(reopen(tmp_path)) == state
+
+    def test_crash_between_page_flush_and_delta(self, tmp_path):
+        engine = reopen(tmp_path)
+        state = self.churn(engine)
+        arm(engine, fail_at=1, points=("_persist_index",))
+        with pytest.raises(CrashPoint):
+            engine.checkpoint()
+        engine.simulate_crash()
+        recovered = reopen(tmp_path)
+        assert contents(recovered) == state
+        recovered.close()
+
+    def test_crash_between_delta_and_log_truncate(self, tmp_path):
+        engine = reopen(tmp_path)
+        state = self.churn(engine)
+        arm(engine, fail_at=1, points=("_wal.truncate",))
+        with pytest.raises(CrashPoint):
+            engine.checkpoint()
+        engine.simulate_crash()
+        recovered = reopen(tmp_path)
+        assert contents(recovered) == state
+        recovered.close()
+
+    @pytest.mark.parametrize("cut", [1, 5, 9, 30])
+    def test_torn_delta_tail(self, tmp_path, cut):
+        engine = reopen(tmp_path)
+        state = self.churn(engine)
+        engine.checkpoint()  # one whole delta the torn one follows
+        engine.set(b"k7", b"seven")
+        state[b"k7"] = b"seven"
+        arm(engine, fail_at=1, points=("_wal.truncate",))
+        with pytest.raises(CrashPoint):
+            engine.checkpoint()
+        engine.simulate_crash()
+        chk = tmp_path / "db.chk"
+        os.truncate(chk, os.path.getsize(chk) - cut)  # the append tore
+        recovered = reopen(tmp_path)
+        assert contents(recovered) == state
+        # The torn bytes are gone, so later deltas follow whole ones.
+        recovered.set(b"k8", b"eight")
+        recovered.checkpoint()
+        recovered.set(b"k9", b"nine")
+        recovered.simulate_crash()
+        again = reopen(tmp_path)
+        assert contents(again) == {**state, b"k8": b"eight", b"k9": b"nine"}
+        again.close()
+
+    def test_corrupt_delta_tail(self, tmp_path):
+        engine = reopen(tmp_path)
+        state = self.churn(engine)
+        arm(engine, fail_at=1, points=("_wal.truncate",))
+        with pytest.raises(CrashPoint):
+            engine.checkpoint()
+        engine.simulate_crash()
+        with open(tmp_path / "db.chk", "r+b") as chk:
+            chk.seek(-3, os.SEEK_END)
+            chk.write(b"\xde\xad\xbe")
+        recovered = reopen(tmp_path)
+        assert contents(recovered) == state
+        recovered.close()
+
+    @pytest.mark.parametrize("during", ["checkpoint", "close"])
+    def test_crash_mid_base_rewrite(self, tmp_path, monkeypatch, during):
+        engine = reopen(tmp_path)
+        state = self.churn(engine)
+        engine.checkpoint()
+        for index in range(39):  # enough change that a checkpoint folds
+            engine.set(b"k%d" % index, b"f" * 40)
+            state[b"k%d" % index] = b"f" * 40
+
+        def torn_write(path, snapshot):
+            with open(path + ".tmp", "wb") as out:
+                out.write(json.dumps(snapshot).encode()[:100])
+            raise CrashPoint("mid base rewrite")
+
+        monkeypatch.setattr(engine_mod, "write_snapshot", torn_write)
+        with pytest.raises(CrashPoint):
+            getattr(engine, during)()
+        monkeypatch.undo()
+        engine.simulate_crash()
+        recovered = reopen(tmp_path)
+        assert contents(recovered) == state
+        recovered.close()
 
 
 class TestOlderStores:

@@ -149,6 +149,34 @@ class TestCompact:
         assert engine.get(b"after") == b"2"
         engine.close()
 
+    def test_checkpoint_after_compaction_survives_a_crash(self, tmp_path):
+        """Compaction leaves a fresh ``.chk`` base and nothing pending, so
+        the next checkpoint's delta describes the compacted heap only."""
+        engine = StorageEngine(str(tmp_path / "db"))
+        expected = {}
+        for index in range(120):
+            key = f"k{index}".encode()
+            expected[key] = bytes([48 + index % 10]) * (100 + 40 * index)
+            engine.set(key, expected[key])
+        engine.checkpoint()
+        for index in range(0, 120, 3):
+            engine.remove(f"k{index}".encode())
+            del expected[f"k{index}".encode()]
+        compact_engine(engine)
+        chk = (tmp_path / "db.chk").read_bytes()
+        assert chk.count(b"\n") == 1 and chk.endswith(b"\n")
+        for index in range(1, 120, 9):
+            key = f"k{index}".encode()
+            expected[key] = b"updated %d" % index
+            engine.set(key, expected[key])
+        engine.set(b"fresh", b"f" * 5000)
+        expected[b"fresh"] = b"f" * 5000
+        engine.checkpoint()
+        engine.simulate_crash()
+        recovered = StorageEngine(str(tmp_path / "db"))
+        assert {k: recovered.get(k) for k in recovered.keys()} == expected
+        recovered.close()
+
     def test_durable_across_crash_after_compaction(self, tmp_path):
         engine = StorageEngine(str(tmp_path / "db"))
         engine.set(b"k", b"v")
