@@ -1,8 +1,8 @@
 """File attachments: binary payloads carried inside documents.
 
 Notes stores attachments as ``$FILE`` items; here each attachment is one
-``$FILE.<name>`` item of type ATTACHMENT whose value is a JSON-safe
-``{"name": …, "data": <base64>}`` pair, so attachments persist and
+``$FILE.<name>`` item of type ATTACHMENT whose value is exactly
+``{"name": …, "data": <base64>}``, both strings, so attachments persist and
 replicate exactly like any other item — including field-level replication,
 which ships an attachment only when it actually changed.
 """

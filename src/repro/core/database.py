@@ -24,9 +24,10 @@ Responsibilities:
   state fingerprint.
 * Optional durability through :class:`repro.storage.StorageEngine`: each
   note is one engine record, ``doc:<unid>`` or ``stub:<unid>`` holding
-  ``[journal seq, note dict]``, and each note change is one engine
-  transaction (one fsync under a WAL). Open rebuilds the journal from the
-  seqs in those records.
+  ``marshal.dumps((journal seq, note record))`` (see
+  :meth:`Document.to_record`), and each note change is one engine
+  transaction (one fsync under a WAL). Open decodes the records and
+  rebuilds the journal from their seqs in one pass.
 * Optional access control through an attached ACL (``repro.security``).
 
 The database never interprets item values — that is what views, formulas
@@ -35,18 +36,22 @@ and agents are for.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import marshal
 import random
 import zlib
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.errors import AccessDenied, DatabaseError, DocumentNotFound
+from repro.errors import AccessDenied, DatabaseError, DocumentError, DocumentNotFound
 from repro.core.document import Document
+from repro.core.items import Item, plain
 from repro.core.unid import new_replica_id, new_unid
 from repro.sim.clock import VirtualClock
 
@@ -71,24 +76,32 @@ class DeletionStub:
     deleted_at: float
     deleted_by: str
 
-    def to_dict(self) -> dict:
-        return {
-            "unid": self.unid,
-            "seq": self.seq,
-            "seq_time": list(self.seq_time),
-            "deleted_at": self.deleted_at,
-            "deleted_by": self.deleted_by,
-        }
+    # Stored as ``marshal.dumps((journal seq, record))``, like a document.
+    RECORD_FIELDS = ("unid", "seq", "seq_time", "deleted_at", "deleted_by")
+
+    def __post_init__(self) -> None:
+        if type(self.deleted_by) is not str:
+            object.__setattr__(self, "deleted_by", plain(self.deleted_by))
+
+    def to_record(self) -> tuple:
+        """The stub as one flat tuple of plain builtins."""
+        return (self.unid, self.seq, self.seq_time, self.deleted_at, self.deleted_by)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "DeletionStub":
-        return cls(
-            unid=payload["unid"],
-            seq=payload["seq"],
-            seq_time=tuple(payload["seq_time"]),
-            deleted_at=payload["deleted_at"],
-            deleted_by=payload["deleted_by"],
-        )
+    def from_record(cls, record: tuple) -> "DeletionStub":
+        """Read back :meth:`to_record`, without the dataclass ``__init__``."""
+        unid, seq, seq_time, deleted_at, deleted_by = record
+        stub = _new_stub(cls)
+        fields = stub.__dict__
+        fields["unid"] = unid
+        fields["seq"] = seq
+        fields["seq_time"] = seq_time
+        fields["deleted_at"] = deleted_at
+        fields["deleted_by"] = deleted_by
+        return stub
+
+
+_new_stub = object.__new__
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,23 @@ _JOURNAL_COMPACT_MIN = 64
 # The purge log (journal entries dropped without a successor) is bounded:
 # consumers whose checkpoint predates the retained window rebuild instead.
 _PURGE_LOG_MAX = 1024
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a bulk decode.
+
+    Decoding note records allocates many small containers but no cycles,
+    so each collector pass those allocations would trigger walks a growing
+    heap and frees nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @lru_cache(maxsize=8192)
@@ -479,6 +509,9 @@ class NotesDatabase:
         self._check_create(author)
         if parent is not None and parent not in self._docs:
             raise DocumentNotFound(f"parent {parent} does not exist")
+        # A bad value raises here, before the clock, the unid stream or
+        # the database change.
+        staged = [Item.of(name, value) for name, value in items.items()]
         now, tick = self.clock.timestamp()
         # The rng is seeded by the title, so a reopened database replays
         # the same unid stream — re-draw rather than silently overwrite a
@@ -497,8 +530,8 @@ class NotesDatabase:
             note_id=self._next_note_id,
         )
         self._next_note_id += 1
-        doc.set_all(items)
-        doc.item_times = {name: (now, tick) for name in items}
+        doc.put_items(staged)
+        doc.item_times = {item.name: (now, tick) for item in staged}
         self._docs[doc.unid] = doc
         self._by_note_id[doc.note_id] = doc.unid
         self._index_parent(doc)
@@ -519,19 +552,20 @@ class NotesDatabase:
         """Merge ``items`` into the document and advance its revision."""
         doc = self._require_doc(unid)
         self._check_update(author, doc)
+        staged = [Item.of(name, value) for name, value in items.items()]
         old = doc.copy()
-        self._fp_acc ^= self._doc_contrib(doc)
         old_profile_key = self._profile_key(doc)
-        doc.set_all(items)
+        doc.put_items(staged)
         for name in remove_items or []:
             if name in doc:
                 doc.remove_item(name)
         stamp = self.clock.timestamp()
+        self._fp_acc ^= self._doc_contrib(doc)
         doc.bump_revision(stamp, author)
-        for name in items:
-            doc.item_times[name] = stamp
+        for item in staged:
+            doc.item_times[item.name] = stamp
         for name in remove_items or []:
-            doc.item_times[name] = stamp
+            doc.item_times[plain(name)] = stamp
         if self._profile_key(doc) != old_profile_key:
             self._unindex_profile(old)
             self._index_profile(doc)
@@ -559,9 +593,9 @@ class NotesDatabase:
         doc = self._require_doc(unid)
         self._check_update(author, doc)
         old = doc.copy()
-        self._fp_acc ^= self._doc_contrib(doc)
         attach(doc, filename, data)
         stamp = self.clock.timestamp()
+        self._fp_acc ^= self._doc_contrib(doc)
         doc.bump_revision(stamp, author)
         doc.item_times[ATTACHMENT_PREFIX + filename] = stamp
         self._fp_acc ^= self._doc_contrib(doc)
@@ -843,8 +877,8 @@ class NotesDatabase:
     def _fingerprint_recompute(self) -> str:
         """O(n) from-scratch fingerprint; must equal :meth:`state_fingerprint`.
 
-        Kept as the ground truth the incremental accumulator is tested
-        against (and used when loading from a storage engine).
+        Kept as the ground truth the incremental accumulator (and the one
+        open accumulates while decoding) is tested against.
         """
         acc = 0
         for doc in self._docs.values():
@@ -973,13 +1007,13 @@ class NotesDatabase:
         drop: Iterable[bytes] = (),
     ) -> None:
         """One transaction writing the note's record — its journal seq
-        beside its dict — and removing the ``drop`` keys, so a crash can
-        never durably separate a note from its seq or from what it
-        replaces."""
+        beside its :meth:`~Document.to_record` tuple — and removing the
+        ``drop`` keys, so a crash can never durably separate a note from
+        its seq or from what it replaces."""
         if self.engine is None:
             return
-        record = json.dumps([self._note_seq[note.unid], note.to_dict()])
-        self._commit({prefix + note.unid.encode(): record.encode()}, drop)
+        record = marshal.dumps((self._note_seq[note.unid], note.to_record()))
+        self._commit({prefix + note.unid.encode(): record}, drop)
 
     def _commit(self, puts: dict[bytes, bytes], drop: Iterable[bytes] = ()) -> None:
         """Write ``puts`` and remove the ``drop`` keys the engine holds, in
@@ -1016,34 +1050,40 @@ class NotesDatabase:
         ).encode()
 
     def _load_from_engine(self) -> None:
-        """Load every note, then rebuild the journal from their seqs.
+        """Decode every note record and rebuild the note ids, the parent
+        and profile indexes, the fingerprint and the journal, in one pass.
 
         Iterate only the note-record prefixes: the engine also holds
         derived-structure sidecars (view indexes, full-text checkpoint
-        blobs) that are not ours to parse — and not all of them are JSON.
+        blobs) that are not ours to parse.
         """
         entries: list[_JournalEntry] = []
-        for key in self.engine.keys(prefix=_DOC_PREFIX):
-            seq, payload = self._read_note_record(key)
-            doc = Document.from_dict(payload)
-            doc.note_id = self._next_note_id
-            self._next_note_id += 1
-            self._docs[doc.unid] = doc
-            self._by_note_id[doc.note_id] = doc.unid
-            entries.append((seq, doc.unid, False))
-        for key in self.engine.keys(prefix=_STUB_PREFIX):
-            seq, payload = self._read_note_record(key)
-            stub = DeletionStub.from_dict(payload)
-            self._stubs[stub.unid] = stub
-            entries.append((seq, stub.unid, True))
+        docs, by_note_id = self._docs, self._by_note_id
+        note_id = self._next_note_id
+        acc = 0
+        with _collector_paused():
+            for key in self.engine.keys(prefix=_DOC_PREFIX):
+                seq, doc = self._read_note_record(key, Document)
+                unid = doc.unid
+                doc.note_id = note_id
+                by_note_id[note_id] = unid
+                note_id += 1
+                docs[unid] = doc
+                entries.append((seq, unid, False))
+                self._index_parent(doc)
+                self._index_profile(doc)
+                acc ^= _revision_contrib(unid, doc.seq, doc.seq_time)
+            for key in self.engine.keys(prefix=_STUB_PREFIX):
+                seq, stub = self._read_note_record(key, DeletionStub)
+                self._stubs[stub.unid] = stub
+                entries.append((seq, stub.unid, True))
+        self._next_note_id = note_id
         for key in self.engine.keys(prefix=_TRASH_PREFIX):
             unid = key[len(_TRASH_PREFIX):].decode()
-            if unid in self._docs:
+            if unid in docs:
                 self._trash.add(unid)
-        for doc in self._docs.values():
-            self._index_parent(doc)
-            self._index_profile(doc)
-        self._fp_acc = int(self._fingerprint_recompute(), 16)
+                acc ^= self._trash_contrib(unid)
+        self._fp_acc = acc
         # Seqs keep their meaning across restarts, so partners' receive
         # cursors and consumers' checkpoints stay valid.
         entries.sort()
@@ -1058,22 +1098,43 @@ class NotesDatabase:
             self._purge_seq = int(meta["purge_seq"])
             self._purges = [(int(seq), unid) for seq, unid in meta["purges"]]
 
-    def _read_note_record(self, key: bytes) -> tuple[int, dict]:
-        """A note record's ``(journal seq, note dict)``; a record in any
-        other layout was written before notes carried their seq."""
-        record = json.loads(self.engine.get(key).decode())
-        if not (
-            isinstance(record, list)
-            and len(record) == 2
-            and type(record[0]) is int
-            and isinstance(record[1], dict)
-        ):
+    def _read_note_record(
+        self, key: bytes, kind: type[Document] | type[DeletionStub]
+    ) -> tuple[int, Document | DeletionStub]:
+        """Decode the record under ``key`` into ``(journal seq, note)``,
+        where ``kind`` is :class:`Document` or :class:`DeletionStub`.
+
+        The only reader of note records. Anything but a marshal
+        ``(int seq, record tuple)`` pair of the right length that decodes
+        to a valid note — the JSON layouts older builds wrote, torn or
+        garbage bytes — is refused with a :class:`DatabaseError`.
+        """
+        raw = self.engine.get(key)
+        try:
+            # A marshal 2-tuple starts with its small-tuple code, with or
+            # without the ref flag. The check also keeps the JSON layouts
+            # ('[' and '{') away from marshal, which would read them as a
+            # list or dict of absurd declared size.
+            if not raw or raw[0] & 0x7F != 0x29:
+                raise ValueError("not a marshal tuple")
+            record = marshal.loads(raw)
+            if not (
+                type(record) is tuple
+                and len(record) == 2
+                and type(record[0]) is int
+                and type(record[1]) is tuple
+                and len(record[1]) == len(kind.RECORD_FIELDS)
+            ):
+                raise ValueError("not a (seq, note record) pair")
+            return record[0], kind.from_record(record[1])
+        except (ValueError, EOFError, TypeError, DocumentError) as exc:
             raise DatabaseError(
-                f"{key.decode()!r} in {self.title!r} is not a [seq, note] "
-                "record: the store predates per-note journal seqs. "
-                "Re-create the replica and pull its notes from a partner."
-            )
-        return record[0], record[1]
+                f"{key.decode(errors='replace')!r} in {self.title!r} is not a "
+                f"note record this build reads ({exc}): the store predates "
+                "binary note records with per-note journal seqs, or is "
+                "damaged. Re-create the replica and pull its notes from a "
+                "partner."
+            ) from None
 
     # -- access control hooks -----------------------------------------------
 

@@ -6,15 +6,17 @@ originator id (UNID + sequence number + sequence time), the revision history
 detection), the author trail (``$UpdatedBy``) and the optional parent
 reference (``$REF``) that builds response hierarchies.
 
-Documents serialize to plain dicts (JSON-safe) for storage and replication.
+A document serializes to one flat record tuple (:meth:`Document.to_record`)
+that storage writes with ``marshal``; see ``docs/storage.md`` for the
+layout.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import DocumentError
-from repro.core.items import Item, ItemType
+from repro.core.items import Item, ItemType, decode_items, plain
 from repro.core.unid import OriginatorId
 
 # Notes caps $Revisions; we keep a generous but bounded history so conflict
@@ -66,7 +68,7 @@ class Document:
         self.created = created
         self.modified = modified
         self.parent_unid = parent_unid
-        self.updated_by: list[str] = list(updated_by or [])
+        self.updated_by: list[str] = [plain(name) for name in updated_by or ()]
         self.revisions: list[tuple[float, int]] = [
             tuple(stamp) for stamp in (revisions or [tuple(seq_time)])
         ]
@@ -127,16 +129,11 @@ class Document:
 
     def set(self, name: str, value: Any, type_: ItemType | None = None) -> None:
         """Create or replace an item; the type is inferred unless given."""
-        old = self._items.get(name)
         if isinstance(value, Item):
             item = Item(name, value.type, value.value)
         else:
             item = Item.of(name, value, type_)
-        self._items[name] = item
-        if item.type == ItemType.READERS or (
-            old is not None and old.type == ItemType.READERS
-        ):
-            _readers_changed()
+        self.put_items((item,))
 
     def remove_item(self, name: str) -> None:
         """Delete an item; raises :class:`DocumentError` if absent."""
@@ -146,9 +143,25 @@ class Document:
             _readers_changed()
 
     def set_all(self, values: dict[str, Any]) -> None:
-        """Set many items at once from a plain name -> value mapping."""
-        for name, value in values.items():
-            self.set(name, value)
+        """Set many items at once from a plain name -> value mapping.
+
+        Every value is checked before any is set, so a bad one leaves the
+        document as it was.
+        """
+        self.put_items([Item.of(name, value) for name, value in values.items()])
+
+    def put_items(self, items: Iterable[Item]) -> None:
+        """Install already-built items, replacing any of the same name."""
+        readers = False
+        for item in items:
+            old = self._items.get(item.name)
+            self._items[item.name] = item
+            if item.type is ItemType.READERS or (
+                old is not None and old.type is ItemType.READERS
+            ):
+                readers = True
+        if readers:
+            _readers_changed()
 
     # -- security helpers -----------------------------------------------
 
@@ -183,7 +196,7 @@ class Document:
         if len(self.revisions) > MAX_REVISIONS:
             del self.revisions[: len(self.revisions) - MAX_REVISIONS]
         if author and (not self.updated_by or self.updated_by[-1] != author):
-            self.updated_by.append(author)
+            self.updated_by.append(plain(author))
 
     def has_ancestor_stamp(self, stamp: tuple[float, int]) -> bool:
         """Whether ``stamp`` appears in this document's revision history."""
@@ -213,24 +226,82 @@ class Document:
         return total
 
     def copy(self) -> "Document":
-        """Deep-enough copy: items are immutable so sharing them is safe."""
-        clone = Document(
-            unid=self.unid,
-            seq=self.seq,
-            seq_time=self.seq_time,
-            created=self.created,
-            modified=self.modified,
-            parent_unid=self.parent_unid,
-            updated_by=list(self.updated_by),
-            revisions=[tuple(s) for s in self.revisions],
-            note_id=self.note_id,
-        )
+        """Deep-enough copy: items and stamps are immutable so sharing
+        them is safe; the lists and dicts holding them are copied."""
+        clone = _new_document(Document)
+        clone.unid = self.unid
+        clone.seq = self.seq
+        clone.seq_time = self.seq_time
+        clone.created = self.created
+        clone.modified = self.modified
+        clone.parent_unid = self.parent_unid
+        clone.updated_by = list(self.updated_by)
+        clone.revisions = list(self.revisions)
+        clone.note_id = self.note_id
         clone._items = dict(self._items)
         clone.item_times = dict(self.item_times)
         return clone
 
+    # A note record is one flat tuple, stored as ``marshal.dumps((journal
+    # seq, record))``; docs/storage.md documents the layout.
+    RECORD_FIELDS = (
+        "unid", "seq", "seq_time", "created", "modified", "parent",
+        "updated_by", "revisions", "items", "item_times",
+    )
+
+    def to_record(self) -> tuple:
+        """The document as one flat tuple of plain builtins.
+
+        Each item is its :meth:`Item.to_record` triple. The record shares
+        the document's lists and dicts, so encode it before the document
+        changes again.
+        """
+        return (
+            self.unid,
+            self.seq,
+            self.seq_time,
+            self.created,
+            self.modified,
+            self.parent_unid,
+            self.updated_by,
+            self.revisions,
+            tuple(item.to_record() for item in self._items.values()),
+            self.item_times,
+        )
+
+    @classmethod
+    def from_record(cls, record: tuple) -> "Document":
+        """Read back :meth:`to_record`.
+
+        Checks what construction checks (``seq >= 1``, and every item via
+        ``repro.core.items.decode_items``) but fills the document directly:
+        the record's lists, tuples and dict are taken over, not copied, so
+        pass a fresh record such as ``marshal.loads`` returns.
+        """
+        (unid, seq, seq_time, created, modified, parent_unid, updated_by,
+         revisions, items, item_times) = record
+        if seq < 1:
+            raise DocumentError(f"sequence number must be >= 1, got {seq}")
+        doc = _new_document(cls)
+        doc.unid = unid
+        doc.seq = seq
+        doc.seq_time = seq_time
+        doc.created = created
+        doc.modified = modified
+        doc.parent_unid = parent_unid
+        doc.updated_by = updated_by
+        doc.revisions = revisions
+        doc.note_id = 0
+        doc._items = decode_items(items)
+        doc.item_times = item_times
+        return doc
+
     def to_dict(self) -> dict:
-        """JSON-safe representation for storage and the replication wire."""
+        """The document as a JSON-safe dict, for export and debugging.
+
+        This is the layout stores written before the binary note record
+        held; storage no longer reads or writes it (see :meth:`to_record`).
+        """
         return {
             "unid": self.unid,
             "seq": self.seq,
@@ -240,34 +311,20 @@ class Document:
             "parent": self.parent_unid,
             "updated_by": list(self.updated_by),
             "revisions": [list(stamp) for stamp in self.revisions],
-            "items": {item.name: item.to_dict() for item in self._items.values()},
+            "items": {
+                item.name: {"t": item.type.value, "v": item.value}
+                for item in self._items.values()
+            },
             "item_times": {
                 name: list(stamp) for name, stamp in self.item_times.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Document":
-        doc = cls(
-            unid=payload["unid"],
-            seq=payload["seq"],
-            seq_time=tuple(payload["seq_time"]),
-            created=payload["created"],
-            modified=payload["modified"],
-            parent_unid=payload.get("parent"),
-            updated_by=payload.get("updated_by", []),
-            revisions=[tuple(stamp) for stamp in payload.get("revisions", [])],
-        )
-        for name, item_payload in payload.get("items", {}).items():
-            doc._items[name] = Item.from_dict(name, item_payload)
-        doc.item_times = {
-            name: tuple(stamp)
-            for name, stamp in payload.get("item_times", {}).items()
-        }
-        return doc
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Document(unid={self.unid[:8]}…, seq={self.seq}, "
             f"items={len(self._items)}, form={self.form!r})"
         )
+
+
+_new_document = object.__new__

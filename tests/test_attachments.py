@@ -1,5 +1,7 @@
 """Tests for file attachments ($FILE items)."""
 
+import marshal
+
 import pytest
 
 from repro.core import (
@@ -79,7 +81,7 @@ class TestAttachments:
 
         doc = db.create({"Subject": "x"})
         attach(doc, "f.bin", PAYLOAD)
-        clone = Document.from_dict(doc.to_dict())
+        clone = Document.from_record(marshal.loads(marshal.dumps(doc.to_record())))
         assert detach(clone, "f.bin") == PAYLOAD
 
 

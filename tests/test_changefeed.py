@@ -348,6 +348,34 @@ class TestJournalPersistence:
         with pytest.raises(DatabaseError, match="pull its notes from a partner"):
             store(seed=2)
 
+    def test_json_seq_note_records_are_refused(self, store):
+        """The ``[seq, note]`` JSON layout stores used before notes became
+        binary records is refused the same way."""
+        engine, db = store()
+        doc = db.create({"S": "a"})
+        engine.set(b"doc:" + doc.unid.encode(),
+                   json.dumps([1, doc.to_dict()]).encode())
+        engine.close()
+        with pytest.raises(DatabaseError, match="pull its notes from a partner"):
+            store(seed=2)
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "not_utf8"])
+    def test_damaged_note_record_names_its_key(self, store, damage):
+        """Torn or garbage bytes under ``doc:`` fail the open with a
+        DatabaseError naming the key, never a bare decode error."""
+        engine, db = store()
+        doc = db.create({"Subject": "kept", "Tags": ["a", "b"]})
+        key = b"doc:" + doc.unid.encode()
+        record = engine.get(key)
+        engine.set(key, {
+            "truncated": record[: len(record) // 2],
+            "garbage": b")\x02\xe9\xff\xff\xff\x7f",
+            "not_utf8": b"\xff\xfe\x00garbage",
+        }[damage])
+        engine.close()
+        with pytest.raises(DatabaseError, match=doc.unid):
+            store(seed=2)
+
     def test_fingerprint_stable_across_reopen(self, store):
         engine, db = store()
         for index in range(8):

@@ -72,7 +72,7 @@ class TestItem:
         copy.append("y")
         assert item.value == ["x"]
 
-    def test_dict_roundtrip(self):
+    def test_record_roundtrip(self):
         for value, type_ in [
             ("text", None),
             (5, None),
@@ -82,7 +82,7 @@ class TestItem:
             ("big body", ItemType.RICH_TEXT),
         ]:
             item = Item.of("X", value, type_)
-            assert Item.from_dict("X", item.to_dict()) == item
+            assert Item.from_record(item.to_record()) == item
 
     def test_datetime_holds_number(self):
         item = Item("When", ItemType.DATETIME, 86400.0)

@@ -1,11 +1,13 @@
 """Tests for NotesDatabase persistence over the storage engine."""
 
-import json
 import random
+from datetime import datetime
+from enum import Enum
 
 import pytest
 
-from repro.core import DeletionStub, NotesDatabase
+from repro.core import DeletionStub, Document, Item, ItemType, NotesDatabase
+from repro.errors import ItemError
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
 
@@ -129,6 +131,58 @@ class TestTrashPersistence:
         engine.close()
 
 
+class TestUnstorableValues:
+    """A value the note record cannot hold is refused before the database
+    changes; subclass instances are stored as the plain builtin."""
+
+    def test_attachment_with_extra_key_changes_nothing(self, store):
+        engine, db = store()
+        db.create({"S": "first"})
+        count, fingerprint, seq = len(db), db.state_fingerprint(), db.update_seq
+        with pytest.raises(ItemError):
+            db.create({"$FILE.a": Item("$FILE.a", ItemType.ATTACHMENT, {
+                "name": "a", "data": "x", "when": datetime(2020, 1, 1)})})
+        assert (len(db), db.state_fingerprint(), db.update_seq) == (
+            count, fingerprint, seq)
+        engine.close()
+        _, reloaded = store(seed=2)
+        assert len(reloaded) == count
+        assert reloaded.state_fingerprint() == fingerprint
+
+    def test_bad_update_value_changes_nothing(self, store):
+        engine, db = store()
+        doc = db.create({"S": "kept"})
+        fingerprint, seq = db.state_fingerprint(), db.update_seq
+        with pytest.raises(ItemError):
+            db.update(doc.unid, {"S": "changed", "Flag": True})
+        assert db.get(doc.unid).get("S") == "kept"
+        assert "Flag" not in db.get(doc.unid)
+        assert (db.state_fingerprint(), db.update_seq) == (fingerprint, seq)
+        assert db.state_fingerprint() == db._fingerprint_recompute()
+        engine.close()
+
+    def test_str_enum_value_and_author_reopen_as_plain_str(self, store):
+        class Color(str, Enum):
+            RED = "red"
+
+        engine, db = store()
+        doc = db.create({"Color": Color.RED, "Tags": [Color.RED]},
+                        author=Color.RED)
+        db.clock.advance(1)
+        gone = db.create({"S": "x"})
+        db.delete(gone.unid, author=Color.RED)
+        engine.close()
+        _, reloaded = store(seed=2)
+        fresh = reloaded.get(doc.unid)
+        assert (fresh.get("Color"), fresh.get("Tags"), fresh.updated_by) == (
+            "red", ["red"], ["red"])
+        assert type(fresh.get("Color")) is str
+        assert type(fresh.get("Tags")[0]) is str
+        assert type(fresh.updated_by[0]) is str
+        stub = reloaded.stubs[gone.unid]
+        assert stub.deleted_by == "red" and type(stub.deleted_by) is str
+
+
 class CrashPoint(Exception):
     """Injected failure standing in for the process dying mid-write."""
 
@@ -195,11 +249,10 @@ def assert_note_whole(engine, db, unid):
     key = unid.encode()
     if unid in db:
         assert unid not in db.stubs and engine.get(b"stub:" + key) is None
-        record = engine.get(b"doc:" + key)
+        seq, _ = db._read_note_record(b"doc:" + key, Document)
     else:
         assert unid in db.stubs and engine.get(b"doc:" + key) is None
-        record = engine.get(b"stub:" + key)
-    seq, _ = json.loads(record.decode())
+        seq, _ = db._read_note_record(b"stub:" + key, DeletionStub)
     journal = {note.unid: entry for entry, note in db.journal_entries_since(0)}
     assert journal[unid] == seq
 

@@ -1,5 +1,7 @@
 """Tests for signing and sealing."""
 
+import marshal
+
 import pytest
 
 from repro.core import Document, ItemType
@@ -71,7 +73,7 @@ class TestSigning:
 
     def test_signature_survives_serialization(self, doc, vault):
         sign_document(doc, "alice/Acme", vault)
-        clone = Document.from_dict(doc.to_dict())
+        clone = Document.from_record(marshal.loads(marshal.dumps(doc.to_record())))
         assert verify_document(clone, vault)
 
 
