@@ -89,9 +89,8 @@ def test_smoke_cluster_backlog_drains():
 
 def test_smoke_segment_saves_append_then_fold(tmp_path):
     """E15 shape: a checkpoint save appends one segment per delta; the
-    single-segment ablation folds everything back down every save."""
-    from repro.storage import SINGLE_SEGMENT
-
+    ablation's save after a rebuild writes everything as one segment,
+    and a delta as big as the base folds into it."""
     engine, db = build_catchup_corpus(str(tmp_path / "segs"), 300, 10)
     try:
         view = catchup_view(db)  # warm load + top-up
@@ -99,7 +98,7 @@ def test_smoke_segment_saves_append_then_fold(tmp_path):
         view.save_index()
         index.save_checkpoint()
         view_stats = view.catch_up.segment_stats["entries"]
-        ft_stats = index.catch_up.segment_stats["docs"]
+        ft_stats = index.catch_up.segment_stats["postings"]
         # The save appended the 10-doc delta as a second segment instead
         # of rewriting the 300-entry base.
         assert view_stats.segments == 2
@@ -107,11 +106,17 @@ def test_smoke_segment_saves_append_then_fold(tmp_path):
         assert ft_stats.segments == 2
         assert view.catch_up.merges == index.catch_up.merges == 0
 
+        view.rebuild()
+        index.rebuild()
+        view.save_index()
+        index.save_checkpoint()
+        assert view_stats.segments == 1
+        assert ft_stats.segments == 1
+
+        # Rewriting every document outweighs the base: a counter carry.
         db.clock.advance(1)
-        for unid in db.rng.sample(db.unids(), 10):
-            db.update(unid, {"Subject": "fold me"})
-        view.merge_policy = SINGLE_SEGMENT
-        index.merge_policy = SINGLE_SEGMENT
+        for unid in db.unids():
+            db.update(unid, {"Subject": "fold me, and all of the others"})
         view.save_index()
         index.save_checkpoint()
         assert view_stats.segments == 1

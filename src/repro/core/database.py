@@ -642,7 +642,7 @@ class NotesDatabase:
     def raw_trash(self, unid: str, trashed: bool, author: str = "anonymous") -> None:
         """Move a held document into (or out of) the trash with no access
         check and no revision bump — the write path of :meth:`soft_delete`
-        and :meth:`restore`, and how a cluster member mirrors its mate's
+        and :meth:`restore`, and how a cluster member copies its mate's
         trash. A no-op when ``unid`` is not held or already placed."""
         doc = self._docs.get(unid)
         if doc is None or (unid in self._trash) == trashed:

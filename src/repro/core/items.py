@@ -25,7 +25,7 @@ Number = (int, float)
 
 
 class ItemType(str, Enum):
-    """Item data types, mirroring the Notes item type summary."""
+    """Item data types, following the Notes item type summary."""
 
     TEXT = "text"
     TEXT_LIST = "text_list"
@@ -169,7 +169,13 @@ class Item:
         if not self.name:
             raise ItemError("item name must be non-empty")
         check = _VALIDATORS[self.type]
-        if not check(self.value):
+        if check(self.value):
+            # A list or dict the caller holds must not alias the item's
+            # value: the caller's later edits would change the note
+            # without a revision or a write.
+            if type(self.value) is list or type(self.value) is dict:
+                object.__setattr__(self, "value", self.value.copy())
+        else:
             # Tuples, and subclass instances such as str-mixin Enum
             # members, are stored as plain builtins.
             value = plain(self.value)

@@ -41,8 +41,9 @@ class CatchUpStats:
         the shared :class:`repro.storage.SegmentStack` record them here).
     ``segment_stats``
         Per-stack :class:`repro.storage.SegmentStats`, keyed by the
-        consumer's name for the stack (e.g. ``"entries"``, ``"terms"``,
-        ``"docs"``). Live objects — they track the stack as it moves.
+        consumer's name for the stack (``"entries"`` for a view,
+        ``"postings"`` for the full-text index). Live objects — they
+        track the stack as it moves.
     ``last_path``
         What the most recent catch-up actually did: ``"noop"``,
         ``"topup"``, ``"merge"`` (a top-up whose checkpoint save also

@@ -6,7 +6,7 @@ receive the raw AST nodes plus an evaluation callback so they can skip
 branches or inspect field names.
 
 The registry is open: ``register_function`` lets applications add their own
-@functions, mirroring how Domino releases grew the language over time.
+@functions, as Domino releases grew the language over time.
 """
 
 from __future__ import annotations

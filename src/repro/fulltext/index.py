@@ -14,13 +14,14 @@ through the storage engine as a **stack of immutable segments**
 (:class:`repro.storage.SegmentStack`): each ``save_checkpoint`` appends
 the live overlay as a *new* segment — close cost O(delta), the other
 half of what the seq journal did for reopen — and segments fold back
-together when a newer one grows as big as its older neighbour (or the
-merge policy's count or dead-ratio backstop trips), the LSM/Lucene
-amortization. Two stacks ride in positional lockstep: ``ftidx:terms``
-holds each segment's term → postings records (every segment's record is
-live data for the documents written in that segment) and ``ftidx:docs``
-holds the doc → terms table whose newest-wins positions arbitrate which
-segment's postings for a document still count.
+together when a newer one grows as big as its older neighbour (or a
+backstop of the stack trips), the LSM/Lucene amortization. One stack
+holds two kinds of key. A term key holds the postings of the documents
+written in that segment, so every segment's record for a term is live
+data. A membership key (``D:`` + UNID) marks each document written in
+that segment; the newest segment holding it is the document's *home*,
+and only postings from a document's home still count. Tokens and query
+words are lowercase, so no term key can begin with the uppercase ``D``.
 
 A reopened database loads only the meta record and the per-segment
 offset directories; postings blobs stay unparsed bytes until a query
@@ -53,17 +54,23 @@ from repro.core.items import ItemType
 from repro.core.stats import CatchUpStats
 from repro.fulltext.query import And, Not, Or, Phrase, Term, parse_query
 from repro.fulltext.tokenizer import stem, tokenize
-from repro.storage.segments import MergePolicy, SegmentStack, SegmentStats
+from repro.storage.segments import SegmentStack, SegmentStats
 
 _TEXT_TYPES = (ItemType.TEXT, ItemType.RICH_TEXT, ItemType.TEXT_LIST,
                ItemType.NAMES, ItemType.AUTHORS, ItemType.READERS)
 
 #: Engine keys of the persisted checkpoint. The meta record is JSON and
-#: embeds both stacks' manifests; the per-segment directories and blobs
-#: live under the stack namespaces and are managed by SegmentStack.
+#: embeds the stack's manifest; the per-segment directories and blobs
+#: live under the stack namespace and are managed by SegmentStack.
 _META_KEY = b"ftidx:meta"
-_TERMS_NS = b"ftidx:terms"
-_DOCS_NS = b"ftidx:docs"
+_NS = b"ftidx"
+#: Manifests of an older layout that kept the postings and a doc → terms
+#: table in two stacks; such a meta record does not load (the index
+#: rebuilds) and the first save deletes the segments they name.
+_OLD_STACKS = {"terms": b"ftidx:terms", "docs": b"ftidx:docs"}
+#: Membership keys are ``_MEMBER + unid``, each holding ``_MARKER``.
+_MEMBER = "D:"
+_MARKER = True
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,6 @@ class FullTextIndex:
         mode: str = "auto",
         field_weights: dict[str, float] | None = None,
         persist: bool = False,
-        merge_policy: MergePolicy | None = None,
     ) -> None:
         if mode not in ("auto", "manual"):
             raise FullTextError(f"mode must be 'auto' or 'manual', got {mode!r}")
@@ -96,7 +102,6 @@ class FullTextIndex:
         self.db = db
         self.mode = mode
         self.persist = persist
-        self.merge_policy = merge_policy or MergePolicy()
         self.field_weights = (
             dict(self.DEFAULT_FIELD_WEIGHTS)
             if field_weights is None
@@ -108,12 +113,11 @@ class FullTextIndex:
         # into a new segment.
         self._postings: dict[str, dict[str, dict[str, list[int]]]] = {}
         self._doc_terms: dict[str, set[str]] = {}
-        # The frozen segment stacks (None until a checkpoint is loaded or
+        # The frozen segment stack (None until a checkpoint is loaded or
         # saved). ``_dead`` masks stack documents superseded or deleted
-        # since the last append; it becomes the stack's tombstones at the
-        # next save.
-        self._terms_stack: SegmentStack | None = None
-        self._docs_stack: SegmentStack | None = None
+        # since the last append; their membership keys become the
+        # stack's tombstones at the next save.
+        self._stack: SegmentStack | None = None
         self._dead: set[str] = set()
         # Per-term merge of overlay + stack-minus-dead, invalidated on
         # writes that touch the term.
@@ -123,12 +127,10 @@ class FullTextIndex:
         self.incremental_ops = 0
         self.loaded_from_disk = False
         self.catch_up = CatchUpStats()
-        # Stats objects outlive stack reconstructions (rebuilds, reloads)
-        # so the counters accumulate across the index's whole life.
-        self._terms_stats = SegmentStats()
-        self._docs_stats = SegmentStats()
-        self.catch_up.segment_stats["terms"] = self._terms_stats
-        self.catch_up.segment_stats["docs"] = self._docs_stats
+        # The stats object outlives stack reconstructions (rebuilds,
+        # reloads) so the counters accumulate across the index's life.
+        self._stats = SegmentStats()
+        self.catch_up.segment_stats["postings"] = self._stats
         # The database state the postings reflect; set by rebuild() or
         # the checkpoint load below, and what refresh() catches up from.
         self._checkpoint: Checkpoint
@@ -163,10 +165,9 @@ class FullTextIndex:
         return self._doc_count
 
     def _drop_base(self) -> None:
-        """Forget the loaded stacks; the next save rewrites from scratch
+        """Forget the loaded stack; the next save rewrites from scratch
         (and deletes whatever segment keys the old meta still names)."""
-        self._terms_stack = None
-        self._docs_stack = None
+        self._stack = None
         self._dead.clear()
         self._merged_cache.clear()
 
@@ -195,49 +196,34 @@ class FullTextIndex:
 
     # -- checkpoint persistence -------------------------------------------
 
-    def _make_stacks(self) -> None:
-        self._terms_stack = SegmentStack(
-            self.db.engine, _TERMS_NS, policy=self.merge_policy,
-            newest_wins=False, stats=self._terms_stats,
-        )
-        self._docs_stack = SegmentStack(
-            self.db.engine, _DOCS_NS, policy=self.merge_policy,
-            stats=self._docs_stats,
-        )
+    def _combine(self, index: int, key: str, older, newer):
+        """Resolve ``key`` in a fold of the pair at ``index``.
 
-    def _fold_combine(self, index: int, newer_doc_keys: set[str]):
-        """Combine callback folding the terms stack in lockstep with a
-        docs-stack fold at ``index``.
-
-        A document's postings for a term must come from the segment that
-        holds the document's live version: entries whose document was
-        rewritten in the pair's newer segment (``newer_doc_keys``, the
-        docs directory captured *before* the docs fold) or in a segment
-        above the pair are dead and dropped here — folds are where the
-        tombstone debt gets paid down.
+        Called before the fold renumbers positions, so a document's home
+        is ``index`` (the older segment), ``index + 1`` (the newer) or
+        elsewhere. A membership key survives if its home is in the pair;
+        a term keeps the postings each segment holds for the documents it
+        is home to — the others were rewritten above or deleted, and a
+        fold is where that debt is paid down.
         """
-        docs = self._docs_stack
-
-        def combine(term, older, newer):
-            merged = {}
-            for unid, fields in (older or {}).items():
-                if unid not in newer_doc_keys and docs.position_of(unid) == index:
+        position_of = self._stack.position_of
+        if key.startswith(_MEMBER):
+            return _MARKER if position_of(key) in (index, index + 1) else None
+        merged = {}
+        for position, postings in ((index, older), (index + 1, newer)):
+            for unid, fields in (postings or {}).items():
+                if position_of(_MEMBER + unid) == position:
                     merged[unid] = fields
-            for unid, fields in (newer or {}).items():
-                if docs.position_of(unid) == index:
-                    merged[unid] = fields
-            return merged or None
-
-        return combine
+        return merged or None
 
     def save_checkpoint(self) -> None:
         """Append the live overlay as a new segment + the seq checkpoint.
 
-        One transaction covers the appended segment pair, any folds the
-        merge policy demands, and the meta record naming them, so a crash
-        never leaves a torn checkpoint: either the whole new stack state
-        is readable or the previous one still is. Cost is O(overlay) —
-        the delta since the last save — plus whatever the policy folds.
+        One transaction covers the appended segment, any folds it
+        triggers, and the meta record naming them, so a crash never
+        leaves a torn checkpoint: either the whole new stack state is
+        readable or the previous one still is. Cost is O(overlay) — the
+        delta since the last save — plus whatever the stack folds.
         """
         import json
 
@@ -249,40 +235,27 @@ class FullTextIndex:
             self._checkpoint = self.db.checkpoint()
         engine = self.db.engine
         txn = engine.begin()
-        if self._terms_stack is None:
+        if self._stack is None:
             raw_meta = engine.get(_META_KEY)
             if raw_meta is not None:
                 old_meta = json.loads(raw_meta.decode())
-                SegmentStack.delete_manifest(
-                    engine, txn, _TERMS_NS, old_meta.get("terms", {})
-                )
-                SegmentStack.delete_manifest(
-                    engine, txn, _DOCS_NS, old_meta.get("docs", {})
-                )
-            self._make_stacks()
-        # Honour runtime policy swaps (the E15 ablation flips a warm
-        # index to SINGLE_SEGMENT between saves).
-        self._terms_stack.policy = self.merge_policy
-        self._docs_stack.policy = self.merge_policy
+                stacks = {**_OLD_STACKS, "index": _NS}
+                for name, namespace in stacks.items():
+                    SegmentStack.delete_manifest(
+                        engine, txn, namespace, old_meta.get(name, {})
+                    )
+            self._stack = SegmentStack(engine, _NS, stats=self._stats)
         folds: list[int] = []
         if self._doc_terms or self._dead:
-            docs_records = {
-                unid: tuple(sorted(terms))
-                for unid, terms in self._doc_terms.items()
-            }
-            terms_records = {
-                term: postings
-                for term, postings in self._postings.items()
-                if postings
-            }
-            self._docs_stack.append(txn, docs_records, remove=self._dead)
-            self._terms_stack.append(txn, terms_records)
-            folds = self._docs_stack.maintain(
-                txn,
-                mirror=lambda index, newer_keys: self._terms_stack.fold(
-                    txn, index, self._fold_combine(index, newer_keys)
-                ),
-            )
+            records = dict(self._postings)
+            for unid in self._doc_terms:
+                records[_MEMBER + unid] = _MARKER
+            remove = {_MEMBER + unid for unid in self._dead}
+            if not self._doc_count:
+                # No document is left, so every term record is dead too.
+                remove.update(self._stack.keys())
+            self._stack.append(txn, records, remove=remove)
+            folds = self._stack.maintain(txn, self._combine)
             # The overlay now lives in the stack (append seeded the
             # record caches, so nothing re-parses on the next query).
             self._postings = {}
@@ -290,8 +263,7 @@ class FullTextIndex:
             self._dead = set()
         meta = json.dumps({
             **self._checkpoint.to_meta(),
-            "terms": self._terms_stack.manifest(),
-            "docs": self._docs_stack.manifest(),
+            "index": self._stack.manifest(),
         }).encode()
         engine.put(txn, _META_KEY, meta)
         engine.commit(txn)
@@ -302,9 +274,10 @@ class FullTextIndex:
 
         Parses only the meta record and the per-segment offset
         directories — postings blobs stay bytes until a term is touched.
-        Returns False (caller rebuilds) when no checkpoint exists,
-        :meth:`~NotesDatabase.changes_since` cannot catch up from it, or
-        the manifest names a segment the engine does not hold.
+        Returns False (caller rebuilds) when no checkpoint exists, it
+        has an older layout, :meth:`~NotesDatabase.changes_since` cannot
+        catch up from it, or the manifest names a segment the engine
+        does not hold.
         """
         import json
 
@@ -312,16 +285,16 @@ class FullTextIndex:
         if raw_meta is None:
             return False
         meta = json.loads(raw_meta.decode())
+        if "index" not in meta:
+            return False
         changes = self.db.changes_since(Checkpoint.from_meta(meta))
         if changes is None:
             return False
-        self._make_stacks()
-        if not self._docs_stack.load(meta.get("docs", {})) or (
-            not self._terms_stack.load(meta.get("terms", {}))
-        ):
+        self._stack = SegmentStack(self.db.engine, _NS, stats=self._stats)
+        if not self._stack.load(meta["index"]):
             self._drop_base()
             return False
-        self._doc_count = self._docs_stack.live_count()
+        self._doc_count = sum(1 for _ in self._stack_unids())
         self._catch_up(changes)
         self.loaded_from_disk = True
         return True
@@ -335,21 +308,21 @@ class FullTextIndex:
         dict is returned as-is (and never cached, so it is never mutated
         by :meth:`_supersede`). Cached merges are always freshly-built
         dicts this index owns. A stack entry counts only when its
-        segment is the document's newest home (the docs stack
-        arbitrates) and the document is not dead.
+        segment is the document's home and the document is not dead.
         """
-        if self._terms_stack is None or term not in self._terms_stack:
+        if self._stack is None or term not in self._stack:
             live = self._postings.get(term)
             return live if live is not None else {}
         merged = self._merged_cache.get(term)
         if merged is not None:
             return merged
         merged = {}
-        for position, record in self._terms_stack.records(term):
+        position_of = self._stack.position_of
+        for position, record in self._stack.records(term):
             for unid, fields in record.items():
                 if unid in self._dead or unid in self._doc_terms:
                     continue  # superseded since the last append
-                if self._docs_stack.position_of(unid) != position:
+                if position_of(_MEMBER + unid) != position:
                     continue  # a newer segment rewrote this document
                 merged[unid] = fields
         live = self._postings.get(term)
@@ -358,29 +331,42 @@ class FullTextIndex:
         self._merged_cache[term] = merged
         return merged
 
+    def _stack_unids(self):
+        """The UNID of every live membership key in the stack."""
+        skip = len(_MEMBER)
+        return (
+            key[skip:]
+            for key in self._stack.live_keys()
+            if key.startswith(_MEMBER)
+        )
+
+    def _stack_terms(self):
+        """Every term key in the stack."""
+        return (
+            key for key in self._stack.keys() if not key.startswith(_MEMBER)
+        )
+
     def _in_stack(self, unid: str) -> bool:
         return (
-            self._docs_stack is not None
+            self._stack is not None
             and unid not in self._dead
-            and self._docs_stack.position_of(unid) is not None
+            and _MEMBER + unid in self._stack
         )
 
     def _all_doc_unids(self) -> set[str]:
         unids = set(self._doc_terms)
-        if self._docs_stack is not None:
+        if self._stack is not None:
             unids.update(
-                unid
-                for unid in self._docs_stack.live_keys()
-                if unid not in self._dead
+                unid for unid in self._stack_unids() if unid not in self._dead
             )
         return unids
 
     def _supersede(self, unid: str) -> None:
         """Tombstone a stack document instead of editing frozen segments.
 
-        Already-materialized merges drop the unid directly — cheaper than
-        parsing the doc's stack term list, and a no-op at reopen catch-up
-        time when no merge has been materialized yet.
+        Already-materialized merges drop the unid directly — the stack
+        keeps no per-document term list, and this is a no-op at reopen
+        catch-up time when no merge has been materialized yet.
         """
         self._dead.add(unid)
         for entry in self._merged_cache.values():
@@ -451,10 +437,10 @@ class FullTextIndex:
         check for tombstone survivors), so it is a diagnostics property,
         not a hot path.
         """
-        if self._terms_stack is None:
+        if self._stack is None:
             return len(self._postings)
         terms = set(self._postings)
-        for term in self._terms_stack.keys():
+        for term in self._stack_terms():
             if term not in terms and self._merged(term):
                 terms.add(term)
         return len(terms)
@@ -468,8 +454,8 @@ class FullTextIndex:
         checks — forces every lazy term, so O(index)."""
         snapshot = {}
         terms = set(self._postings)
-        if self._terms_stack is not None:
-            terms.update(self._terms_stack.keys())
+        if self._stack is not None:
+            terms.update(self._stack_terms())
         for term in terms:
             merged = self._merged(term)
             if merged:

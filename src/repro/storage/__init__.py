@@ -12,23 +12,14 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.engine import StorageEngine, Transaction
 from repro.storage.pagedfile import PagedFile
 from repro.storage.pages import PAGE_SIZE, SlottedPage
-from repro.storage.segments import (
-    DEFAULT_POLICY,
-    SINGLE_SEGMENT,
-    MergePolicy,
-    SegmentStack,
-    SegmentStats,
-)
+from repro.storage.segments import SegmentStack, SegmentStats
 from repro.storage.wal import WriteAheadLog
 
 __all__ = [
     "BPlusTree",
     "BufferPool",
-    "DEFAULT_POLICY",
-    "MergePolicy",
     "PAGE_SIZE",
     "PagedFile",
-    "SINGLE_SEGMENT",
     "SegmentStack",
     "SegmentStats",
     "SlottedPage",

@@ -1,6 +1,6 @@
 """Slotted pages: variable-length records inside fixed-size byte pages.
 
-Layout (little-endian), mirroring the classic textbook slotted page:
+Layout (little-endian), after the classic textbook slotted page:
 
 ```
 +--------------+-------------------------+------------------+

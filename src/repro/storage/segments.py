@@ -11,20 +11,18 @@ back together by a binary-counter rule (the "logarithmic method"): a
 segment that holds at least as many bytes as its older neighbour folds
 into it, so K equal appends leave at most log2(K) + 1 segments and copy
 each record about log2(K) times — the amortization argument of an LSM
-tree or Lucene's tiered segment merges. A configurable merge policy
-adds backstops on the segment count and the fraction of dead entries.
+tree or Lucene's tiered segment merges. Two backstops fold the smallest
+adjacent pair: while the stack holds more than :data:`MAX_SEGMENTS`
+segments, and while tombstones mask more than half of its directory
+entries (a delete appends no bytes, so the counter cannot see them).
 
-Two read disciplines exist, chosen per stack:
-
-``newest_wins=True`` (view entries, the full-text doc→terms table)
-    A key's live record is the one in the newest segment containing it;
-    older copies are dead weight until a fold drops them. Deletions are
-    tombstones in the manifest, masking every segment.
-``newest_wins=False`` (the full-text term→postings table)
-    Every segment's record for a key is live data (each holds the
-    postings contributed by the documents written in that segment);
-    reads see all of them and the *consumer* decides which sub-entries
-    still count. Folds combine pairs through a consumer callback.
+A key's live record is the one in the newest segment containing it;
+older copies are dead weight until a fold drops them, and a tombstone in
+the manifest masks a deleted key in every segment. A consumer that keeps
+a key live in several segments at once (the full-text index: each
+segment's postings record for a term holds the postings of the documents
+written in that segment) reads them all through :meth:`records` and
+passes a ``combine`` callback that resolves every key of a fold.
 
 The stack never owns a transaction: callers pass the engine transaction
 that also carries their checkpoint meta record, so an append or a merge
@@ -42,56 +40,29 @@ import marshal
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
-Combine = Callable[[str, Any, Any], Any]
+#: ``combine(index, key, older_record, newer_record)``: resolves ``key``
+#: in a fold of the pair at ``index`` (see :meth:`SegmentStack.fold`).
+Combine = Callable[[int, str, Any, Any], Any]
 
-
-@dataclass(frozen=True)
-class MergePolicy:
-    """When to fold segments back together, beyond the binary-counter
-    rule every stack follows (see :meth:`SegmentStack.maintain`).
-
-    ``max_segments``
-        Fold (smallest adjacent pair first) while the stack holds more
-        segments than this.
-    ``max_dead_ratio``
-        Fold while more than this fraction of directory entries across
-        all segments is dead (superseded by a newer segment or
-        tombstoned). Only meaningful for ``newest_wins`` stacks.
-    """
-
-    max_segments: int = 8
-    max_dead_ratio: float = 0.5
-
-
-DEFAULT_POLICY = MergePolicy()
-
-#: The ablation: every append is immediately folded into one segment, so
-#: a checkpoint always rewrites the whole structure — the pre-segment
-#: O(index) close cost E15 measures the stack against.
-SINGLE_SEGMENT = MergePolicy(max_segments=1, max_dead_ratio=1.0)
+#: Fold (smallest adjacent pair first) while a stack holds more segments.
+MAX_SEGMENTS = 8
 
 
 @dataclass
 class SegmentStats:
     """Per-stack counters, exposed through ``CatchUpStats.segment_stats``.
 
-    ``segments`` / ``total_entries`` / ``dead_entries`` mirror the
+    ``segments`` / ``total_entries`` / ``tombstones`` describe the
     current stack state; the rest accumulate over the stack's lifetime.
     """
 
     segments: int = 0
     total_entries: int = 0
-    dead_entries: int = 0
+    tombstones: int = 0
     appends: int = 0
     records_appended: int = 0
     merges: int = 0
     bytes_folded: int = 0
-
-    @property
-    def dead_ratio(self) -> float:
-        if self.total_entries == 0:
-            return 0.0
-        return self.dead_entries / self.total_entries
 
 
 class _Segment:
@@ -119,17 +90,10 @@ class SegmentStack:
     """N immutable segments + tombstones behind one namespace of keys."""
 
     def __init__(
-        self,
-        engine,
-        namespace: bytes,
-        policy: MergePolicy | None = None,
-        newest_wins: bool = True,
-        stats: SegmentStats | None = None,
+        self, engine, namespace: bytes, stats: SegmentStats | None = None
     ) -> None:
         self.engine = engine
         self.namespace = namespace
-        self.policy = policy or DEFAULT_POLICY
-        self.newest_wins = newest_wins
         self.stats = stats if stats is not None else SegmentStats()
         self._segments: list[_Segment] = []
         self._tombstones: set[str] = set()
@@ -194,7 +158,7 @@ class SegmentStack:
         return len(self._segments)
 
     def get(self, key: str) -> Any:
-        """Newest live record for ``key`` (newest-wins stacks), or None."""
+        """Newest live record for ``key``, or None."""
         if key in self._tombstones:
             return None
         position = self._newest.get(key)
@@ -209,8 +173,8 @@ class SegmentStack:
         return self._newest.get(key)
 
     def records(self, key: str) -> list[tuple[int, Any]]:
-        """Every segment's record for ``key``, oldest position first —
-        the accumulate-stack read (each record is independently live)."""
+        """Every segment's record for ``key``, oldest position first, for
+        a consumer that keeps the key live in several segments."""
         out = []
         for position, segment in enumerate(self._segments):
             if key in segment.directory:
@@ -231,7 +195,7 @@ class SegmentStack:
         return len(self._newest) - len(self._tombstones)
 
     def live_items(self) -> Iterator[tuple[str, Any]]:
-        """(key, newest record) for every live key (newest-wins stacks)."""
+        """(key, newest record) for every live key."""
         for key in self.live_keys():
             yield key, self._record(self._segments[self._newest[key]], key)
 
@@ -259,22 +223,7 @@ class SegmentStack:
         (the new segment is now its live home). The in-memory cache is
         seeded from ``records``, so post-append reads parse nothing.
         """
-        parts: list[bytes] = []
-        directory: dict[str, tuple[int, int]] = {}
-        offset = 0
-        for key in sorted(records):
-            record_bytes = marshal.dumps(records[key])
-            directory[key] = (offset, len(record_bytes))
-            offset += len(record_bytes)
-            parts.append(record_bytes)
-        seg_id = self._next_id
-        self._next_id += 1
-        blob = b"".join(parts)
-        self.engine.put(txn, self._dir_key(seg_id), marshal.dumps(directory))
-        self.engine.put(txn, self._blob_key(seg_id), blob)
-        self._segments.append(
-            _Segment(seg_id, directory, blob=blob, cache=dict(records))
-        )
+        self._segments.append(self._write_segment(txn, dict(records)))
         position = len(self._segments) - 1
         for key in records:
             self._newest[key] = position
@@ -288,138 +237,100 @@ class SegmentStack:
         self.stats.records_appended += len(records)
         self._refresh_stats()
 
-    def maintain(
-        self,
-        txn,
-        combine: Combine | None = None,
-        mirror: Callable[[int, set[str]], None] | None = None,
-    ) -> list[int]:
+    def maintain(self, txn, combine: Combine | None = None) -> list[int]:
         """Fold until every segment holds fewer bytes than its older
-        neighbour and the merge policy is satisfied; returns fold indices.
+        neighbour and neither backstop holds; returns the fold indices.
 
         After an append only the top pair can break the byte rule, so a
         save folds the top pair while the newer segment is at least as
-        big as the older one — a carry in a binary counter. The policy's
-        backstops then fold the smallest adjacent pair while there are
-        too many segments or dead entries.
-
-        ``mirror(index, newer_keys)`` runs after each fold with the
-        directory keys the pair's newer segment held *before* folding —
-        a consumer replays the same folds on a sibling stack in
-        positional lockstep this way (the full-text index folds its
-        terms stack wherever the docs stack folds, and needs the
-        pre-fold newer directory to tell which postings died).
+        big as the older one — a carry in a binary counter. Then the
+        smallest adjacent pair folds while the stack holds more than
+        :data:`MAX_SEGMENTS` segments or tombstones mask more than half
+        of its directory entries; a lone segment that is mostly masked
+        is compacted on its own. ``combine`` goes to every :meth:`fold`.
         """
         folded: list[int] = []
-
-        def run_fold(index: int) -> None:
-            newer_keys = (
-                set(self._segments[index + 1].directory)
-                if index + 1 < len(self._segments)
-                else set()
-            )
+        while (index := self._pick_fold_index()) is not None:
             self.fold(txn, index, combine)
-            if mirror is not None:
-                mirror(index, newer_keys)
             folded.append(index)
-
-        while len(self._segments) > 1:
-            index = self._pick_fold_index()
-            if index is None:
-                break
-            run_fold(index)
-        if (
-            len(self._segments) == 1
-            and self.stats.dead_entries > 0
-            and self.stats.dead_ratio > self.policy.max_dead_ratio
-        ):
-            run_fold(0)
         return folded
 
-    def _violates_policy(self) -> bool:
-        if len(self._segments) > self.policy.max_segments:
-            return True
-        return (
-            self.newest_wins
-            and self.stats.dead_entries > 0
-            and self.stats.dead_ratio > self.policy.max_dead_ratio
+    def _mostly_masked(self) -> bool:
+        tombstones = self._tombstones
+        if not tombstones:
+            return False
+        masked = sum(
+            len(segment.directory.keys() & tombstones)
+            for segment in self._segments
         )
+        return 2 * masked > self.stats.total_entries
 
     def _pick_fold_index(self) -> int | None:
         """The adjacent pair to fold next, or None when none must.
 
         The newest pair whose newer segment holds at least as many bytes
-        as the older comes first; then, if the policy is still violated,
-        the smallest pair. Folds must respect stack order: merging
-        non-neighbours would reorder which copy is newest.
+        as the older comes first; then, if a backstop holds, the smallest
+        pair (or the lone segment). Folds must respect stack order:
+        merging non-neighbours would reorder which copy is newest.
         """
         sizes = [segment.size for segment in self._segments]
         for index in range(len(sizes) - 2, -1, -1):
             if sizes[index + 1] >= sizes[index]:
                 return index
-        if not self._violates_policy():
+        if len(sizes) <= MAX_SEGMENTS and not self._mostly_masked():
             return None
-        best = 0
-        best_cost = None
-        for index in range(len(sizes) - 1):
-            cost = sizes[index] + sizes[index + 1]
-            if best_cost is None or cost < best_cost:
-                best, best_cost = index, cost
-        return best
+        pairs = range(len(sizes) - 1)
+        return min(pairs, key=lambda i: sizes[i] + sizes[i + 1], default=0)
 
     def fold(self, txn, index: int, combine: Combine | None = None) -> None:
         """Fold segments ``index`` and ``index + 1`` into one fresh
         segment at ``index`` (or compact ``index`` alone when it is the
-        only segment), dropping dead entries.
+        only segment), dropping tombstoned keys and superseded copies.
 
-        ``combine(key, older_record, newer_record)`` resolves keys for
-        accumulate stacks (either argument may be None; returning None
-        drops the key). Newest-wins stacks resolve by position and need
-        no callback.
+        Without ``combine`` a key keeps its newest copy. With it, every
+        key that is not tombstoned resolves through ``combine(index, key,
+        older_record, newer_record)`` (either record may be None;
+        returning None drops the key), called while :meth:`position_of`
+        still answers in the positions from before the fold.
         """
         older = self._segments[index]
-        newer = (
-            self._segments[index + 1]
-            if index + 1 < len(self._segments)
-            else None
-        )
-        records: dict[str, Any] = {}
+        pair = self._segments[index:index + 2]
+        newer = pair[1] if len(pair) == 2 else None
         keys = set(older.directory)
         if newer is not None:
             keys |= set(newer.directory)
-        newer_position = index + (1 if newer is not None else 0)
+        keys -= self._tombstones
+        newer_position = index + len(pair) - 1
+        records: dict[str, Any] = {}
         for key in keys:
-            if self.newest_wins:
-                if key in self._tombstones:
-                    continue
-                if self._newest[key] > newer_position:
-                    continue  # a later segment superseded this copy
-                source = (
-                    newer
-                    if newer is not None and key in newer.directory
-                    else older
-                )
-                records[key] = self._record(source, key)
-            else:
-                if combine is None:
-                    raise ValueError(
-                        "accumulate stacks need a combine callback to fold"
-                    )
+            in_newer = newer is not None and key in newer.directory
+            if combine is not None:
                 merged = combine(
+                    index,
                     key,
                     self._record(older, key) if key in older.directory else None,
-                    self._record(newer, key)
-                    if newer is not None and key in newer.directory
-                    else None,
+                    self._record(newer, key) if in_newer else None,
                 )
                 if merged is not None:
                     records[key] = merged
-        self.stats.bytes_folded += older.size + (newer.size if newer else 0)
-        for victim in (older, newer) if newer is not None else (older,):
+            elif self._newest[key] <= newer_position:
+                # Not superseded by a segment above the pair.
+                records[key] = self._record(newer if in_newer else older, key)
+        for victim in pair:
+            self.stats.bytes_folded += victim.size
             self.engine.delete(txn, self._dir_key(victim.seg_id))
             self.engine.delete(txn, self._blob_key(victim.seg_id))
-        parts = []
-        directory = {}
+        self._segments[index:index + 2] = [self._write_segment(txn, records)]
+        self._rebuild_newest()
+        self._tombstones &= set(self._newest)
+        self.stats.merges += 1
+        self._refresh_stats()
+
+    def _write_segment(self, txn, records: dict[str, Any]) -> _Segment:
+        """Put ``records`` under a fresh segment id inside ``txn``; the
+        segment's cache adopts ``records``."""
+        parts: list[bytes] = []
+        directory: dict[str, tuple[int, int]] = {}
         offset = 0
         for key in sorted(records):
             record_bytes = marshal.dumps(records[key])
@@ -431,15 +342,7 @@ class SegmentStack:
         blob = b"".join(parts)
         self.engine.put(txn, self._dir_key(seg_id), marshal.dumps(directory))
         self.engine.put(txn, self._blob_key(seg_id), blob)
-        merged_segment = _Segment(seg_id, directory, blob=blob, cache=records)
-        if newer is not None:
-            self._segments[index:index + 2] = [merged_segment]
-        else:
-            self._segments[index] = merged_segment
-        self._rebuild_newest()
-        self._tombstones &= set(self._newest)
-        self.stats.merges += 1
-        self._refresh_stats()
+        return _Segment(seg_id, directory, blob=blob, cache=records)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -451,11 +354,7 @@ class SegmentStack:
 
     def _refresh_stats(self) -> None:
         self.stats.segments = len(self._segments)
-        total = sum(len(segment.directory) for segment in self._segments)
-        self.stats.total_entries = total
-        if self.newest_wins:
-            self.stats.dead_entries = total - self.live_count()
-        else:
-            # Deadness lives in sub-entries the consumer understands; the
-            # consumer drives this stack's folds off a newest-wins sibling.
-            self.stats.dead_entries = 0
+        self.stats.total_entries = sum(
+            len(segment.directory) for segment in self._segments
+        )
+        self.stats.tombstones = len(self._tombstones)

@@ -49,7 +49,7 @@ from repro.core.stats import CatchUpStats
 from repro.formula import compile_formula
 from repro.security.acl import AclLevel
 from repro.storage.btree import BPlusTree
-from repro.storage.segments import MergePolicy, SegmentStack, SegmentStats
+from repro.storage.segments import SegmentStack, SegmentStats
 from repro.views.column import SortOrder, ViewColumn, collate
 
 
@@ -122,15 +122,10 @@ class View:
         :class:`repro.storage.SegmentStack` sidecar: each
         :meth:`save_index` appends only the entries dirtied since the
         last save as a new immutable segment (close cost O(delta), the
-        E15 claim), and ``merge_policy`` decides when segments fold back
-        together. Call :meth:`save_index` (or :meth:`close`) to write it
-        back; the database's :meth:`~NotesDatabase.close` also sweeps
-        registered persistent views.
-    merge_policy:
-        :class:`repro.storage.MergePolicy` for the sidecar segments
-        (default :data:`repro.storage.DEFAULT_POLICY`;
-        :data:`repro.storage.SINGLE_SEGMENT` restores rewrite-everything
-        saves as the E15 ablation).
+        E15 claim), and segments fold back together by the stack's
+        binary-counter rule. Call :meth:`save_index` (or :meth:`close`)
+        to write it back; the database's :meth:`~NotesDatabase.close`
+        also sweeps registered persistent views.
     """
 
     def __init__(
@@ -142,7 +137,6 @@ class View:
         mode: str = "auto",
         hierarchical: bool = False,
         persist: bool = False,
-        merge_policy: MergePolicy | None = None,
     ) -> None:
         if mode not in ("auto", "manual"):
             raise ViewError(f"mode must be 'auto' or 'manual', got {mode!r}")
@@ -156,7 +150,6 @@ class View:
         self.mode = mode
         self.hierarchical = hierarchical
         self.persist = persist
-        self.merge_policy = merge_policy or MergePolicy()
         self._selection = compile_formula(selection)
         self._tree: BPlusTree = BPlusTree(order=64)
         # On-disk segment stack behind the persisted index (None until a
@@ -260,10 +253,7 @@ class View:
 
     def _make_stack(self) -> None:
         self._stack = SegmentStack(
-            self.db.engine,
-            self._index_key(),
-            policy=self.merge_policy,
-            stats=self._segment_stats,
+            self.db.engine, self._index_key(), stats=self._segment_stats
         )
 
     def _record_for(self, unid: str) -> tuple:
@@ -313,7 +303,6 @@ class View:
                     engine, txn, self._index_key(), old_meta.get("index", {})
                 )
             self._make_stack()
-        self._stack.policy = self.merge_policy  # honour runtime swaps
         folds: list[int] = []
         if fresh:
             dirty = set(self._keys)
@@ -463,9 +452,8 @@ class View:
         else:
             self._catch_up(changes)
             if self.persist and self.catch_up.last_path == "topup":
-                # Persist the topped-up checkpoint; if the merge policy
-                # folds segments here, record_merge promotes last_path
-                # to "merge".
+                # Persist the topped-up checkpoint; if the save folds
+                # segments, record_merge promotes last_path to "merge".
                 self.save_index()
         return self.catch_up.last_path
 

@@ -310,7 +310,7 @@ class TestSegmentedLayoutFallbacks:
         view.save_index()
         index.save_checkpoint()
         assert view.catch_up.segment_stats["entries"].segments >= 2
-        assert index.catch_up.segment_stats["docs"].segments >= 2
+        assert index.catch_up.segment_stats["postings"].segments >= 2
         view.close()
         index.close()
         engine.close()
@@ -324,7 +324,7 @@ class TestSegmentedLayoutFallbacks:
         for meta_key, manifests in (
             (b"viewidx:" + view_name.encode(),
              {"index": b"viewidx:" + view_name.encode()}),
-            (b"ftidx:meta", {"terms": b"ftidx:terms", "docs": b"ftidx:docs"}),
+            (b"ftidx:meta", {"index": b"ftidx"}),
         ):
             raw = engine.get(meta_key)
             if raw is None:
@@ -368,7 +368,7 @@ class TestSegmentedLayoutFallbacks:
         warm_index.save_checkpoint()
         self._assert_no_orphan_segment_keys(engine)
         assert warm_view.catch_up.segment_stats["entries"].segments == 1
-        assert warm_index.catch_up.segment_stats["docs"].segments == 1
+        assert warm_index.catch_up.segment_stats["postings"].segments == 1
         warm_index.close()
         cold_index.close()
         engine.close()
@@ -428,6 +428,102 @@ class TestSegmentedLayoutFallbacks:
         assert warm.catch_up.segment_stats["entries"].segments >= 3 or (
             warm.catch_up.merges > 0
         )
+        engine.close()
+
+    def test_deleting_every_document_compacts_both_stacks(self, tmp_path):
+        """A delete appends no bytes, so only the tombstone backstop can
+        fold a stack whose documents are all gone: it compacts both."""
+        path = str(tmp_path / "emptied")
+        self._multi_segment_world(path)
+
+        engine = StorageEngine(path)
+        db = NotesDatabase("seg.nsf", clock=VirtualClock(),
+                           rng=random.Random(5), engine=engine)
+        view = make_view(db)
+        index = FullTextIndex(db, persist=True)
+        assert view.loaded_from_disk and index.loaded_from_disk
+        for unid in db.unids():
+            db.clock.advance(0.1)
+            db.delete(unid)
+        view.save_index()
+        index.save_checkpoint()
+        for consumer, name in ((view, "entries"), (index, "postings")):
+            stats = consumer.catch_up.segment_stats[name]
+            assert consumer.catch_up.merges > 0
+            assert stats.segments <= 1
+            assert stats.total_entries == 0
+            assert stats.tombstones == 0
+        self._assert_no_orphan_segment_keys(engine)
+        view.close()
+        index.close()
+        engine.close()
+
+        engine = StorageEngine(path)
+        db = NotesDatabase("seg.nsf", clock=VirtualClock(),
+                           rng=random.Random(6), engine=engine)
+        warm_view = make_view(db)
+        warm_index = FullTextIndex(db, persist=True)
+        assert warm_view.loaded_from_disk and warm_index.loaded_from_disk
+        assert view_state(warm_view) == []
+        assert warm_index.document_count == 0
+        assert warm_index.postings_snapshot() == {}
+        engine.close()
+
+    def test_two_stack_fulltext_layout_rebuilds_once(self, tmp_path):
+        """A store whose ``ftidx:meta`` names the older layout — postings
+        under ``ftidx:terms``, a doc → terms table under ``ftidx:docs`` —
+        does not load: the index rebuilds, and its first save deletes
+        every segment the old manifests name."""
+        import json
+
+        from repro.storage import SegmentStack
+
+        path = str(tmp_path / "two-stack")
+        engine = StorageEngine(path)
+        db = NotesDatabase("seg.nsf", clock=VirtualClock(),
+                           rng=random.Random(8), engine=engine)
+        seed_docs(db, random.Random(8), 12)
+        cold = FullTextIndex(db)
+        terms = SegmentStack(engine, b"ftidx:terms")
+        docs = SegmentStack(engine, b"ftidx:docs")
+        txn = engine.begin()
+        terms.append(txn, cold.postings_snapshot())
+        docs.append(txn, {
+            unid: tuple(sorted(
+                term for term, postings in cold.postings_snapshot().items()
+                if unid in postings
+            ))
+            for unid in db.unids()
+        })
+        engine.put(txn, b"ftidx:meta", json.dumps({
+            **db.checkpoint().to_meta(),
+            "terms": terms.manifest(),
+            "docs": docs.manifest(),
+        }).encode())
+        engine.commit(txn)
+        old_keys = {
+            key for key in engine.keys()
+            if key.startswith((b"ftidx:terms:", b"ftidx:docs:"))
+        }
+        assert len(old_keys) == 4
+
+        index = FullTextIndex(db, persist=True)
+        assert not index.loaded_from_disk
+        assert index.rebuilds == 1
+        assert index.postings_snapshot() == cold.postings_snapshot()
+        index.save_checkpoint()
+        assert not any(
+            key.startswith((b"ftidx:terms:", b"ftidx:docs:"))
+            for key in engine.keys()
+        )
+        self._assert_no_orphan_segment_keys(engine)
+        index.close()
+        cold.close()
+
+        warm = FullTextIndex(db, persist=True)
+        assert warm.loaded_from_disk
+        assert warm.rebuilds == 0
+        assert warm.postings_snapshot() == cold.postings_snapshot()
         engine.close()
 
 

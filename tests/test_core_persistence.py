@@ -182,6 +182,35 @@ class TestUnstorableValues:
         stub = reloaded.stubs[gone.unid]
         assert stub.deleted_by == "red" and type(stub.deleted_by) is str
 
+    def test_caller_containers_do_not_alias_items(self, store):
+        """Editing the list or dict handed to create/update afterwards
+        changes neither the note in memory nor its fingerprint: memory
+        agrees with the reopened store."""
+        engine, db = store()
+        tags = ["a"]
+        doc = db.create({"Tags": tags})
+        tags.append("b")
+        amounts, attachment = [1, 2], {"name": "a.txt", "data": "eA=="}
+        db.clock.advance(1)
+        db.update(doc.unid, {"Amounts": amounts, "$FILE.a": Item(
+            "$FILE.a", ItemType.ATTACHMENT, attachment)})
+        amounts.append(3)
+        attachment["name"] = "b.txt"
+        fresh = db.get(doc.unid)
+        state = (fresh.get("Tags"), fresh.get("Amounts"), fresh.get("$FILE.a"))
+        assert state == (["a"], [1, 2], {"name": "a.txt", "data": "eA=="})
+        fingerprint = db.state_fingerprint()
+        assert fingerprint == db._fingerprint_recompute()
+        engine.close()
+        _, reloaded = store(seed=2)
+        again = reloaded.get(doc.unid)
+        assert (again.get("Tags"), again.get("Amounts"),
+                again.get("$FILE.a")) == state
+        assert reloaded.state_fingerprint() == fingerprint
+        item = Item.of("Loose", tags)
+        tags.append("c")
+        assert item.value == ["a", "b"]
+
 
 class CrashPoint(Exception):
     """Injected failure standing in for the process dying mid-write."""

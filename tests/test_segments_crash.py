@@ -19,15 +19,12 @@ import pytest
 from repro.core import NotesDatabase
 from repro.fulltext import FullTextIndex
 from repro.sim import VirtualClock
-from repro.storage import MergePolicy, SINGLE_SEGMENT, SegmentStack, StorageEngine
+from repro.storage import SegmentStack, StorageEngine
 from repro.views import SortOrder, View, ViewColumn
 
 WORDS = ("budget", "meeting", "release", "replica", "schedule",
          "review", "forecast", "inventory", "proposal", "summary")
 
-#: Fold-every-save exercises the merge write points on each checkpoint;
-#: the default-ish policy exercises the append-only save.
-POLICIES = [SINGLE_SEGMENT, MergePolicy(max_segments=8, max_dead_ratio=0.9)]
 
 
 class CrashPoint(Exception):
@@ -57,7 +54,7 @@ def arm(engine, fail_at=None):
     return counter
 
 
-def make_view(db, policy):
+def make_view(db):
     return View(
         db, "Crash",
         selection='SELECT Form = "Memo"',
@@ -66,14 +63,16 @@ def make_view(db, policy):
                        sort=SortOrder.ASCENDING),
             ViewColumn(title="Amount", item="Amount"),
         ],
-        persist=True, merge_policy=policy,
+        persist=True,
     )
 
 
-def build_scenario(path, policy, checkpoint_first=True):
+def build_scenario(path, carry, checkpoint_first=True):
     """Deterministic world: seed docs, optionally checkpoint, then a
-    delta batch — leaving a save pending that appends and (under
-    SINGLE_SEGMENT) folds."""
+    delta batch — leaving a save pending that appends and, with
+    ``carry``, folds: the delta rewrites every seed document with a
+    longer subject, so the new segment outweighs the base and the
+    binary counter carries."""
     engine = StorageEngine(path)
     db = NotesDatabase("crash.nsf", clock=VirtualClock(),
                        rng=random.Random(5), engine=engine)
@@ -86,11 +85,16 @@ def build_scenario(path, policy, checkpoint_first=True):
             "Body": " ".join(rng.choice(WORDS) for _ in range(6)),
             "Amount": rng.randrange(100),
         })
-    view = make_view(db, policy)
-    index = FullTextIndex(db, persist=True, merge_policy=policy)
+    view = make_view(db)
+    index = FullTextIndex(db, persist=True)
     if checkpoint_first:
         view.save_index()
         index.save_checkpoint()
+    if carry:
+        for unid in db.unids():
+            db.clock.advance(0.1)
+            subject = db.get(unid).get("Subject")
+            db.update(unid, {"Subject": f"{subject} {rng.choice(WORDS)}"})
     for _ in range(12):
         db.clock.advance(0.1)
         roll = rng.random()
@@ -116,16 +120,16 @@ def view_state(view):
     return [(entry.unid, entry.values) for entry in view.entries()]
 
 
-def count_write_points(tmp_path, policy, checkpoint_first=True):
+def count_write_points(tmp_path, carry, checkpoint_first=True):
     """How many engine writes one clean save of both consumers makes."""
     engine, db, view, index = build_scenario(
-        str(tmp_path / "count"), policy, checkpoint_first
+        str(tmp_path / "count"), carry, checkpoint_first
     )
     counter = arm(engine)
     view.save_index()
     index.save_checkpoint()
     total = counter["n"]
-    if policy is SINGLE_SEGMENT and checkpoint_first:
+    if carry and checkpoint_first:
         # Sanity: the save being attacked really does fold — both
         # consumers appended a second segment and merged it away.
         assert view.catch_up.merges > 0
@@ -140,7 +144,7 @@ def assert_no_orphan_segment_keys(engine, view_name="Crash"):
     for meta_key, namespaces in (
         (b"viewidx:" + view_name.encode(),
          {"index": b"viewidx:" + view_name.encode()}),
-        (b"ftidx:meta", {"terms": b"ftidx:terms", "docs": b"ftidx:docs"}),
+        (b"ftidx:meta", {"index": b"ftidx"}),
     ):
         raw = engine.get(meta_key)
         if raw is None:
@@ -158,9 +162,9 @@ def assert_no_orphan_segment_keys(engine, view_name="Crash"):
     assert actual == expected
 
 
-def crash_and_verify(tmp_path, policy, fail_at, checkpoint_first=True):
+def crash_and_verify(tmp_path, carry, fail_at, checkpoint_first=True):
     path = str(tmp_path / f"crash{fail_at}")
-    engine, db, view, index = build_scenario(path, policy, checkpoint_first)
+    engine, db, view, index = build_scenario(path, carry, checkpoint_first)
     arm(engine, fail_at=fail_at)
     with pytest.raises(CrashPoint):
         view.save_index()
@@ -171,8 +175,8 @@ def crash_and_verify(tmp_path, policy, fail_at, checkpoint_first=True):
     db = NotesDatabase("crash.nsf", clock=VirtualClock(),
                        rng=random.Random(99), engine=recovered)
     assert_no_orphan_segment_keys(recovered)
-    warm_view = make_view(db, policy)
-    warm_index = FullTextIndex(db, persist=True, merge_policy=policy)
+    warm_view = make_view(db)
+    warm_index = FullTextIndex(db, persist=True)
     if checkpoint_first:
         # The pre-crash checkpoint survived whole: no rebuild, at most
         # one journal top-up covers whatever the torn save was writing.
@@ -205,26 +209,22 @@ def crash_and_verify(tmp_path, policy, fail_at, checkpoint_first=True):
 
 
 class TestCrashEveryWritePoint:
-    @pytest.mark.parametrize("policy", POLICIES, ids=["fold", "append"])
-    def test_incremental_save_survives_any_torn_write(self, tmp_path, policy):
+    @pytest.mark.parametrize("carry", [True, False], ids=["fold", "append"])
+    def test_incremental_save_survives_any_torn_write(self, tmp_path, carry):
         """Kill the engine at write point 1, 2, … n of a delta save
         (segment dir, segment blob, fold deletes, fold writes, meta,
         commit) — every prefix recovers to the rebuild state."""
-        total = count_write_points(tmp_path, policy)
+        total = count_write_points(tmp_path, carry)
         assert total >= 8  # dirs + blobs + meta + commits at minimum
         for fail_at in range(1, total + 1):
-            crash_and_verify(tmp_path, policy, fail_at)
+            crash_and_verify(tmp_path, carry, fail_at)
 
     def test_initial_save_survives_any_torn_write(self, tmp_path):
         """Crash during the very first checkpoint: no meta commits, so
         reopen sees no checkpoint at all and rebuilds cleanly."""
-        total = count_write_points(
-            tmp_path, SINGLE_SEGMENT, checkpoint_first=False
-        )
+        total = count_write_points(tmp_path, False, checkpoint_first=False)
         for fail_at in range(1, total + 1, 3):
-            crash_and_verify(
-                tmp_path, SINGLE_SEGMENT, fail_at, checkpoint_first=False
-            )
+            crash_and_verify(tmp_path, False, fail_at, checkpoint_first=False)
 
 
 class TestManifestIntegrity:

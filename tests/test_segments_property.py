@@ -4,15 +4,20 @@ The property under test, at two levels:
 
 * **Stack level** — whatever sequence of appends, removals, folds, and
   manifest reloads a ``SegmentStack`` goes through, its live contents
-  equal a plain dict applying the same batches (newest-wins), and the
-  concatenation of per-segment records equals the append history
-  (accumulate). Merge policy must never change what reads see, only how
-  many segments hold it.
+  equal a plain dict applying the same batches (newest-wins), the
+  concatenation of per-segment records equals the append history (a
+  concatenating ``combine``), and a stack that mixes newest-wins
+  membership markers with per-segment postings under a consumer
+  ``combine`` reads like an inverted index over a plain dict. Folds must
+  never change what reads see, only how many segments hold it: every
+  segment stays smaller than its older neighbour, the stack holds at
+  most ``MAX_SEGMENTS`` segments, and tombstones never mask more than
+  half of its directory entries.
 * **Consumer level** — a persisted view and full-text index driven
   through randomized create/update/delete/purge batches interleaved with
-  ``save`` checkpoints, engine reopens, and forced merges (policies down
-  to ``SINGLE_SEGMENT``) finish entry-for-entry identical to consumers
-  rebuilt from scratch.
+  ``save`` checkpoints, engine reopens, and rebuilds (whose next save
+  rewrites the whole stack) finish entry-for-entry identical to
+  consumers rebuilt from scratch.
 
 Each property runs twice: a reduced-example fast lane in the default
 job, and a ``slow``-marked lane with the full example budget
@@ -32,13 +37,8 @@ from hypothesis import strategies as st
 from repro.core import NotesDatabase
 from repro.fulltext import FullTextIndex
 from repro.sim import VirtualClock
-from repro.storage import (
-    DEFAULT_POLICY,
-    SINGLE_SEGMENT,
-    MergePolicy,
-    SegmentStack,
-    StorageEngine,
-)
+from repro.storage import SegmentStack, StorageEngine
+from repro.storage.segments import MAX_SEGMENTS
 from repro.views import SortOrder, View, ViewColumn
 
 # Hypothesis drives the batches; engine IO makes per-example timing too
@@ -76,12 +76,6 @@ class FakeEngine:
 
 
 KEYS = st.sampled_from([f"k{i}" for i in range(12)])  # small space: overwrites
-POLICIES = st.sampled_from([
-    SINGLE_SEGMENT,
-    MergePolicy(max_segments=2, max_dead_ratio=0.5),
-    MergePolicy(max_segments=3, max_dead_ratio=0.2),
-    DEFAULT_POLICY,
-])
 BATCHES = st.lists(
     st.tuples(
         st.dictionaries(KEYS, st.integers(), max_size=6),   # records
@@ -92,16 +86,27 @@ BATCHES = st.lists(
 )
 
 
-def assert_sizes_fall(stack):
-    """The binary-counter rule holds: every segment holds fewer bytes
-    than its older neighbour."""
+def assert_folded(stack):
+    """What maintain() leaves: every segment holds fewer bytes than its
+    older neighbour (the binary-counter rule), at most MAX_SEGMENTS
+    segments, and tombstones masking at most half the directory
+    entries."""
     sizes = [segment.size for segment in stack._segments]
     assert all(newer < older for older, newer in zip(sizes, sizes[1:])), sizes
+    assert len(stack) <= MAX_SEGMENTS
+    masked = sum(
+        key in segment.directory
+        for segment in stack._segments
+        for key in stack._tombstones
+    )
+    assert 2 * masked <= stack.stats.total_entries
+    assert stack.stats.segments == len(stack)
+    assert stack.stats.tombstones == len(stack._tombstones)
 
 
-def check_newest_wins(batches, policy):
+def check_newest_wins(batches):
     engine = FakeEngine()
-    stack = SegmentStack(engine, b"nw", policy=policy)
+    stack = SegmentStack(engine, b"nw")
     shadow: dict[str, int] = {}
     for records, removes in batches:
         txn = engine.begin()
@@ -114,32 +119,27 @@ def check_newest_wins(batches, policy):
         assert dict(stack.live_items()) == shadow
         assert stack.live_count() == len(shadow)
         assert all(stack.get(key) == value for key, value in shadow.items())
-        assert len(stack) <= policy.max_segments
-        assert_sizes_fall(stack)
-        assert stack.stats.segments == len(stack)
-        assert stack.stats.dead_entries == (
-            stack.stats.total_entries - len(shadow)
-        )
+        assert_folded(stack)
     manifest = stack.manifest()
     # Tombstones never outlive the keys they mask (fold-time GC).
     assert set(manifest["tombstones"]) <= set(stack.keys())
-    reopened = SegmentStack(engine, b"nw", policy=policy)
+    reopened = SegmentStack(engine, b"nw")
     assert reopened.load(manifest)
     assert dict(reopened.live_items()) == shadow
     # From-scratch equivalence: one segment holding the final dict reads
     # the same as however many segments history left behind.
-    rebuilt = SegmentStack(engine, b"rebuilt", policy=policy)
+    rebuilt = SegmentStack(engine, b"rebuilt")
     txn = engine.begin()
     rebuilt.append(txn, shadow)
     engine.commit(txn)
     assert dict(rebuilt.live_items()) == dict(reopened.live_items())
 
 
-def check_accumulate(batches, policy):
+def check_accumulate(batches):
     engine = FakeEngine()
-    stack = SegmentStack(engine, b"acc", policy=policy, newest_wins=False)
+    stack = SegmentStack(engine, b"acc")
 
-    def combine(key, older, newer):
+    def combine(index, key, older, newer):
         merged = list(older or ()) + list(newer or ())
         return merged or None
 
@@ -151,8 +151,7 @@ def check_accumulate(batches, policy):
         engine.commit(txn)
         for key, value in records.items():
             history[key].append(value)
-        assert len(stack) <= policy.max_segments
-        assert_sizes_fall(stack)
+        assert_folded(stack)
         for key, values in history.items():
             # Folds concatenate older-then-newer, so the flattened
             # oldest-first read is exactly the append history.
@@ -162,9 +161,7 @@ def check_accumulate(batches, policy):
                 for value in record
             ]
             assert flat == values
-    reopened = SegmentStack(
-        engine, b"acc", policy=policy, newest_wins=False
-    )
+    reopened = SegmentStack(engine, b"acc")
     assert reopened.load(stack.manifest())
     for key, values in history.items():
         assert [
@@ -172,14 +169,98 @@ def check_accumulate(batches, policy):
         ] == values
 
 
-def check_equal_appends(appends, newest_wins):
-    """K appends of equal byte size leave at most log2(K) + 1 segments,
-    and copy each record about log2(K) times, under the default policy."""
-    engine = FakeEngine()
-    stack = SegmentStack(engine, b"eq", newest_wins=newest_wins)
+MEMBER = "D:"  # membership keys; terms are lowercase, documents uppercase
+DOCS = st.sampled_from([f"D{i}" for i in range(10)])
+TERMS = st.sampled_from(["alpha", "beta", "gamma", "delta", "omega"])
+INDEX_BATCHES = st.lists(
+    st.tuples(
+        st.dictionaries(                                # documents written
+            DOCS, st.dictionaries(TERMS, st.integers(), min_size=1,
+                                  max_size=3),
+            max_size=5,
+        ),
+        st.sets(DOCS, max_size=4),                      # documents deleted
+    ),
+    min_size=1,
+    max_size=14,
+)
 
-    def combine(key, older, newer):
+
+def check_mixed(batches):
+    """A stack mixing newest-wins markers and per-segment postings.
+
+    Each batch writes some documents — a marker under ``MEMBER + doc``
+    and, under each of the document's terms, a posting in that segment's
+    record — and deletes others by tombstoning their markers. The newest
+    segment holding a document's marker is its home, and only postings
+    from the home count. The consumer ``combine`` keeps what still counts
+    (the full-text index's rule), so reads must equal an inverted index
+    built over a plain dict of the documents, fold after fold.
+    """
+    engine = FakeEngine()
+    stack = SegmentStack(engine, b"mix")
+
+    def combine(index, key, older, newer):
+        if key.startswith(MEMBER):
+            return True if stack.position_of(key) in (index, index + 1) else None
+        merged = {}
+        for position, postings in ((index, older), (index + 1, newer)):
+            for doc, value in (postings or {}).items():
+                if stack.position_of(MEMBER + doc) == position:
+                    merged[doc] = value
+        return merged or None
+
+    def read(target):
+        inverted = defaultdict(dict)
+        for key in target.keys():
+            if key.startswith(MEMBER):
+                continue
+            for position, record in target.records(key):
+                for doc, value in record.items():
+                    if target.position_of(MEMBER + doc) == position:
+                        inverted[key][doc] = value
+        members = {
+            key[len(MEMBER):] for key in target.live_keys()
+            if key.startswith(MEMBER)
+        }
+        return dict(inverted), members
+
+    model: dict[str, dict[str, int]] = {}
+    for written, deleted in batches:
+        records: dict = {}
+        for doc, terms in written.items():
+            records[MEMBER + doc] = True
+            for term, value in terms.items():
+                records.setdefault(term, {})[doc] = value
+        deleted = deleted - set(written)
+        txn = engine.begin()
+        stack.append(txn, records, remove={MEMBER + doc for doc in deleted})
+        stack.maintain(txn, combine=combine)
+        engine.commit(txn)
+        model.update(written)
+        for doc in deleted:
+            model.pop(doc, None)
+        expected = defaultdict(dict)
+        for doc, terms in model.items():
+            for term, value in terms.items():
+                expected[term][doc] = value
+        assert read(stack) == (dict(expected), set(model))
+        assert_folded(stack)
+    reopened = SegmentStack(engine, b"mix")
+    assert reopened.load(stack.manifest())
+    assert read(reopened) == read(stack)
+
+
+def check_equal_appends(appends, with_combine):
+    """K appends of equal byte size leave at most log2(K) + 1 segments,
+    and copy each record about log2(K) times."""
+    engine = FakeEngine()
+    stack = SegmentStack(engine, b"eq")
+
+    def keep_newest(index, key, older, newer):
         return older if newer is None else newer
+
+    combine = keep_newest if with_combine else None
 
     appended = 0
     for count in range(1, appends + 1):
@@ -189,9 +270,8 @@ def check_equal_appends(appends, newest_wins):
         appended += stack._segments[-1].size
         stack.maintain(txn, combine=combine)
         engine.commit(txn)
-        assert_sizes_fall(stack)
+        assert_folded(stack)
         assert len(stack) <= math.log2(count) + 1, (count, len(stack))
-        assert len(stack) <= DEFAULT_POLICY.max_segments
     assert stack.stats.bytes_folded <= appended * math.log2(appends)
 
 
@@ -199,7 +279,7 @@ CONSUMER_OPS = st.lists(
     st.tuples(
         st.sampled_from([
             "create", "create", "update", "update", "delete", "soft",
-            "restore", "purge", "save", "save", "reopen",
+            "restore", "purge", "save", "save", "reopen", "rebuild",
         ]),
         st.integers(min_value=0, max_value=10**6),
     ),
@@ -211,7 +291,7 @@ WORDS = ("budget", "meeting", "release", "replica", "schedule",
          "review", "forecast", "inventory", "proposal", "summary")
 
 
-def _make_view(db, policy, persist=True):
+def _make_view(db, persist=True):
     return View(
         db, "PropEquiv",
         selection='SELECT Form = "Memo"',
@@ -220,7 +300,7 @@ def _make_view(db, policy, persist=True):
                        sort=SortOrder.ASCENDING),
             ViewColumn(title="Amount", item="Amount"),
         ],
-        persist=persist, merge_policy=policy,
+        persist=persist,
     )
 
 
@@ -228,14 +308,14 @@ def _view_state(view):
     return [(entry.unid, entry.values) for entry in view.entries()]
 
 
-def check_consumer_cycles(ops, policy):
+def check_consumer_cycles(ops):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "db")
         engine = StorageEngine(path)
         db = NotesDatabase("prop.nsf", clock=VirtualClock(),
                            rng=random.Random(7), engine=engine)
-        view = _make_view(db, policy)
-        index = FullTextIndex(db, persist=True, merge_policy=policy)
+        view = _make_view(db)
+        index = FullTextIndex(db, persist=True)
         for op, arg in ops:
             rng = random.Random(arg)
             db.clock.advance(0.1)
@@ -268,10 +348,15 @@ def check_consumer_cycles(ops, policy):
             elif op == "save":
                 view.save_index()
                 index.save_checkpoint()
-                if policy is SINGLE_SEGMENT:
-                    # The ablation folds every save down to one segment.
-                    assert view.catch_up.segment_stats["entries"].segments <= 1
-                    assert index.catch_up.segment_stats["docs"].segments <= 1
+            elif op == "rebuild":
+                # The next save rewrites the whole stack as one segment
+                # (none when there is nothing to write).
+                view.rebuild()
+                index.rebuild()
+                view.save_index()
+                index.save_checkpoint()
+                assert view.catch_up.segment_stats["entries"].segments <= 1
+                assert index.catch_up.segment_stats["postings"].segments <= 1
             elif op == "reopen":
                 view.close()
                 index.close()
@@ -279,9 +364,9 @@ def check_consumer_cycles(ops, policy):
                 engine = StorageEngine(path)
                 db = NotesDatabase("prop.nsf", clock=VirtualClock(),
                                    rng=random.Random(arg), engine=engine)
-                view = _make_view(db, policy)
-                index = FullTextIndex(db, persist=True, merge_policy=policy)
-        cold_view = _make_view(db, policy, persist=False)
+                view = _make_view(db)
+                index = FullTextIndex(db, persist=True)
+        cold_view = _make_view(db, persist=False)
         assert _view_state(view) == _view_state(cold_view)
         cold_index = FullTextIndex(db)
         assert index.document_count == cold_index.document_count
@@ -296,28 +381,34 @@ def check_consumer_cycles(ops, policy):
 
 
 @settings(max_examples=25, parent=RELAXED)
-@given(batches=BATCHES, policy=POLICIES)
-def test_newest_wins_matches_dict(batches, policy):
-    check_newest_wins(batches, policy)
+@given(batches=BATCHES)
+def test_newest_wins_matches_dict(batches):
+    check_newest_wins(batches)
 
 
 @settings(max_examples=25, parent=RELAXED)
-@given(batches=BATCHES, policy=POLICIES)
-def test_accumulate_preserves_history(batches, policy):
-    check_accumulate(batches, policy)
+@given(batches=BATCHES)
+def test_accumulate_preserves_history(batches):
+    check_accumulate(batches)
+
+
+@settings(max_examples=25, parent=RELAXED)
+@given(batches=INDEX_BATCHES)
+def test_mixed_stack_matches_inverted_model(batches):
+    check_mixed(batches)
 
 
 @settings(max_examples=10, parent=RELAXED)
 @given(appends=st.integers(min_value=1, max_value=200),
-       newest_wins=st.booleans())
-def test_equal_appends_stay_logarithmic(appends, newest_wins):
-    check_equal_appends(appends, newest_wins)
+       with_combine=st.booleans())
+def test_equal_appends_stay_logarithmic(appends, with_combine):
+    check_equal_appends(appends, with_combine)
 
 
 @settings(max_examples=6, parent=RELAXED)
-@given(ops=CONSUMER_OPS, policy=POLICIES)
-def test_consumer_cycles_match_rebuild(ops, policy):
-    check_consumer_cycles(ops, policy)
+@given(ops=CONSUMER_OPS)
+def test_consumer_cycles_match_rebuild(ops):
+    check_consumer_cycles(ops)
 
 
 # -- slow lane (full budget: pytest -m slow) ----------------------------
@@ -325,20 +416,27 @@ def test_consumer_cycles_match_rebuild(ops, policy):
 
 @pytest.mark.slow
 @settings(max_examples=200, parent=RELAXED)
-@given(batches=BATCHES, policy=POLICIES)
-def test_newest_wins_matches_dict_full(batches, policy):
-    check_newest_wins(batches, policy)
+@given(batches=BATCHES)
+def test_newest_wins_matches_dict_full(batches):
+    check_newest_wins(batches)
 
 
 @pytest.mark.slow
 @settings(max_examples=200, parent=RELAXED)
-@given(batches=BATCHES, policy=POLICIES)
-def test_accumulate_preserves_history_full(batches, policy):
-    check_accumulate(batches, policy)
+@given(batches=BATCHES)
+def test_accumulate_preserves_history_full(batches):
+    check_accumulate(batches)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, parent=RELAXED)
+@given(batches=INDEX_BATCHES)
+def test_mixed_stack_matches_inverted_model_full(batches):
+    check_mixed(batches)
 
 
 @pytest.mark.slow
 @settings(max_examples=40, parent=RELAXED)
-@given(ops=CONSUMER_OPS, policy=POLICIES)
-def test_consumer_cycles_match_rebuild_full(ops, policy):
-    check_consumer_cycles(ops, policy)
+@given(ops=CONSUMER_OPS)
+def test_consumer_cycles_match_rebuild_full(ops):
+    check_consumer_cycles(ops)

@@ -7,7 +7,7 @@ import pytest
 from repro.core import NotesDatabase
 from repro.errors import ViewError
 from repro.sim import VirtualClock
-from repro.storage import SINGLE_SEGMENT, MergePolicy, StorageEngine
+from repro.storage import StorageEngine
 from repro.views import SortOrder, View, ViewColumn
 
 
@@ -155,7 +155,6 @@ class TestPersistedViews:
         engine, db = store()
         for index in range(10):
             db.create({"Form": "Memo", "Amount": index, "Subject": f"m{index}"})
-        policy = MergePolicy(max_segments=2, max_dead_ratio=1.0)
         view = View(
             db, "ByAmount", selection='SELECT Form = "Memo"',
             columns=[
@@ -163,7 +162,7 @@ class TestPersistedViews:
                            sort=SortOrder.DESCENDING),
                 ViewColumn(title="Subject", item="Subject"),
             ],
-            mode="manual", persist=True, merge_policy=policy,
+            mode="manual", persist=True,
         )
         view.save_index()  # fresh stack: one segment
         stats = view.catch_up.segment_stats["entries"]
@@ -176,8 +175,10 @@ class TestPersistedViews:
         assert view.catch_up.merges == 0
         assert view.catch_up.topups == 1
 
+        # Two entries outweigh segment 2's one: a counter carry folds.
         db.create({"Form": "Memo", "Amount": 60, "Subject": "third"})
-        assert view.refresh() == "merge"  # third segment broke the policy
+        db.create({"Form": "Memo", "Amount": 61, "Subject": "fourth"})
+        assert view.refresh() == "merge"
         assert view.catch_up.last_path == "merge"
         assert view.catch_up.merges >= 1
         assert view.catch_up.topups == 2  # the merge was still a top-up
@@ -207,24 +208,33 @@ class TestPersistedViews:
         # travels as a manifest tombstone, not a record).
         assert stats.records_appended == 22
         assert stats.segments == 2
-        assert stats.dead_entries == 3  # two superseded + one tombstoned
+        assert stats.total_entries == 22
+        assert stats.tombstones == 1
         engine.close()
 
-    def test_single_segment_ablation_folds_every_save(self, store):
+    def test_rebuild_then_save_rewrites_one_segment(self, store):
+        """The E15 ablation arm: after a rebuild the next save writes the
+        whole index as one fresh segment and deletes the old ones."""
         engine, db = store()
         for index in range(15):
             db.create({"Form": "Memo", "Amount": index, "Subject": f"m{index}"})
-        view = make_view(db, merge_policy=SINGLE_SEGMENT)
+        view = make_view(db)
         view.save_index()
-        stats = view.catch_up.segment_stats["entries"]
-        assert stats.segments == 1
         db.create({"Form": "Memo", "Amount": 99, "Subject": "delta"})
         view.save_index()
-        # The ablation rewrote everything: append + immediate fold.
+        stats = view.catch_up.segment_stats["entries"]
+        assert stats.segments == 2
+        assert stats.records_appended == 16
+        view.rebuild()
+        view.save_index()
         assert stats.segments == 1
-        assert view.catch_up.merges >= 1
-        assert stats.bytes_folded > 0
-        assert view.catch_up.last_path == "merge"
+        assert stats.records_appended == 32  # every entry, rewritten
+        assert view.catch_up.merges == 0  # no fold: the old stack was dropped
+        segment_keys = [
+            key for key in engine.keys()
+            if key.startswith(b"viewidx:ByAmount:")
+        ]
+        assert len(segment_keys) == 2  # one directory, one blob
         engine.close()
 
     def test_database_close_sweeps_registered_views(self, store):
