@@ -118,9 +118,16 @@ class Document:
         return self._items.get(name)
 
     def get(self, name: str, default: Any = None) -> Any:
-        """The item *value* under ``name``, or ``default``."""
+        """The item *value* under ``name``, or ``default``.
+
+        A list or dict value is a copy: editing it must not change the
+        note without a revision or a write.
+        """
         item = self._items.get(name)
-        return item.value if item is not None else default
+        if item is None:
+            return default
+        value = item.value
+        return value.copy() if type(value) in (list, dict) else value
 
     def get_list(self, name: str) -> list:
         """The item value as a list; missing items give an empty list."""

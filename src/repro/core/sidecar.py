@@ -1,0 +1,193 @@
+"""The persisted-index lifecycle shared by views and the full-text index.
+
+A derived index rides the database's update-seq journal and may keep a
+*sidecar* in the storage engine: a :class:`repro.storage.SegmentStack`
+of its records plus one JSON meta record. :class:`PersistedIndex` owns
+that lifecycle; each consumer says only how its records encode, which
+are dirty, and (for keys live in several segments) how a fold resolves
+a key.
+
+* **Meta record**: an optional ``design`` fingerprint, the
+  :meth:`~repro.core.database.Checkpoint.to_meta` fields, and the stack
+  manifest under ``index``.
+* **Save**, one engine transaction: on a fresh stack (first save, or
+  first after a rebuild) delete every segment the old meta record names
+  and write the whole index; otherwise append the delta since the last
+  save and let the stack fold. Then put the meta record and commit.
+* **Load**: a missing meta record, another design, no manifest, a
+  checkpoint ``changes_since`` cannot catch up from, or a lost segment
+  each mean rebuild; otherwise adopt the stack and top up.
+* **Refresh** (``manual`` mode): ``"noop"``, ``"topup"``, ``"rebuild"``,
+  or ``"merge"`` — a persisted index saves after every top-up, and a
+  save that folded segments reports ``"merge"``.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Callable
+
+from repro.core.database import Checkpoint
+from repro.core.stats import CatchUpStats
+from repro.storage.segments import SegmentStack, SegmentStats
+
+
+class PersistedIndex:
+    """Mixin for a journal consumer with an optional segment sidecar.
+
+    The consumer calls :meth:`_open_index` last in ``__init__`` and
+    supplies ``_ERROR`` (raised for a bad mode or a missing engine),
+    ``rebuild()`` (index everything, drop ``_stack``, set
+    ``_checkpoint``), ``_reindex(unid)``, ``_on_change`` (subscribed in
+    ``auto`` mode), ``_take_delta(fresh)`` (the ``(records, removed
+    keys)`` of the next segment — the whole index when ``fresh`` — which
+    then stop counting as dirty), ``_adopt_stack()`` (take in a loaded
+    stack's records) and optionally ``_combine`` (the fold callback).
+    """
+
+    _ERROR: type[Exception]
+    _combine: Callable | None = None
+
+    def _open_index(
+        self,
+        db,
+        mode: str,
+        persist: bool,
+        save: Callable[[], None],
+        meta_key: bytes,
+        namespace: bytes,
+        stats_name: str,
+        design: str | None = None,
+        legacy_stacks: dict[str, bytes] | None = None,
+    ) -> None:
+        """Check the mode, then subscribe, register ``save`` as the
+        database's checkpointer, and load the sidecar or rebuild.
+
+        ``legacy_stacks`` names manifests (meta field → namespace) of an
+        older layout whose segments the first save deletes.
+        """
+        if mode not in ("auto", "manual"):
+            raise self._ERROR(f"mode must be 'auto' or 'manual', got {mode!r}")
+        if persist and db.engine is None:
+            raise self._ERROR("persist=True needs a database with a storage engine")
+        self.db = db
+        self.mode = mode
+        self.persist = persist
+        self._save = save
+        self._meta_key = meta_key
+        self._namespace = namespace
+        self._design = design
+        self._legacy_stacks = legacy_stacks or {}
+        # The on-disk stack (None until a save or load; a rebuild drops
+        # it, so the next save rewrites it from scratch).
+        self._stack: SegmentStack | None = None
+        # Outlives stack reconstructions, so its counters accumulate.
+        self._segment_stats = SegmentStats()
+        self.catch_up = CatchUpStats()
+        self.catch_up.segment_stats[stats_name] = self._segment_stats
+        self.rebuilds = 0
+        self.incremental_ops = 0
+        self.loaded_from_disk = False
+        # The database state the index reflects; what refresh() catches
+        # up from and the next save records.
+        self._checkpoint: Checkpoint
+        if mode == "auto":
+            db.subscribe(self._on_change)
+        if persist:
+            db.register_checkpointer(save)
+        if not (persist and self._load_index()):
+            self.rebuild()
+
+    def close(self) -> None:
+        """Detach from database events; save the sidecar when persistent."""
+        if self.persist:
+            self._save()
+            self.db.unregister_checkpointer(self._save)
+        if self.mode == "auto":
+            self.db.unsubscribe(self._on_change)
+
+    def refresh(self) -> str:
+        """Bring a ``manual`` index up to date; report which path ran.
+
+        ``"noop"`` (already current, or an ``auto`` index), ``"topup"``
+        (re-indexes only what :meth:`~NotesDatabase.changes_since`
+        reports), ``"merge"`` (a top-up on a persistent index whose
+        checkpoint save also folded segments) or ``"rebuild"`` (the
+        checkpoint was cut from another journal, or the purge log no
+        longer reaches back to it).
+        """
+        if self.mode != "manual":
+            self.catch_up.record_noop()
+            return "noop"
+        changes = self.db.changes_since(self._checkpoint)
+        if changes is None:
+            self.rebuild()
+        else:
+            self._catch_up(changes)
+            if self.persist and self.catch_up.last_path == "topup":
+                self._save()  # record_merge promotes a folding save
+        return self.catch_up.last_path
+
+    def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
+        """Re-index what ``changes_since`` reported; the index then equals
+        what a rebuild would produce."""
+        self.catch_up.replay(changes, self._reindex)
+        self._checkpoint = self.db.checkpoint()
+
+    def _save_index(self) -> None:
+        """Append the delta since the last save and write the meta record,
+        all in one engine transaction."""
+        engine = self.db.engine
+        if engine is None:
+            raise self._ERROR("database has no storage engine")
+        if self.mode == "auto":
+            # An auto index tracks every change, so it is current now; a
+            # manual one keeps the checkpoint it last caught up to.
+            self._checkpoint = self.db.checkpoint()
+        txn = engine.begin()
+        fresh = self._stack is None
+        if fresh:
+            raw = engine.get(self._meta_key)
+            if raw is not None:
+                old_meta = json.loads(raw)
+                stacks = {**self._legacy_stacks, "index": self._namespace}
+                for name, namespace in stacks.items():
+                    SegmentStack.delete_manifest(
+                        engine, txn, namespace, old_meta.get(name, {})
+                    )
+            self._stack = SegmentStack(
+                engine, self._namespace, stats=self._segment_stats
+            )
+        records, removed = self._take_delta(fresh)
+        folds: list[int] = []
+        if records or removed:
+            self._stack.append(txn, records, remove=removed)
+            folds = self._stack.maintain(txn, self._combine)
+        meta = {} if self._design is None else {"design": self._design}
+        meta.update(self._checkpoint.to_meta())
+        meta["index"] = self._stack.manifest()
+        engine.put(txn, self._meta_key, json.dumps(meta).encode())
+        engine.commit(txn)
+        self.catch_up.record_merge(len(folds))
+
+    def _load_index(self) -> bool:
+        """Adopt the persisted stack and top up past its checkpoint;
+        False when the caller must rebuild instead."""
+        engine = self.db.engine
+        raw = engine.get(self._meta_key)
+        if raw is None:
+            return False
+        meta = json.loads(raw)
+        if meta.get("design") != self._design or "index" not in meta:
+            return False
+        changes = self.db.changes_since(Checkpoint.from_meta(meta))
+        if changes is None:
+            return False
+        stack = SegmentStack(engine, self._namespace, stats=self._segment_stats)
+        if not stack.load(meta["index"]):
+            return False
+        self._stack = stack
+        self._adopt_stack()
+        self._catch_up(changes)
+        self.loaded_from_disk = True
+        return True

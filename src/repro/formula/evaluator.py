@@ -59,8 +59,7 @@ class EvalContext:
         if name in self.field_writes:
             return self.field_writes[name]
         if self.doc is not None and name in self.doc:
-            value = self.doc.get(name)
-            return list(value) if isinstance(value, list) else [value]
+            return self.doc.get_list(name)
         return [""]
 
     def write_field(self, name: str, value: list) -> None:

@@ -320,11 +320,35 @@ class SegmentStack:
             self.stats.bytes_folded += victim.size
             self.engine.delete(txn, self._dir_key(victim.seg_id))
             self.engine.delete(txn, self._blob_key(victim.seg_id))
+        self._renumber(index, pair, records)
         self._segments[index:index + 2] = [self._write_segment(txn, records)]
-        self._rebuild_newest()
-        self._tombstones &= set(self._newest)
         self.stats.merges += 1
         self._refresh_stats()
+
+    def _renumber(
+        self, index: int, pair: list[_Segment], records: dict[str, Any]
+    ) -> None:
+        """Move ``_newest`` to the positions after ``pair`` folds into
+        ``records`` at ``index``, touching only the pair's keys and those
+        of the segments above it — a fold of two small segments stays
+        O(pair), however big the segments below."""
+        newest, top = self._newest, index + len(pair) - 1
+        for key in {key for segment in pair for key in segment.directory}:
+            if newest[key] > top:
+                continue  # superseded above the pair: shifted below
+            home = index if key in records else next((
+                position for position in range(index - 1, -1, -1)
+                if key in self._segments[position].directory
+            ), None)
+            if home is None:
+                del newest[key]
+                self._tombstones.discard(key)
+            else:
+                newest[key] = home
+        for position in range(top + 1, len(self._segments)):
+            for key in self._segments[position].directory:
+                if newest[key] == position:
+                    newest[key] = position - 1
 
     def _write_segment(self, txn, records: dict[str, Any]) -> _Segment:
         """Put ``records`` under a fresh segment id inside ``txn``; the

@@ -43,14 +43,13 @@ from time import perf_counter
 from typing import Any, Iterator
 
 from repro.errors import ViewError
-from repro.core.database import ChangeKind, Checkpoint, NotesDatabase
+from repro.core.database import ChangeKind, NotesDatabase
 from repro.core.document import Document, readers_epoch
-from repro.core.stats import CatchUpStats
+from repro.core.sidecar import PersistedIndex
 from repro.formula import compile_formula
 from repro.security.acl import AclLevel
 from repro.storage.btree import BPlusTree
-from repro.storage.segments import SegmentStack, SegmentStats
-from repro.views.column import SortOrder, ViewColumn, collate
+from repro.views.column import Descending, SortOrder, ViewColumn, collate
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ class _Top:
 TOP = _Top()
 
 
-class View:
+class View(PersistedIndex):
     """A named, sorted projection of one database.
 
     Parameters
@@ -114,19 +113,18 @@ class View:
     hierarchical:
         Show response documents indented beneath their parents.
     persist:
-        Store the view index in the database's storage engine (the NSF
-        kept view indexes too). On open, a saved index whose database
-        state fingerprint still matches is loaded instead of rebuilding;
-        a *stale* saved index is loaded and topped up from what
-        :meth:`~NotesDatabase.changes_since` reports when possible. On disk the entries live in a
-        :class:`repro.storage.SegmentStack` sidecar: each
-        :meth:`save_index` appends only the entries dirtied since the
-        last save as a new immutable segment (close cost O(delta), the
-        E15 claim), and segments fold back together by the stack's
-        binary-counter rule. Call :meth:`save_index` (or :meth:`close`)
-        to write it back; the database's :meth:`~NotesDatabase.close`
-        also sweeps registered persistent views.
+        Keep the view index in a segment sidecar in the database's
+        storage engine (the NSF kept view indexes too), loaded and
+        topped up on open instead of rebuilt. The meta record, save
+        transaction, load rule and refresh rule are
+        :mod:`repro.core.sidecar`'s; a segment record here is one
+        entry's key, display values, level and parent. Call
+        :meth:`save_index` (or :meth:`close`) to write it back; the
+        database's :meth:`~NotesDatabase.close` also sweeps registered
+        persistent views.
     """
+
+    _ERROR = ViewError
 
     def __init__(
         self,
@@ -138,26 +136,15 @@ class View:
         hierarchical: bool = False,
         persist: bool = False,
     ) -> None:
-        if mode not in ("auto", "manual"):
-            raise ViewError(f"mode must be 'auto' or 'manual', got {mode!r}")
-        if persist and db.engine is None:
-            raise ViewError("persist=True needs a database with a storage engine")
-        self.db = db
         self.name = name
         self.selection_source = selection
         self.columns = columns or [ViewColumn(title="Subject", item="Subject")]
         self._validate_columns()
-        self.mode = mode
         self.hierarchical = hierarchical
-        self.persist = persist
         self._selection = compile_formula(selection)
         self._tree: BPlusTree = BPlusTree(order=64)
-        # On-disk segment stack behind the persisted index (None until a
-        # save or load; None again after a rebuild, which rewrites it).
-        self._stack: SegmentStack | None = None
         # Entries touched since the last save — the next save's segment.
         self._dirty: set[str] = set()
-        self._segment_stats = SegmentStats()
         self._keys: dict[str, tuple] = {}
         self._children: dict[str, set[str]] = {}
         # Reverse of _children: child unid -> parent unid, so _remove can
@@ -171,20 +158,15 @@ class View:
         self._restricted: set[str] = set()
         self._access_stamp: tuple | None = None
         self._state = ""
-        self.rebuilds = 0
-        self.incremental_ops = 0
-        self.loaded_from_disk = False
-        self.catch_up = CatchUpStats()
-        self.catch_up.segment_stats["entries"] = self._segment_stats
-        # The database state the index reflects; set by rebuild() or the
-        # snapshot load below, and what refresh() catches up from.
-        self._checkpoint: Checkpoint
-        if mode == "auto":
-            db.subscribe(self._on_change)
-        if persist:
-            db.register_checkpointer(self.save_index)
-        if not (persist and self._try_load_index()):
-            self.rebuild()
+        # The meta record and the segments share one key prefix.
+        sidecar_key = b"viewidx:" + name.encode()
+        self._open_index(
+            db, mode, persist, self.save_index,
+            meta_key=sidecar_key,
+            namespace=sidecar_key,
+            stats_name="entries",
+            design=self._design_fingerprint(),
+        )
 
     # -- column checks ----------------------------------------------------
 
@@ -203,16 +185,6 @@ class View:
     def _sorted_columns(self) -> list[ViewColumn]:
         return [c for c in self.columns if c.sort != SortOrder.NONE]
 
-    # -- maintenance --------------------------------------------------------
-
-    def close(self) -> None:
-        """Detach from database events; save the index when persistent."""
-        if self.persist:
-            self.save_index()
-            self.db.unregister_checkpointer(self.save_index)
-        if self.mode == "auto":
-            self.db.unsubscribe(self._on_change)
-
     # -- index persistence -----------------------------------------------
 
     def _design_fingerprint(self) -> str:
@@ -226,15 +198,10 @@ class View:
         ))
         return hashlib.sha256(spec.encode()).hexdigest()
 
-    def _index_key(self) -> bytes:
-        return b"viewidx:" + self.name.encode()
-
     @staticmethod
     def _encode_key(key: tuple) -> list:
         out = []
         for component in key:
-            from repro.views.column import Descending
-
             if isinstance(component, Descending):
                 out.append(["d", list(component.inner)])
             else:
@@ -243,18 +210,11 @@ class View:
 
     @staticmethod
     def _decode_key(encoded: list) -> tuple:
-        from repro.views.column import Descending
-
         components = []
         for kind, inner in encoded:
             value = tuple(inner)
             components.append(Descending(value) if kind == "d" else value)
         return tuple(components)
-
-    def _make_stack(self) -> None:
-        self._stack = SegmentStack(
-            self.db.engine, self._index_key(), stats=self._segment_stats
-        )
 
     def _record_for(self, unid: str) -> tuple:
         """The per-entry segment record: everything a reopen needs to put
@@ -269,89 +229,21 @@ class View:
         )
 
     def save_index(self) -> None:
-        """Write the index changes since the last save to the engine.
+        """Write the entries changed since the last save as one segment,
+        plus the checkpoint (see :mod:`repro.core.sidecar`)."""
+        self._save_index()
 
-        The entries live in a segment stack: a save appends only the
-        dirtied entries as a new immutable segment — O(delta), however
-        big the view — then folds segments where the stack's fold rule
-        says to. One engine transaction covers the segment, any folds, and
-        the meta record naming them, so a crash mid-save leaves the
-        previous checkpoint fully readable.
-
-        The meta record carries the :class:`Checkpoint` the index
-        reflects, so a later open against a moved-on database tops up
-        from :meth:`~NotesDatabase.changes_since` instead of rebuilding.
-        """
-        import json
-
-        if self.db.engine is None:
-            raise ViewError("database has no storage engine")
-        if self.mode == "auto":
-            # An auto view is continuously current: stamp the checkpoint
-            # now. A manual view saves whatever it last indexed.
-            self._checkpoint = self.db.checkpoint()
-        engine = self.db.engine
-        txn = engine.begin()
-        fresh = self._stack is None
-        if fresh:
-            # A rebuild (or first save) rewrites the stack from scratch;
-            # clear whatever segments a previous layout left behind.
-            raw = engine.get(self._index_key())
-            if raw is not None:
-                old_meta = json.loads(raw.decode())
-                SegmentStack.delete_manifest(
-                    engine, txn, self._index_key(), old_meta.get("index", {})
-                )
-            self._make_stack()
-        folds: list[int] = []
+    def _take_delta(self, fresh: bool) -> tuple[dict, set[str]]:
         if fresh:
             dirty = set(self._keys)
             removed: set[str] = set()
         else:
             dirty = {unid for unid in self._dirty if unid in self._keys}
             removed = self._dirty - dirty
-        if dirty or removed:
-            records = {unid: self._record_for(unid) for unid in dirty}
-            self._stack.append(txn, records, remove=removed)
-            folds = self._stack.maintain(txn)
-        snapshot = {
-            "design": self._design_fingerprint(),
-            **self._checkpoint.to_meta(),
-            "index": self._stack.manifest(),
-        }
-        engine.put(txn, self._index_key(), json.dumps(snapshot).encode())
-        engine.commit(txn)
         self._dirty.clear()
-        self.catch_up.record_merge(len(folds))
+        return {unid: self._record_for(unid) for unid in dirty}, removed
 
-    def _try_load_index(self) -> bool:
-        """Load a saved index; top up a stale one.
-
-        The snapshot's checkpoint goes to
-        :meth:`~NotesDatabase.changes_since`: an unchanged state loads
-        as-is, a stale one loads and re-indexes only what changed past
-        it — the incremental top-up E14 measures. Returns False (caller
-        rebuilds) for a changed design, a pre-segment snapshot, a
-        checkpoint the database cannot catch up from, or a manifest
-        naming a segment the engine lost.
-        """
-        import json
-
-        raw = self.db.engine.get(self._index_key())
-        if raw is None:
-            return False
-        snapshot = json.loads(raw.decode())
-        if snapshot.get("design") != self._design_fingerprint():
-            return False
-        if "index" not in snapshot:
-            return False  # pre-segment snapshot layout: rebuild once
-        changes = self.db.changes_since(Checkpoint.from_meta(snapshot))
-        if changes is None:
-            return False
-        self._make_stack()
-        if not self._stack.load(snapshot["index"]):
-            self._stack = None
-            return False  # manifest names a segment the engine lost
+    def _adopt_stack(self) -> None:
         pairs = []
         for unid, record in self._stack.live_items():
             encoded_key, values, level, parent = record
@@ -364,15 +256,9 @@ class View:
         pairs.sort(key=lambda pair: pair[0])  # segments are unordered
         self._tree.bulk_load(pairs)
         self._access_stamp = None  # loaded entries: reader access unchecked
-        self._catch_up(changes)
-        self.loaded_from_disk = True
-        return True
 
     def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
-        """Re-index what ``changes_since`` reported; the view is then
-        current, byte-for-byte what a rebuild would produce."""
-        self.catch_up.replay(changes, self._reindex)
-        self._checkpoint = self.db.checkpoint()
+        super()._catch_up(changes)
         self._state = self._checkpoint.state
 
     def rebuild(self) -> int:
@@ -426,36 +312,6 @@ class View:
             depth += 1
             current = parent
         return depth
-
-    def refresh(self) -> str:
-        """Bring a manual-mode view up to date; report which path ran.
-
-        Returns ``"noop"`` (already current — ``auto`` views ride change
-        notifications, and an unchanged state short-circuits),
-        ``"topup"`` (re-indexes only what
-        :meth:`~NotesDatabase.changes_since` reports), ``"merge"`` (a
-        top-up on a persistent view whose checkpoint save also folded
-        sidecar segments — the amortized compaction bill coming due), or
-        ``"rebuild"`` (the O(n log n) fallback, taken only when the
-        checkpoint was cut from another journal or the purge log no
-        longer reaches back to it).
-
-        ``rebuilds`` increments only on the rebuild path; top-ups count
-        in ``catch_up.topups`` whether or not the save folded.
-        """
-        if self.mode != "manual":
-            self.catch_up.record_noop()
-            return "noop"
-        changes = self.db.changes_since(self._checkpoint)
-        if changes is None:
-            self.rebuild()
-        else:
-            self._catch_up(changes)
-            if self.persist and self.catch_up.last_path == "topup":
-                # Persist the topped-up checkpoint; if the save folds
-                # segments, record_merge promotes last_path to "merge".
-                self.save_index()
-        return self.catch_up.last_path
 
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1

@@ -211,6 +211,25 @@ class TestUnstorableValues:
         tags.append("c")
         assert item.value == ["a", "b"]
 
+    def test_read_values_do_not_alias_items(self, store):
+        """Editing a list or dict a reader got from ``Document.get``
+        changes neither the note in memory nor its fingerprint."""
+        engine, db = store()
+        attachment = {"name": "a.txt", "data": "eA=="}
+        doc = db.create({"Tags": ["a"], "$FILE.a": Item(
+            "$FILE.a", ItemType.ATTACHMENT, attachment)})
+        fingerprint = db.state_fingerprint()
+        db.get(doc.unid).get("Tags").append("b")
+        db.get(doc.unid).get("$FILE.a")["name"] = "b.txt"
+        fresh = db.get(doc.unid)
+        assert fresh.get("Tags") == ["a"]
+        assert fresh.get("$FILE.a") == attachment
+        assert db.state_fingerprint() == fingerprint
+        assert fingerprint == db._fingerprint_recompute()
+        engine.close()
+        _, reloaded = store(seed=2)
+        assert reloaded.get(doc.unid).get("Tags") == ["a"]
+
 
 class CrashPoint(Exception):
     """Injected failure standing in for the process dying mid-write."""

@@ -102,6 +102,19 @@ def assert_folded(stack):
     assert 2 * masked <= stack.stats.total_entries
     assert stack.stats.segments == len(stack)
     assert stack.stats.tombstones == len(stack._tombstones)
+    assert_positions(stack)
+
+
+def assert_positions(stack):
+    """A fold renumbers positions in place; they must still be what the
+    directories say: each key lives in the newest segment holding it."""
+    holders: dict[str, int] = {}
+    for position, segment in enumerate(stack._segments):
+        holders.update(dict.fromkeys(segment.directory, position))
+    assert set(stack.keys()) == set(holders)
+    for key, position in holders.items():
+        masked = key in stack._tombstones
+        assert stack.position_of(key) == (None if masked else position), key
 
 
 def check_newest_wins(batches):
@@ -133,6 +146,34 @@ def check_newest_wins(batches):
     rebuilt.append(txn, shadow)
     engine.commit(txn)
     assert dict(rebuilt.live_items()) == dict(reopened.live_items())
+
+
+def test_fold_below_the_top_renumbers_the_segments_above():
+    """A backstop may fold a pair with segments above it; keys up there
+    move down one position, keys only in the pair land in the fold, and
+    a dropped key falls back to an older segment or leaves the stack."""
+    engine = FakeEngine()
+    stack = SegmentStack(engine, b"mid")
+    shadow: dict[str, int] = {}
+    batches = [
+        ({"a": 1, "b": 2, "c": 3}, set()),
+        ({"b": 20, "d": 4}, set()),
+        ({"c": 30, "e": 5}, {"d"}),
+        ({"a": 10, "f": 6}, set()),
+        ({"g": 7}, {"b"}),
+    ]
+    txn = engine.begin()
+    for records, removes in batches:
+        stack.append(txn, records, remove=removes)
+        shadow.update(records)
+        for key in removes:
+            shadow.pop(key, None)
+    for index in (1, 2, 0, 0):
+        stack.fold(txn, index)
+        assert_positions(stack)
+        assert dict(stack.live_items()) == shadow
+    engine.commit(txn)
+    assert len(stack) == 1
 
 
 def check_accumulate(batches):

@@ -1,11 +1,13 @@
-"""Tests for persisted view indexes (warm view opens)."""
+"""Tests for persisted view indexes (warm view opens), and for the
+persisted-index lifecycle views share with the full-text index."""
 
 import random
 
 import pytest
 
 from repro.core import NotesDatabase
-from repro.errors import ViewError
+from repro.errors import FullTextError, ViewError
+from repro.fulltext import FullTextIndex
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
 from repro.views import SortOrder, View, ViewColumn
@@ -36,11 +38,87 @@ def make_view(db, persist=True, selection='SELECT Form = "Memo"', **kw):
     )
 
 
-class TestPersistedViews:
-    def test_persist_needs_engine(self, db):
-        with pytest.raises(ViewError):
-            make_view(db, persist=True)
+#: Both persisted-index consumers: (make, segment stats name, save
+#: method name, live-entry count, error for a bad construction).
+CONSUMERS = {
+    "view": (make_view, "entries", "save_index", len, ViewError),
+    "fulltext": (
+        lambda db, persist=True, **kw: FullTextIndex(db, persist=persist, **kw),
+        "postings", "save_checkpoint",
+        lambda index: index.document_count, FullTextError,
+    ),
+}
 
+
+@pytest.fixture(params=sorted(CONSUMERS))
+def consumer(request):
+    return CONSUMERS[request.param]
+
+
+class TestPersistedIndexLifecycle:
+    """The lifecycle rules hold alike for a view and the full-text index."""
+
+    def test_persist_needs_engine(self, db, consumer):
+        make, _, _, _, error = consumer
+        with pytest.raises(error):
+            make(db, persist=True)
+
+    def test_refresh_distinguishes_topup_from_topup_plus_fold(
+        self, store, consumer
+    ):
+        """A manual persistent index saves after every top-up, and reports
+        ``"merge"`` only when that save also folded segments."""
+        make, stats_name, save, _, _ = consumer
+        engine, db = store()
+        for index in range(10):
+            db.create({"Form": "Memo", "Amount": index, "Subject": f"m{index}"})
+        consumer_index = make(db, mode="manual", persist=True)
+        getattr(consumer_index, save)()  # fresh stack: one segment
+        stats = consumer_index.catch_up.segment_stats[stats_name]
+        catch_up = consumer_index.catch_up
+        assert stats.segments == 1
+        assert catch_up.merges == 0
+
+        db.create({"Form": "Memo", "Amount": 50, "Subject": "second"})
+        assert consumer_index.refresh() == "topup"  # segment 2: no fold yet
+        assert stats.segments == 2
+        assert catch_up.merges == 0
+        assert catch_up.topups == 1
+
+        # Two documents outweigh segment 2's one: a counter carry folds.
+        db.create({"Form": "Memo", "Amount": 60, "Subject": "third"})
+        db.create({"Form": "Memo", "Amount": 61, "Subject": "fourth"})
+        assert consumer_index.refresh() == "merge"
+        assert catch_up.last_path == "merge"
+        assert catch_up.merges >= 1
+        assert catch_up.topups == 2  # the merge was still a top-up
+        assert stats.segments <= 2
+        assert stats.bytes_folded > 0
+
+        db.create({"Form": "Task", "Amount": 1, "Subject": "other"})
+        assert consumer_index.refresh() in ("topup", "merge")  # no rebuild
+        assert consumer_index.rebuilds == 1  # only the initial cold build
+        engine.close()
+
+    def test_database_close_sweeps_registered_sidecars(self, store, consumer):
+        make, _, _, count, _ = consumer
+        engine, db = store()
+        db.create({"Form": "Memo", "Amount": 3, "Subject": "a"})
+        make(db)
+        saved = db.save_checkpoints()
+        assert saved == 1  # the index registered itself
+        db.create({"Form": "Memo", "Amount": 9, "Subject": "b"})
+        db.close()  # saves the sidecar, then closes the engine
+
+        engine2, db2 = store(seed=2)
+        warm = make(db2)
+        assert warm.loaded_from_disk
+        assert warm.catch_up.last_path == "noop"  # close() caught the delta
+        assert count(warm) == 2
+        engine2.close()
+
+
+class TestPersistedViews:
     def test_cold_then_warm_open(self, store):
         engine, db = store()
         for index in range(30):
@@ -149,47 +227,6 @@ class TestPersistedViews:
         assert after == before
         engine2.close()
 
-    def test_refresh_distinguishes_topup_from_topup_plus_fold(self, store):
-        """A manual persistent view reports ``"merge"`` only when the
-        checkpoint save behind its top-up also folded segments."""
-        engine, db = store()
-        for index in range(10):
-            db.create({"Form": "Memo", "Amount": index, "Subject": f"m{index}"})
-        view = View(
-            db, "ByAmount", selection='SELECT Form = "Memo"',
-            columns=[
-                ViewColumn(title="Amount", item="Amount",
-                           sort=SortOrder.DESCENDING),
-                ViewColumn(title="Subject", item="Subject"),
-            ],
-            mode="manual", persist=True,
-        )
-        view.save_index()  # fresh stack: one segment
-        stats = view.catch_up.segment_stats["entries"]
-        assert stats.segments == 1
-        assert view.catch_up.merges == 0
-
-        db.create({"Form": "Memo", "Amount": 50, "Subject": "second"})
-        assert view.refresh() == "topup"  # appended segment 2: no fold yet
-        assert stats.segments == 2
-        assert view.catch_up.merges == 0
-        assert view.catch_up.topups == 1
-
-        # Two entries outweigh segment 2's one: a counter carry folds.
-        db.create({"Form": "Memo", "Amount": 60, "Subject": "third"})
-        db.create({"Form": "Memo", "Amount": 61, "Subject": "fourth"})
-        assert view.refresh() == "merge"
-        assert view.catch_up.last_path == "merge"
-        assert view.catch_up.merges >= 1
-        assert view.catch_up.topups == 2  # the merge was still a top-up
-        assert stats.segments <= 2
-        assert stats.bytes_folded > 0
-
-        db.create({"Form": "Task", "Amount": 1, "Subject": "unselected"})
-        assert view.refresh() in ("topup", "merge")  # never a rebuild
-        assert view.rebuilds == 1  # only the initial cold build
-        engine.close()
-
     def test_save_appends_only_the_delta(self, store):
         engine, db = store()
         docs = [
@@ -236,22 +273,6 @@ class TestPersistedViews:
         ]
         assert len(segment_keys) == 2  # one directory, one blob
         engine.close()
-
-    def test_database_close_sweeps_registered_views(self, store):
-        engine, db = store()
-        db.create({"Form": "Memo", "Amount": 3, "Subject": "a"})
-        view = make_view(db)
-        saved = db.save_checkpoints()
-        assert saved == 1  # the view registered itself
-        db.create({"Form": "Memo", "Amount": 9, "Subject": "b"})
-        db.close()  # saves the view sidecar, then closes the engine
-
-        engine2, db2 = store(seed=2)
-        warm = make_view(db2)
-        assert warm.loaded_from_disk
-        assert warm.catch_up.last_path == "noop"  # close() caught the delta
-        assert len(warm) == 2
-        engine2.close()
 
     def test_hierarchical_view_roundtrip(self, store):
         engine, db = store()
