@@ -146,7 +146,7 @@ def test_e05_warm_open_table(benchmark, tmp_path):
                 assert view.all_unids() == expected
                 # Detach without saving: the next round loads the same index.
                 db.unsubscribe(view._on_change)
-                db.unregister_checkpointer(view.save_index)
+                db.unregister_checkpointer(view._meta_key)
             engine.close()
             cold = min(cold_times)
             warm_seconds = min(warm_times)

@@ -244,9 +244,10 @@ class NotesDatabase:
         self._by_note_id: dict[int, str] = {}
         self._next_note_id = 1
         self._observers: list[Observer] = []
-        # Save hooks of persistent derived structures (view sidecars,
-        # full-text checkpoints); flushed together by save_checkpoints().
-        self._checkpointers: list[Callable[[], None]] = []
+        # Live owners of persisted derived structures (view sidecars,
+        # full-text checkpoints) by sidecar key, one owner per key; offered
+        # a save by save_checkpoints() and saved by close().
+        self._checkpointers: dict[bytes, Any] = {}
         # -- update-sequence journal (the by-seq index) --
         self._update_seq = 0
         self._journal: list[_JournalEntry] = []
@@ -297,32 +298,38 @@ class NotesDatabase:
 
     # -- checkpoint wiring ---------------------------------------------------
 
-    def register_checkpointer(self, save: Callable[[], None]) -> None:
-        """Register a derived structure's save hook (persistent views and
-        full-text indexes do this), so one :meth:`save_checkpoints` call
-        flushes every sidecar the database carries."""
-        self._checkpointers.append(save)
+    def register_checkpointer(self, key: bytes, owner) -> bool:
+        """Make ``owner`` (a :class:`repro.core.sidecar.PersistedIndex`)
+        the live owner of the sidecar under ``key``, so
+        :meth:`save_checkpoints` and :meth:`close` reach it. Returns
+        False, registering nothing, while another live owner holds
+        ``key``: two owners of one sidecar would overwrite each other's
+        segments."""
+        if key in self._checkpointers:
+            return False
+        self._checkpointers[key] = owner
+        return True
 
-    def unregister_checkpointer(self, save: Callable[[], None]) -> None:
-        if save in self._checkpointers:
-            self._checkpointers.remove(save)
+    def unregister_checkpointer(self, key: bytes) -> None:
+        self._checkpointers.pop(key, None)
 
     def save_checkpoints(self) -> int:
-        """Flush every registered sidecar; returns how many were saved."""
-        hooks = list(self._checkpointers)
-        for save in hooks:
-            save()
-        return len(hooks)
+        """Offer every registered sidecar a save; each takes it when its
+        flush rule holds (see :mod:`repro.core.sidecar`). Returns how
+        many saved."""
+        owners = list(self._checkpointers.values())
+        return sum(owner._flush() for owner in owners)
 
     def close(self) -> None:
-        """Flush every registered sidecar, then close the storage engine.
+        """Save every registered sidecar, then close the storage engine.
 
         The database-level counterpart of closing an NSF: derived
         structures write their segment checkpoints (each an O(delta)
-        append, see ``repro.storage.segments``) and the engine takes its
-        sharp checkpoint.
+        append, see ``repro.storage.segments``) whatever their flush
+        rule says, and the engine takes its sharp checkpoint.
         """
-        self.save_checkpoints()
+        for owner in list(self._checkpointers.values()):
+            owner._flush(force=True)
         if self.engine is not None:
             self.engine.close()
 

@@ -17,6 +17,17 @@ a key.
 * **Load**: a missing meta record, another design, no manifest, a
   checkpoint ``changes_since`` cannot catch up from, or a lost segment
   each mean rebuild; otherwise adopt the stack and top up.
+* **Flush rule**: :meth:`~repro.core.database.NotesDatabase.save_checkpoints`
+  saves an index only while it has no stack yet, or once its unsaved
+  delta reaches 1/:data:`FLUSH_DIVISOR` of what it holds — a memtable
+  flushed at a size, not at every log sync (the LSM-tree rule). An
+  unsaved delta is never lost: the journal holds it, and a load tops up
+  from ``changes_since``. ``close()``, the consumer's explicit save,
+  :meth:`~repro.core.database.NotesDatabase.close` and a manual
+  top-up always save.
+* **One owner**: a database holds at most one live index per sidecar
+  key; opening a second raises the consumer's error until the first
+  closes.
 * **Refresh** (``manual`` mode): ``"noop"``, ``"topup"``, ``"rebuild"``,
   or ``"merge"`` — a persisted index saves after every top-up, and a
   save that folded segments reports ``"merge"``.
@@ -31,6 +42,10 @@ from repro.core.database import Checkpoint
 from repro.core.stats import CatchUpStats
 from repro.storage.segments import SegmentStack, SegmentStats
 
+#: A checkpoint saves an index once its unsaved delta is at least
+#: 1/FLUSH_DIVISOR of what the index holds.
+FLUSH_DIVISOR = 8
+
 
 class PersistedIndex:
     """Mixin for a journal consumer with an optional segment sidecar.
@@ -41,7 +56,8 @@ class PersistedIndex:
     ``_checkpoint``), ``_reindex(unid)``, ``_on_change`` (subscribed in
     ``auto`` mode), ``_take_delta(fresh)`` (the ``(records, removed
     keys)`` of the next segment — the whole index when ``fresh`` — which
-    then stop counting as dirty), ``_adopt_stack()`` (take in a loaded
+    then stop counting as dirty), ``_unsaved()`` (the ``(delta, held)``
+    sizes the flush rule compares), ``_adopt_stack()`` (take in a loaded
     stack's records) and optionally ``_combine`` (the fold callback).
     """
 
@@ -60,8 +76,9 @@ class PersistedIndex:
         design: str | None = None,
         legacy_stacks: dict[str, bytes] | None = None,
     ) -> None:
-        """Check the mode, then subscribe, register ``save`` as the
-        database's checkpointer, and load the sidecar or rebuild.
+        """Check the mode, then register as the owner of ``meta_key``,
+        subscribe, and load the sidecar or rebuild. ``save`` is the
+        consumer's explicit save.
 
         ``legacy_stacks`` names manifests (meta field → namespace) of an
         older layout whose segments the first save deletes.
@@ -70,6 +87,11 @@ class PersistedIndex:
             raise self._ERROR(f"mode must be 'auto' or 'manual', got {mode!r}")
         if persist and db.engine is None:
             raise self._ERROR("persist=True needs a database with a storage engine")
+        if persist and not db.register_checkpointer(meta_key, self):
+            raise self._ERROR(
+                f"the database already has a live persisted index under "
+                f"{meta_key.decode()!r}; close it first"
+            )
         self.db = db
         self.mode = mode
         self.persist = persist
@@ -93,16 +115,15 @@ class PersistedIndex:
         self._checkpoint: Checkpoint
         if mode == "auto":
             db.subscribe(self._on_change)
-        if persist:
-            db.register_checkpointer(save)
         if not (persist and self._load_index()):
             self.rebuild()
 
     def close(self) -> None:
-        """Detach from database events; save the sidecar when persistent."""
+        """Detach from database events; save the sidecar when persistent
+        and give up its key."""
         if self.persist:
             self._save()
-            self.db.unregister_checkpointer(self._save)
+            self.db.unregister_checkpointer(self._meta_key)
         if self.mode == "auto":
             self.db.unsubscribe(self._on_change)
 
@@ -127,6 +148,17 @@ class PersistedIndex:
             if self.persist and self.catch_up.last_path == "topup":
                 self._save()  # record_merge promotes a folding save
         return self.catch_up.last_path
+
+    def _flush(self, force: bool = False) -> bool:
+        """Save when ``force``d, when there is no stack yet, or when the
+        unsaved delta reaches 1/:data:`FLUSH_DIVISOR` of what the index
+        holds; True when it saved."""
+        if not force and self._stack is not None:
+            delta, held = self._unsaved()
+            if delta * FLUSH_DIVISOR < held:
+                return False
+        self._save()
+        return True
 
     def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
         """Re-index what ``changes_since`` reported; the index then equals

@@ -6,6 +6,13 @@ design notes are ordinary documents, they replicate: when a replica
 receives a new or revised design note, the application *refreshes* — the
 replicated database carries its own application, exactly the property the
 paper highlights.
+
+The application also owns the database's one :class:`FullTextIndex`, the
+index the web server's ``?SearchView`` runs. Over an engine-backed
+database the views and the full-text index are persisted, as the NSF kept
+its view and full-text indexes: :meth:`Application.close` writes their
+sidecars, and the next open loads them and tops up from the journal
+instead of rebuilding.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from repro.design.elements import (
     view_params_from_doc,
     view_to_items,
 )
+from repro.fulltext.index import FullTextIndex
 from repro.sim.events import EventScheduler
 from repro.views.column import ViewColumn
 from repro.views.view import View
@@ -44,6 +52,10 @@ class Application:
         self.events = events
         self.designer = designer
         self.views: dict[str, View] = {}
+        # Views and the full-text index keep sidecars when the database
+        # has a storage engine to keep them in.
+        self._persist = db.engine is not None
+        self.fulltext = FullTextIndex(db, persist=self._persist)
         self.runner = AgentRunner(db)
         self.design_refreshes = 0
         # design-note unid -> oid applied, to skip no-op refreshes
@@ -56,6 +68,7 @@ class Application:
         self.runner.close()
         for view in self.views.values():
             view.close()
+        self.fulltext.close()
 
     # -- authoring ----------------------------------------------------------
 
@@ -167,7 +180,7 @@ class Application:
         old = self.views.pop(name, None)
         if old is not None:
             old.close()
-        self.views[name] = View(self.db, **params)
+        self.views[name] = View(self.db, persist=self._persist, **params)
         self._applied[doc.unid] = stamp
         return 1
 

@@ -106,8 +106,8 @@ class FullTextIndex(PersistedIndex):
         # last append; their membership keys become the stack's
         # tombstones at the next save.
         self._dead: set[str] = set()
-        # Per-term merge of overlay + stack-minus-dead, invalidated on
-        # writes that touch the term.
+        # Per-term merge of overlay + stack-minus-dead, built on a term's
+        # first query and kept current by every write after it.
         self._merged_cache: dict[str, dict[str, dict[str, list[int]]]] = {}
         self._doc_count = 0
         self._open_index(
@@ -182,8 +182,13 @@ class FullTextIndex(PersistedIndex):
         self._dead = set()
         return records, removed
 
+    def _unsaved(self) -> tuple[int, int]:
+        return len(self._doc_terms) + len(self._dead), self._doc_count
+
     def _adopt_stack(self) -> None:
-        self._doc_count = sum(1 for _ in self._stack_unids())
+        self._doc_count = sum(
+            1 for key in self._stack.live_keys() if key.startswith(_MEMBER)
+        )
 
     # -- segment stack access ----------------------------------------------
 
@@ -192,9 +197,12 @@ class FullTextIndex(PersistedIndex):
 
         Terms absent from every segment need no merging — the overlay
         dict is returned as-is (and never cached, so it is never mutated
-        by :meth:`_supersede`). Cached merges are always freshly-built
-        dicts this index owns. A stack entry counts only when its
-        segment is the document's home and the document is not dead.
+        by :meth:`_supersede`). Cached merges are dicts this index owns,
+        built once per term and then kept current by :meth:`_add`,
+        :meth:`_remove` and :meth:`_supersede`. A stack entry counts
+        only when its segment is the document's home and the document is
+        not dead; a record of the newest segment is copied whole, since
+        every document in it is home there.
         """
         if self._stack is None or term not in self._stack:
             live = self._postings.get(term)
@@ -204,13 +212,20 @@ class FullTextIndex(PersistedIndex):
             return merged
         merged = {}
         position_of = self._stack.position_of
+        top = len(self._stack) - 1
         for position, record in self._stack.records(term):
+            if position == top:
+                # Every document in the newest segment has its home there.
+                merged.update(record)
+                continue
             for unid, fields in record.items():
-                if unid in self._dead or unid in self._doc_terms:
-                    continue  # superseded since the last append
-                if position_of(_MEMBER + unid) != position:
-                    continue  # a newer segment rewrote this document
-                merged[unid] = fields
+                if position_of(_MEMBER + unid) == position:
+                    merged[unid] = fields
+        # Drop what changed since the last append: superseded stack
+        # copies and documents the overlay now holds.
+        for stale in (self._dead, self._doc_terms):
+            for unid in stale:
+                merged.pop(unid, None)
         live = self._postings.get(term)
         if live:
             merged.update(live)
@@ -291,8 +306,11 @@ class FullTextIndex(PersistedIndex):
                 slot.append(position)
                 terms.add(token)
         self._doc_terms[doc.unid] = terms
+        cache = self._merged_cache
         for term in terms:
-            self._merged_cache.pop(term, None)
+            merged = cache.get(term)
+            if merged is not None:
+                merged[doc.unid] = self._postings[term][doc.unid]
         self._doc_count += 1
 
     def _remove(self, unid: str) -> None:
@@ -308,7 +326,9 @@ class FullTextIndex(PersistedIndex):
                 postings.pop(unid, None)
                 if not postings:
                     del self._postings[term]
-            self._merged_cache.pop(term, None)
+            merged = self._merged_cache.get(term)
+            if merged is not None:
+                merged.pop(unid, None)
         if self._in_stack(unid):  # overlay shadowed an older stack entry
             self._supersede(unid)
         self._doc_count -= 1
@@ -491,9 +511,8 @@ class FullTextIndex(PersistedIndex):
             fields = postings.get(unid)
             if fields is None:
                 continue
-            tf = sum(
-                len(positions) * weights.get(field, 1.0)
-                for field, positions in fields.items()
-            )
+            tf = 0.0  # a loop, not sum() over a generator: same additions
+            for field, positions in fields.items():
+                tf += len(positions) * weights.get(field, 1.0)
             total += tf * idf
         return total

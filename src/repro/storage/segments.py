@@ -82,8 +82,11 @@ class _Segment:
         # None = committed earlier, fetch from the engine on first touch.
         self.blob = blob
         self.cache = cache if cache is not None else {}
-        # Blob length, computed from the directory without the blob.
-        self.size = sum(length for _, length in directory.values())
+        # Blob length, without the blob: offsets ascend in directory
+        # order (_write_segment lays the records out in that order), so
+        # the last entry ends the blob.
+        start, length = next(reversed(directory.values()), (0, 0))
+        self.size = start + length
 
 
 class SegmentStack:
@@ -373,8 +376,7 @@ class SegmentStack:
     def _rebuild_newest(self) -> None:
         self._newest = {}
         for position, segment in enumerate(self._segments):
-            for key in segment.directory:
-                self._newest[key] = position
+            self._newest.update(dict.fromkeys(segment.directory, position))
 
     def _refresh_stats(self) -> None:
         self.stats.segments = len(self._segments)

@@ -243,6 +243,9 @@ class View(PersistedIndex):
         self._dirty.clear()
         return {unid: self._record_for(unid) for unid in dirty}, removed
 
+    def _unsaved(self) -> tuple[int, int]:
+        return len(self._dirty), len(self._keys)
+
     def _adopt_stack(self) -> None:
         pairs = []
         for unid, record in self._stack.live_items():

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.design.application import Application
 from repro.errors import AccessDenied, DocumentNotFound
-from repro.fulltext.index import FullTextIndex
 from repro.security.acl import AclLevel
 from repro.web.render import (
     render_database,
@@ -45,15 +44,14 @@ class DominoWebServer:
     def __init__(self, default_user: str = "Anonymous") -> None:
         self.default_user = default_user
         self._apps: dict[str, Application] = {}
-        self._indexes: dict[str, FullTextIndex] = {}
         self.requests = 0
 
     # -- registration -----------------------------------------------------
 
     def register(self, path: str, app: Application) -> None:
-        """Mount an application at ``/path`` (e.g. ``"sales.nsf"``)."""
+        """Mount an application at ``/path`` (e.g. ``"sales.nsf"``);
+        ``?SearchView`` runs the application's full-text index."""
         self._apps[path.lower()] = app
-        self._indexes[path.lower()] = FullTextIndex(app.db)
 
     # -- request handling ---------------------------------------------------
 
@@ -112,9 +110,8 @@ class DominoWebServer:
             if not query:
                 raise WebError("SearchView needs a Query parameter")
             _, count = self._page(parsed, 25)
-            index = self._indexes[path.lower()]
-            hits = index.search(query, limit=count,
-                                as_user=user if db.acl else None)
+            hits = app.fulltext.search(query, limit=count,
+                                       as_user=user if db.acl else None)
             return WebResponse(
                 200,
                 render_search_results(db, path, parsed.view, query, hits),

@@ -156,6 +156,47 @@ class TestFullTextEquivalence:
         engine.close()
 
 
+class TestCrashAfterUnflushedCheckpoints:
+    """Checkpoints below the flush threshold save no sidecar; a crash
+    then loses nothing, since the journal holds the unsaved delta and
+    the reopen tops up from it."""
+
+    @pytest.mark.parametrize("seed", [7, 19])
+    def test_reopen_tops_up_to_a_fresh_rebuild(self, tmp_path, seed):
+        path = str(tmp_path / f"crash{seed}")
+        rng = random.Random(seed)
+        engine = StorageEngine(path)
+        db = NotesDatabase("crash.nsf", clock=VirtualClock(),
+                           rng=random.Random(seed * 7), engine=engine)
+        seed_docs(db, rng, 80)
+        view = make_view(db)
+        index = FullTextIndex(db, persist=True)
+        assert db.save_checkpoints() == 2  # no stacks yet: both save
+        appends = (view.catch_up.segment_stats["entries"].appends,
+                   index.catch_up.segment_stats["postings"].appends)
+        for _ in range(3):
+            random_ops(db, rng, 2)
+            assert db.save_checkpoints() == 0  # below the threshold
+            engine.checkpoint()
+        assert (view.catch_up.segment_stats["entries"].appends,
+                index.catch_up.segment_stats["postings"].appends) == appends
+        engine.simulate_crash()
+
+        engine = StorageEngine(path)
+        db = NotesDatabase("crash.nsf", clock=VirtualClock(),
+                           rng=random.Random(seed * 13), engine=engine)
+        warm_view = make_view(db)
+        warm_index = FullTextIndex(db, persist=True)
+        for warm in (warm_view, warm_index):
+            assert warm.loaded_from_disk
+            assert warm.rebuilds == 0
+            assert warm.catch_up.last_path == "topup"
+        assert view_state(warm_view) == view_state(make_view(db, persist=False))
+        assert (warm_index.postings_snapshot()
+                == FullTextIndex(db).postings_snapshot())
+        engine.close()
+
+
 @pytest.mark.parametrize("case", [
     "unchanged", "update", "soft_delete", "restore", "stub_purge",
     "foreign_journal", "ahead_of_journal", "purge_log_overflow",

@@ -7,7 +7,9 @@ walking the query tree (stemming each word and computing its idf per
 document), drop what ``as_user`` may not read, sort by
 ``(-score, unid)`` and slice. Hits and scores must be equal exactly, on
 an in-memory index and on a persisted one whose postings come from
-segments plus an edited overlay after a reopen.
+segments plus an edited overlay after a reopen; for a reloaded stack of
+one segment or several, the oracle runs over a fresh in-memory rebuild
+of the same notes.
 
 Each property runs twice: a reduced-example fast lane in the default
 job, and a ``slow``-marked lane with the full example budget
@@ -123,13 +125,15 @@ def _oracle(index, query, limit, as_user):
     return scored[:limit] if limit is not None else scored
 
 
-def _check_searches(index, searches):
+def _check_searches(index, searches, oracle_index=None):
+    """``index.search`` equals the oracle run over ``oracle_index``
+    (default: ``index`` itself)."""
     # Reader checks bite only at search time; the writes ran without an ACL.
     index.db.acl = AccessControlList(default_level=AclLevel.READER)
     for query, limit, as_user in searches:
         hits = index.search(query, limit=limit, as_user=as_user)
         assert [(hit.unid, hit.score) for hit in hits] == _oracle(
-            index, query, limit, as_user
+            oracle_index or index, query, limit, as_user
         ), query
 
 
@@ -180,6 +184,38 @@ def check_persisted(memos, edits, searches):
         db.engine.close()
 
 
+def check_reloaded(memos, saved_edits, live_edits, searches):
+    """A stack of one segment or several (one save per batch of
+    ``saved_edits``), reloaded, then edited and deleted from in the live
+    overlay: it ranks as the score-everything oracle does over a fresh
+    in-memory rebuild of the same notes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "db")
+        db = _new_db(engine=StorageEngine(path))
+        unids = [db.create(_items(memo)).unid for memo in memos]
+        index = FullTextIndex(db, persist=True)
+        index.save_checkpoint()
+        for batch in saved_edits:
+            _apply_edits(db, unids, batch)
+            index.save_checkpoint()
+        index.close()
+        db.engine.close()
+        db = _new_db(engine=StorageEngine(path))
+        index = FullTextIndex(db, persist=True)
+        assert index.loaded_from_disk and index.rebuilds == 0
+        # Search between two rounds of edits, so the second round edits
+        # terms whose merged postings the first round cached.
+        half = len(live_edits) // 2
+        for batch in (live_edits[:half], live_edits[half:]):
+            _apply_edits(db, unids, batch)
+            fresh = FullTextIndex(db)
+            assert index.postings_snapshot() == fresh.postings_snapshot()
+            _check_searches(index, searches, oracle_index=fresh)
+            fresh.close()
+            db.acl = None
+        db.engine.close()
+
+
 # -- fast lane (default job: reduced examples) --------------------------
 
 
@@ -195,6 +231,16 @@ def test_top_k_matches_score_all_oracle(memos, edits, searches):
        searches=st.lists(SEARCH, min_size=1, max_size=6))
 def test_top_k_matches_score_all_oracle_persisted(memos, edits, searches):
     check_persisted(memos, edits, searches)
+
+
+@settings(max_examples=30, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=12),
+       saved_edits=st.lists(EDITS, max_size=3), live_edits=EDITS,
+       searches=st.lists(SEARCH, min_size=1, max_size=6))
+def test_top_k_on_reloaded_stack_matches_fresh_rebuild(
+    memos, saved_edits, live_edits, searches
+):
+    check_reloaded(memos, saved_edits, live_edits, searches)
 
 
 # -- slow lane (full budget: pytest -m slow) ----------------------------
@@ -214,3 +260,14 @@ def test_top_k_matches_score_all_oracle_full(memos, edits, searches):
        searches=st.lists(SEARCH, min_size=1, max_size=10))
 def test_top_k_matches_score_all_oracle_persisted_full(memos, edits, searches):
     check_persisted(memos, edits, searches)
+
+
+@pytest.mark.slow
+@settings(max_examples=80, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=30),
+       saved_edits=st.lists(EDITS, max_size=4), live_edits=EDITS,
+       searches=st.lists(SEARCH, min_size=1, max_size=10))
+def test_top_k_on_reloaded_stack_matches_fresh_rebuild_full(
+    memos, saved_edits, live_edits, searches
+):
+    check_reloaded(memos, saved_edits, live_edits, searches)

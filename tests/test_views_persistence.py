@@ -118,6 +118,102 @@ class TestPersistedIndexLifecycle:
         engine2.close()
 
 
+    def test_one_live_owner_per_sidecar_key(self, store, consumer):
+        """A second live persisted index under one sidecar key would
+        overwrite the first's segments: it is refused until the first
+        closes, which gives the key up."""
+        make, _, _, count, error = consumer
+        engine, db = store()
+        db.create({"Form": "Memo", "Amount": 3, "Subject": "a"})
+        first = make(db)
+        with pytest.raises(error, match="already has a live persisted index"):
+            make(db)
+        make(db, persist=False).close()  # in-memory twins need no key
+        first.close()
+        second = make(db)
+        assert second.loaded_from_disk
+        assert second.rebuilds == 0
+        assert count(second) == 1
+        engine.close()
+
+
+def _sidecar_records(engine):
+    return {
+        key: engine.get(key) for key in engine.keys()
+        if key.startswith((b"viewidx:", b"ftidx:"))
+    }
+
+
+def _memo(index):
+    return {"Form": "Memo", "Amount": index, "Subject": f"memo {index}"}
+
+
+class TestFlushRule:
+    """``save_checkpoints`` saves an index only once its unsaved delta
+    reaches 1/FLUSH_DIVISOR of what it holds; ``close`` always saves."""
+
+    N = 32  # then 3 creates stay below the rule (3 * 8 < 35), 5 reach it
+
+    def open_saved(self, store, consumer):
+        make, stats_name, _, _, _ = consumer
+        engine, db = store()
+        for index in range(self.N):
+            db.create(_memo(index))
+        index = make(db)
+        # No stack yet: the first checkpoint writes the whole index.
+        assert db.save_checkpoints() == 1
+        return engine, db, index, index.catch_up.segment_stats[stats_name]
+
+    def test_first_checkpoint_always_saves(self, store, consumer):
+        engine, _, _, stats = self.open_saved(store, consumer)
+        assert stats.appends == 1
+        engine.close()
+
+    def test_below_threshold_checkpoint_writes_nothing(self, store, consumer):
+        engine, db, _, stats = self.open_saved(store, consumer)
+        for index in range(self.N, self.N + 3):
+            db.create(_memo(index))
+        before = _sidecar_records(engine)
+        assert db.save_checkpoints() == 0
+        assert _sidecar_records(engine) == before
+        assert stats.appends == 1
+        engine.close()
+
+    def test_threshold_delta_appends_one_segment(self, store, consumer):
+        engine, db, _, stats = self.open_saved(store, consumer)
+        for index in range(self.N, self.N + 5):  # 5 * 8 >= 37
+            db.create(_memo(index))
+        assert db.save_checkpoints() == 1
+        assert stats.appends == 2
+        assert stats.records_appended > self.N
+        assert db.save_checkpoints() == 0  # the delta is saved now
+        engine.close()
+
+    def test_close_always_saves(self, store, consumer):
+        make, _, _, count, _ = consumer
+        engine, db, index, stats = self.open_saved(store, consumer)
+        db.create(_memo(self.N))
+        assert db.save_checkpoints() == 0
+        index.close()
+        assert stats.appends == 2
+        engine.close()
+
+        engine2, db2 = store(seed=2)
+        warm = make(db2)
+        assert warm.loaded_from_disk
+        assert warm.catch_up.last_path == "noop"  # nothing left to top up
+        assert count(warm) == self.N + 1
+        engine2.close()
+
+    def test_explicit_save_ignores_the_rule(self, store, consumer):
+        _, _, save, _, _ = consumer
+        engine, db, index, stats = self.open_saved(store, consumer)
+        db.create(_memo(self.N))
+        getattr(index, save)()
+        assert stats.appends == 2
+        engine.close()
+
+
 class TestPersistedViews:
     def test_cold_then_warm_open(self, store):
         engine, db = store()
