@@ -48,7 +48,8 @@ def run_cell(shape: str, n_servers: int):
         rounds += 1
         if rounds > 64:
             raise AssertionError(f"{shape} did not converge")
-    return rounds, len(topology.connections), deployment.network.stats.bytes_sent
+    return (rounds, len(topology.connections),
+            deployment.network.stats.bytes_sent, scheduler.total.echoes_skipped)
 
 
 def test_e04_table(benchmark):
@@ -58,16 +59,20 @@ def test_e04_table(benchmark):
         rows.clear()
         for shape in ("mesh", "hub", "ring", "chain"):
             for n_servers in (4, 8):
-                rounds, connections, traffic = run_cell(shape, n_servers)
-                rows.append([shape, n_servers, connections, rounds, traffic])
+                rounds, connections, traffic, echoes = run_cell(shape, n_servers)
+                rows.append([shape, n_servers, connections, rounds, traffic,
+                             echoes])
         return rows
 
     benchmark.pedantic(sweep, rounds=1, iterations=1)
     print_table(
         "E4  topology vs rounds-to-convergence (30 docs seeded on last server)",
-        ["topology", "servers", "connections", "rounds", "bytes"],
+        ["topology", "servers", "connections", "rounds", "bytes",
+         "echoes skipped"],
         rows,
-        note="mesh: most connections, fewest rounds; chain: the reverse",
+        note="mesh: most connections, fewest rounds; chain: the reverse; "
+             "echoes skipped: journal entries a pull left out because the "
+             "puller itself had sent them",
     )
 
     def cell(shape, n):

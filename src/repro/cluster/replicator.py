@@ -55,6 +55,8 @@ class ClusterReplicationStats:
     queued: int = 0
     drained: int = 0
     replayed: int = 0
+    # Journal entries a drain left out as echoes of the target's own notes.
+    echoes_skipped: int = 0
     conflicts: int = 0
     bytes_pushed: int = 0
     catch_up_seconds: float = 0.0
@@ -235,7 +237,10 @@ class ClusterReplicator:
         binary search plus a walk over the notes actually changed during
         the outage — followed by the (rare) un-journaled pending events.
         The *current* revision is pushed, so repeated edits to one note
-        during the outage cost a single transfer.
+        during the outage cost a single transfer, and a note the source
+        got from the target itself (say, in the drain of the opposite
+        link just before) is not pushed back: the same echo rule a
+        scheduled pull applies.
 
         Drains are *resumable*: the link's seq cursor advances after
         every pushed entry, so a drain killed mid-flight by a link fault
@@ -255,7 +260,9 @@ class ClusterReplicator:
                 continue
             try:
                 self.network.begin_attempt(*link)
-                for seq, note in source.journal_entries_since(cursor):
+                entries = source.journal_entries_since(cursor, echoes_of=target)
+                self.stats.echoes_skipped += source.last_echoes_skipped
+                for seq, note in entries:
                     self._push_one(source, target, note)
                     self._stalled[link] = seq  # the drain's resume point
                     drained += 1

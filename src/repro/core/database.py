@@ -47,7 +47,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, KeysView
 
 from repro.errors import AccessDenied, DatabaseError, DocumentError, DocumentNotFound
 from repro.core.document import Document
@@ -151,9 +151,11 @@ _STUB_PREFIX = b"stub:"
 _TRASH_PREFIX = b"trash:"
 _META_KEY = b"meta:journal"
 
-# Journal entries are (seq, unid, is_stub) tuples, appended in seq order,
-# so a seq cutoff is a binary search for the suffix start.
-_JournalEntry = tuple[int, str, bool]
+# Journal entries are (seq, unid, is_stub, origin) tuples, appended in seq
+# order, so a seq cutoff is a binary search for the suffix start. ``origin``
+# is the :attr:`NotesDatabase.origin_tag` of the replica the revision was
+# installed from (None for a local write); it lives in memory only.
+_JournalEntry = tuple[int, str, bool, "tuple[str, int] | None"]
 
 # Compact the journal when more than half of it (and at least this many
 # entries) is superseded; rewrites are amortized O(1) per write.
@@ -254,8 +256,10 @@ class NotesDatabase:
         self._note_seq: dict[str, int] = {}  # unid -> its live journal seq
         self._journal_stale = 0
         # Journal entries the last suffix read had to look at (including
-        # superseded ones) — the replicator reports it.
+        # superseded ones), and the echoes it left out — the replicator
+        # reports both.
         self.last_scan_cost = 0
+        self.last_echoes_skipped = 0
         # -- maintained secondary indexes --
         self._children_index: dict[str, set[str]] = {}
         self._profiles: dict[tuple[Any, Any], str] = {}
@@ -344,12 +348,28 @@ class NotesDatabase:
         """The highest local update sequence number assigned so far."""
         return self._update_seq
 
-    def _journal_record(self, unid: str, is_stub: bool) -> None:
+    @property
+    def origin_tag(self) -> tuple[str, int]:
+        """What a revision installed from this replica is journaled with:
+        its journal identity and its purge count.
+
+        While both are unchanged this replica has held every UNID it ever
+        sent, as a document (trashed or not) or a stub, at or past the
+        revision it sent: a note only leaves without a successor through a
+        purge or a trim, and both advance the purge count. Past a purge
+        the UNID may even be held again as an older revision, so the tags
+        cut before it stop matching (see :meth:`journal_entries_since`).
+        """
+        return (self.journal_id, self._purge_seq)
+
+    def _journal_record(
+        self, unid: str, is_stub: bool, origin: tuple[str, int] | None = None
+    ) -> None:
         """Assign the next seq to ``unid`` and append its journal entry."""
         if unid in self._note_seq:
             self._journal_stale += 1
         self._update_seq += 1
-        entry = (self._update_seq, unid, is_stub)
+        entry = (self._update_seq, unid, is_stub, origin)
         self._journal.append(entry)
         self._note_seq[unid] = self._update_seq
         if (
@@ -706,6 +726,10 @@ class NotesDatabase:
             return None
         return self._docs.get(unid)
 
+    def held(self, unid: str) -> Document | None:
+        """The document held under ``unid``, in the trash or not, or None."""
+        return self._docs.get(unid)
+
     def __contains__(self, unid: str) -> bool:
         return unid in self._docs and unid not in self._trash
 
@@ -768,6 +792,15 @@ class NotesDatabase:
     def stubs(self) -> dict[str, DeletionStub]:
         """Live deletion stubs by UNID (read-only view)."""
         return dict(self._stubs)
+
+    @property
+    def stub_unids(self) -> KeysView[str]:
+        """UNIDs holding a deletion stub (a live view, not a copy)."""
+        return self._stubs.keys()
+
+    def stub(self, unid: str) -> DeletionStub | None:
+        """The deletion stub held under ``unid``, or None."""
+        return self._stubs.get(unid)
 
     def purge_stubs(self, older_than: float) -> int:
         """Drop stubs deleted before virtual time ``older_than``.
@@ -923,7 +956,7 @@ class NotesDatabase:
         return docs, stubs
 
     def journal_entries_since(
-        self, after_seq: int
+        self, after_seq: int, echoes_of: "NotesDatabase | None" = None
     ) -> list[tuple[int, "Document | DeletionStub"]]:
         """The live journal suffix above ``after_seq`` in seq order.
 
@@ -932,24 +965,49 @@ class NotesDatabase:
         a consumer *checkpoint mid-stream*: a replication exchange that
         applies entries in this order may record any prefix's last seq as
         its cursor and resume from there after an interruption.
+
+        With ``echoes_of`` (the replica the suffix is read for) the
+        *echoes* are left out: entries whose revision was installed here
+        from ``echoes_of`` and are tagged with its current
+        :attr:`origin_tag`. That replica still holds the UNID at or past
+        the revision, so examining it there would change nothing. An
+        entry tagged before its latest purge is kept (a purged note must
+        still come back: the resurrection anomaly E2 measures), and so is
+        one tagged by another journal (a replica re-created on the same
+        server). ``last_echoes_skipped`` counts what was left out.
         """
         start = bisect_right(self._journal, after_seq, key=lambda entry: entry[0])
         suffix = self._journal[start:]
         self.last_scan_cost = len(suffix)
+        note_seq, docs, stubs = self._note_seq, self._docs, self._stubs
+        echo = echoes_of.origin_tag if echoes_of is not None else None
+        skipped = 0
         entries: list[tuple[int, Document | DeletionStub]] = []
-        for seq, unid, is_stub in suffix:
-            if self._note_seq.get(unid) != seq:
+        for seq, unid, is_stub, origin in suffix:
+            if note_seq.get(unid) != seq:
                 continue  # superseded by a later write to the same note
-            note = self._stubs.get(unid) if is_stub else self._docs.get(unid)
+            if origin is not None and origin == echo:
+                skipped += 1
+                continue
+            note = stubs.get(unid) if is_stub else docs.get(unid)
             if note is not None:
                 entries.append((seq, note))
+        self.last_echoes_skipped = skipped
         return entries
 
-    def raw_put(self, doc: Document, kind: ChangeKind = ChangeKind.REPLACE) -> None:
+    def raw_put(
+        self,
+        doc: Document,
+        kind: ChangeKind = ChangeKind.REPLACE,
+        origin: tuple[str, int] | None = None,
+    ) -> None:
         """Install ``doc`` exactly as given (no revision bump).
 
         The replicator's write path: the incoming document keeps its own
-        envelope. Any deletion stub for the UNID is superseded.
+        envelope. Any deletion stub for the UNID is superseded. ``origin``
+        is the source replica's :attr:`origin_tag` when ``doc`` is its
+        revision as shipped (None for a revision made here, such as a
+        conflict resolution's).
         """
         old = self._docs.get(doc.unid)
         # Note ids are db-local (only the UNID travels): keep the existing
@@ -968,14 +1026,17 @@ class NotesDatabase:
         self._index_parent(doc)
         self._index_profile(doc)
         self._fp_acc ^= self._doc_contrib(doc)
-        self._journal_record(doc.unid, False)
+        self._journal_record(doc.unid, False, origin)
         self._persist_note(_DOC_PREFIX, doc, drop=[_STUB_PREFIX + doc.unid.encode()])
         self._notify(kind, doc, old)
 
-    def raw_delete(self, stub: DeletionStub) -> None:
+    def raw_delete(
+        self, stub: DeletionStub, origin: tuple[str, int] | None = None
+    ) -> None:
         """Install a remote deletion: drop the doc, keep the stub.
 
-        One engine transaction removes the doc and writes the stub.
+        One engine transaction removes the doc and writes the stub;
+        ``origin`` is as for :meth:`raw_put`.
         """
         old = self._docs.get(stub.unid)
         drop: list[bytes] = []
@@ -983,9 +1044,11 @@ class NotesDatabase:
             self._remove_doc_internal(stub.unid)
             drop = self._removal_keys(stub.unid)
         existing = self._stubs.get(stub.unid)
-        if existing is None or tuple(stub.seq_time) > tuple(existing.seq_time):
+        if existing is None or (stub.seq, stub.seq_time) > (
+            existing.seq, existing.seq_time
+        ):
             self._stubs[stub.unid] = stub
-            self._journal_record(stub.unid, True)
+            self._journal_record(stub.unid, True, origin)
             self._persist_note(_STUB_PREFIX, stub, drop=drop)
         else:
             self._commit({}, drop=drop)
@@ -1076,14 +1139,14 @@ class NotesDatabase:
                 by_note_id[note_id] = unid
                 note_id += 1
                 docs[unid] = doc
-                entries.append((seq, unid, False))
+                entries.append((seq, unid, False, None))
                 self._index_parent(doc)
                 self._index_profile(doc)
                 acc ^= _revision_contrib(unid, doc.seq, doc.seq_time)
             for key in self.engine.keys(prefix=_STUB_PREFIX):
                 seq, stub = self._read_note_record(key, DeletionStub)
                 self._stubs[stub.unid] = stub
-                entries.append((seq, stub.unid, True))
+                entries.append((seq, stub.unid, True, None))
         self._next_note_id = note_id
         for key in self.engine.keys(prefix=_TRASH_PREFIX):
             unid = key[len(_TRASH_PREFIX):].decode()
@@ -1092,10 +1155,11 @@ class NotesDatabase:
                 acc ^= self._trash_contrib(unid)
         self._fp_acc = acc
         # Seqs keep their meaning across restarts, so partners' receive
-        # cursors and consumers' checkpoints stay valid.
+        # cursors and consumers' checkpoints stay valid. Origin tags do
+        # not survive: reopened entries are examined like local writes.
         entries.sort()
         self._journal = entries
-        self._note_seq = {unid: seq for seq, unid, _ in entries}
+        self._note_seq = {unid: seq for seq, unid, _, _ in entries}
         self._update_seq = entries[-1][0] if entries else 0
         raw_meta = self.engine.get(_META_KEY)
         if raw_meta is not None:

@@ -206,8 +206,14 @@ class Document:
             self.updated_by.append(plain(author))
 
     def has_ancestor_stamp(self, stamp: tuple[float, int]) -> bool:
-        """Whether ``stamp`` appears in this document's revision history."""
-        return tuple(stamp) in (tuple(s) for s in self.revisions)
+        """Whether ``stamp`` appears in this document's revision history.
+
+        Every writer of ``revisions`` (construction, :meth:`bump_revision`,
+        :meth:`copy`, :meth:`from_record` over marshal's tuples, the
+        replicator) stores tuples, so this is a plain membership test:
+        pass ``stamp`` as a tuple too.
+        """
+        return stamp in self.revisions
 
     # -- size & serialization ---------------------------------------------
 

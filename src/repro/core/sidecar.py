@@ -119,10 +119,16 @@ class PersistedIndex:
             self.rebuild()
 
     def close(self) -> None:
-        """Detach from database events; save the sidecar when persistent
-        and give up its key."""
+        """Save the sidecar when persistent, then :meth:`detach`."""
         if self.persist:
             self._save()
+        self.detach()
+
+    def detach(self) -> None:
+        """Detach from database events and give up the sidecar key,
+        saving nothing: for an index about to be replaced (a changed view
+        design), whose successor rewrites the sidecar anyway."""
+        if self.persist:
             self.db.unregister_checkpointer(self._meta_key)
         if self.mode == "auto":
             self.db.unsubscribe(self._on_change)

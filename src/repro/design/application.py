@@ -179,7 +179,7 @@ class Application:
         name = params["name"]
         old = self.views.pop(name, None)
         if old is not None:
-            old.close()
+            old.detach()  # the new design's view rewrites the sidecar
         self.views[name] = View(self.db, persist=self._persist, **params)
         self._applied[doc.unid] = stamp
         return 1

@@ -179,7 +179,11 @@ def resolve(
     conflict = make_conflict_document(winner, loser)
     if incoming_wins:
         db.raw_put(incoming.copy(), ChangeKind.REPLACE)
-    db.raw_put(conflict, ChangeKind.REPLACE)
+    # The conflict note's UNID is derived from the losing revision, so a
+    # note or stub already held under it is this conflict, resolved here
+    # before and perhaps edited or deleted since: that later state stands.
+    if db.held(conflict.unid) is None and db.stub(conflict.unid) is None:
+        db.raw_put(conflict, ChangeKind.REPLACE)
     return ConflictOutcome(
         winner_unid=winner.unid, conflict_doc_unid=conflict.unid
     )

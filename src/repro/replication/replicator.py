@@ -6,6 +6,9 @@ One *pass* pulls changes from a source replica into a target replica:
    seq as of the last pass, valid only under the source journal it was
    cut from. The candidates are the source's journal suffix past it — a
    link with no cursor, or one cut from another journal, starts at seq 0.
+   *Echoes* are left out: entries the source installed from the target
+   itself while the target has purged nothing since
+   (:meth:`~repro.core.database.NotesDatabase.journal_entries_since`).
 2. :meth:`Replicator.apply` decides what each candidate does to the
    target. A document is compared by originator id and ``$Revisions``
    ancestry against the target's copy: plain updates install, known
@@ -44,6 +47,9 @@ class ReplicationStats:
     # Journal entries the source had to look at to find the candidates:
     # O(changes), never O(database) (``full_copy`` counts every note).
     docs_scanned: int = 0
+    # Scanned entries left out because their revision came from the
+    # puller itself (see ``journal_entries_since``): never examined.
+    echoes_skipped: int = 0
     docs_transferred: int = 0
     docs_skipped: int = 0
     stubs_transferred: int = 0
@@ -69,6 +75,7 @@ class ReplicationStats:
     def merge_from(self, other: "ReplicationStats") -> None:
         self.docs_examined += other.docs_examined
         self.docs_scanned += other.docs_scanned
+        self.echoes_skipped += other.echoes_skipped
         self.docs_transferred += other.docs_transferred
         self.docs_skipped += other.docs_skipped
         self.stubs_transferred += other.stubs_transferred
@@ -179,9 +186,10 @@ class Replicator:
         # source mid-pass, and those writes must be re-examined next time.
         source_seq = source.update_seq
         entries = source.journal_entries_since(
-            self._receive_cursor(target, source) or 0
+            self._receive_cursor(target, source) or 0, echoes_of=target
         )
         stats.docs_scanned += source.last_scan_cost
+        stats.echoes_skipped += source.last_echoes_skipped
         staged: list | None = [] if not self.resumable else None
         in_batch = 0
         for seq, note in entries:
@@ -278,7 +286,7 @@ class Replicator:
             stats.docs_examined += 1
             stats.docs_scanned += 1
             self._transfer(source, target, doc.size(), stats)
-            self._install(target, doc, stats)
+            self._install(source, target, doc, stats)
         for stub in source.stubs.values():
             self._consider_stub(target, source, stub, stats)
         target.replication_seq[(source.server, "receive")] = source_seq
@@ -335,15 +343,17 @@ class Replicator:
                 return
             doc = selective.prepare(doc)
         # A deletion stub on the target beats an older incoming revision.
-        stub = target.stubs.get(doc.unid)
+        stub = target.stub(doc.unid)
         if stub is not None:
             if self._stub_beats_doc(stub, doc):
                 stats.docs_skipped += 1
                 return
-        local = target.try_get(doc.unid)
+        # A trashed copy is compared like a live one: the trash hides a
+        # note from views, not from its own revision history.
+        local = target.held(doc.unid)
         if local is None:
             self._transfer(source, target, doc.size(), stats)
-            self._install(target, doc, stats, sink)
+            self._install(source, target, doc, stats, sink)
             return
         relation = self._relation(local, doc)
         if relation == "same" or relation == "local_newer":
@@ -356,7 +366,7 @@ class Replicator:
                 )
             else:
                 self._transfer(source, target, doc.size(), stats)
-                self._install(target, doc, stats, sink)
+                self._install(source, target, doc, stats, sink)
             return
         self._transfer(source, target, doc.size(), stats)
         incoming = doc.copy()
@@ -389,15 +399,17 @@ class Replicator:
 
     def _install(
         self,
+        source: NotesDatabase,
         target: NotesDatabase,
         doc: Document,
         stats: ReplicationStats,
         sink: list | None = None,
     ) -> None:
         copy = doc.copy()
+        origin = source.origin_tag
 
         def apply(stats_: ReplicationStats) -> None:
-            target.raw_put(copy, ChangeKind.REPLACE)
+            target.raw_put(copy, ChangeKind.REPLACE, origin)
             stats_.docs_transferred += 1
 
         if sink is None:
@@ -424,11 +436,11 @@ class Replicator:
         local copy plus the delta — proving the delta suffices — and must
         equal the source revision item-for-item.
         """
-        base_stamp = tuple(local.seq_time)
+        base_stamp = local.seq_time
         changed = {
             name
             for name, stamp in incoming.item_times.items()
-            if tuple(stamp) > base_stamp
+            if stamp > base_stamp
         }
         # Items present on either side without a change stamp (constructed
         # outside the normal update path) are shipped defensively.
@@ -439,13 +451,15 @@ class Replicator:
                 changed.add(item.name)
         delta_bytes = self._ENVELOPE_WIRE_SIZE
         rebuilt = local.copy()
+        shipped = []
+        item_times = incoming.item_times
         for name in changed:
             item = incoming.item(name)
             if item is None:
                 if name in rebuilt:
                     rebuilt.remove_item(name)
             else:
-                rebuilt.set(name, item)
+                shipped.append(item)  # items are immutable: shared as is
                 value = item.value
                 if isinstance(value, str):
                     delta_bytes += len(name) + len(value) + 8
@@ -460,19 +474,21 @@ class Replicator:
                     )
                 else:
                     delta_bytes += len(name) + 16
-            if name in incoming.item_times:
-                rebuilt.item_times[name] = tuple(incoming.item_times[name])
+            if name in item_times:
+                rebuilt.item_times[name] = item_times[name]
+        rebuilt.put_items(shipped)
         rebuilt.seq = incoming.seq
-        rebuilt.seq_time = tuple(incoming.seq_time)
+        rebuilt.seq_time = incoming.seq_time
         rebuilt.modified = incoming.modified
         rebuilt.created = incoming.created
         rebuilt.parent_unid = incoming.parent_unid
-        rebuilt.revisions = [tuple(s) for s in incoming.revisions]
+        rebuilt.revisions = list(incoming.revisions)
         rebuilt.updated_by = list(incoming.updated_by)
         self._transfer(source, target, delta_bytes, stats)
+        origin = source.origin_tag
 
         def apply(stats_: ReplicationStats) -> None:
-            target.raw_put(rebuilt, ChangeKind.REPLACE)
+            target.raw_put(rebuilt, ChangeKind.REPLACE, origin)
             stats_.docs_transferred += 1
 
         if sink is None:
@@ -490,16 +506,17 @@ class Replicator:
         stats: ReplicationStats,
         sink: list | None = None,
     ) -> None:
-        local = target.try_get(stub.unid)
+        local = target.held(stub.unid)
         if local is not None and not self._stub_beats_doc(stub, local):
             return  # the document was revised past the deletion; it survives
-        existing = target.stubs.get(stub.unid)
-        if existing is not None and tuple(existing.seq_time) >= tuple(stub.seq_time):
-            return
+        existing = target.stub(stub.unid)
+        if existing is not None and not self._stub_beats_doc(stub, existing):
+            return  # stubs are ordered like revisions: (seq, seq_time)
         self._transfer(source, target, _STUB_WIRE_SIZE, stats)
+        origin = source.origin_tag
 
         def apply(stats_: ReplicationStats) -> None:
-            target.raw_delete(stub)
+            target.raw_delete(stub, origin)
             stats_.stubs_transferred += 1
 
         if sink is None:
@@ -508,9 +525,12 @@ class Replicator:
             sink.append(apply)
 
     @staticmethod
-    def _stub_beats_doc(stub: DeletionStub, doc: Document) -> bool:
-        """Deletion-wins rule: the stub supersedes revisions it has seen."""
-        return (stub.seq, tuple(stub.seq_time)) > (doc.seq, tuple(doc.seq_time))
+    def _stub_beats_doc(
+        stub: DeletionStub, doc: Document | DeletionStub
+    ) -> bool:
+        """Deletion-wins rule: the stub supersedes revisions it has seen
+        (and older stubs)."""
+        return (stub.seq, stub.seq_time) > (doc.seq, doc.seq_time)
 
     # -- transfer accounting -------------------------------------------------
 

@@ -32,35 +32,36 @@ from repro.sim.events import EventScheduler
 def converged(databases: Iterable[NotesDatabase]) -> bool:
     """Whether every replica holds the identical document/stub state.
 
-    Fast path: the rolling ``state_fingerprint`` (O(1) to read) plus the
-    stub key set. Equal fingerprints mean identical live-document
-    revisions, so matching fingerprints and stubs decide convergence
-    without building snapshots. Unequal fingerprints fall back to the
-    full O(total docs) comparison, because the fingerprint also covers
-    the *trash* — which is local-only and may legitimately differ
-    between otherwise-converged replicas.
+    Decided in O(replicas) unless some replica has trash. The rolling
+    ``state_fingerprint`` (O(1) to read) hashes exactly each document's
+    ``(unid, seq, seq_time)`` plus a marker per trashed note, so equal
+    fingerprints and equal stub key sets mean converged, and — when no
+    replica has trash — unequal fingerprints mean not converged. Only
+    when fingerprints differ and some replica has trash does it fall
+    back to comparing every live document's revision (O(total docs)):
+    the trash is local-only and may legitimately differ between
+    otherwise-converged replicas.
     """
-    snapshots = list(databases)
-    if len(snapshots) < 2:
+    replicas = list(databases)
+    if len(replicas) < 2:
         return True
-    first = snapshots[0]
+    first = replicas[0]
     fingerprint = first.state_fingerprint()
-    stubs = set(first.stubs)
-    if all(
-        db.state_fingerprint() == fingerprint and set(db.stubs) == stubs
-        for db in snapshots[1:]
-    ):
+    stubs = first.stub_unids
+    if any(db.stub_unids != stubs for db in replicas[1:]):
+        return False
+    if all(db.state_fingerprint() == fingerprint for db in replicas[1:]):
         return True
+    if not any(db.trash for db in replicas):
+        return False
     first_docs = {
-        doc.unid: (doc.seq, tuple(doc.seq_time)) for doc in first.all_documents()
+        doc.unid: (doc.seq, doc.seq_time) for doc in first.all_documents()
     }
-    for db in snapshots[1:]:
-        docs = {
-            doc.unid: (doc.seq, tuple(doc.seq_time)) for doc in db.all_documents()
-        }
-        if docs != first_docs or set(db.stubs) != stubs:
-            return False
-    return True
+    return all(
+        {doc.unid: (doc.seq, doc.seq_time) for doc in db.all_documents()}
+        == first_docs
+        for db in replicas[1:]
+    )
 
 
 class ReplicationScheduler:

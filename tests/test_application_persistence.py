@@ -180,6 +180,27 @@ class TestDesignChange:
         app.close()
         db.close()
 
+    def test_replaced_view_is_not_saved_on_its_way_out(self, nsf, monkeypatch):
+        db = nsf(seed=2)
+        app = Application(db)
+        for unid in db.unids()[:20]:  # unsaved upkeep in the old view
+            db.clock.advance(0.1)
+            db.update(unid, {"Subject": "edited order"})
+        put, puts = db.engine.put, []
+
+        def recording_put(txn, key, value):
+            puts.append(key)
+            put(txn, key, value)
+
+        monkeypatch.setattr(db.engine, "put", recording_put)
+        segment = (b"viewidx:BySubject:dir:", b"viewidx:BySubject:blob:")
+        app.save_view("BySubject", 'SELECT Customer = "cust1"', _columns(False))
+        assert not [key for key in puts if key.startswith(segment)]
+        assert db.save_checkpoints() >= 1  # the new view's first save
+        assert [key for key in puts if key.startswith(segment)]
+        app.close()
+        db.close()
+
 
 class TestObservers:
     def test_register_builds_no_index_and_close_detaches_all(self, db):

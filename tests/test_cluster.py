@@ -390,6 +390,25 @@ class TestFailover:
         assert doc.unid not in c
         assert converged([a, b, c])
 
+    def test_healed_link_does_not_push_back_what_its_target_pushed(
+        self, world
+    ):
+        """Both directions of a cut link stall; the first drain installs
+        c1's note on c2, and the second drain skips it as an echo instead
+        of pushing it back to c1."""
+        clock, network, cluster, (a, b, c) = world
+        network.partition("c1", "c2")
+        clock.advance(1)
+        from_a = a.create({"S": "written on c1 during the cut"})
+        clock.advance(1)
+        from_b = b.create({"S": "written on c2 during the cut"})
+        network.partition("c1", "c2", partitioned=False)
+        replicator = next(iter(cluster.replicators.values()))
+        assert replicator.catch_up() == 2  # one push per note, none back
+        assert replicator.stats.echoes_skipped == 1
+        assert from_a.unid in b and from_b.unid in a
+        assert converged([a, b, c])
+
     def test_edit_superseded_while_down_applies_latest(self, world):
         clock, _, cluster, (a, b, c) = world
         doc = a.create({"S": "v1"})

@@ -8,6 +8,7 @@ losing revision survives as a conflict note).
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -207,3 +208,140 @@ def test_random_workload_with_deletes_converges(seed):
     scheduler = ReplicationScheduler(deployment.network, topology)
     scheduler.rounds_to_convergence(databases, max_rounds=16)
     assert converged(databases)
+
+
+# -- echo skipping changes nothing -------------------------------------------
+#
+# A pull leaves out the journal entries its source installed from the
+# puller itself (``NotesDatabase.journal_entries_since(echoes_of=...)``).
+# That is only an optimisation: played with every origin tag cleared
+# before each pull — so every echo is examined, as it was before the tag
+# existed — the same schedule must end in the same notes on every replica.
+# The policies compared are the ones whose outcome is a function of the
+# revisions alone. MERGE is not: replicas that merge different pairs of
+# revisions can end up holding different items under one revision stamp
+# whether echoes are examined or not, so it has no single outcome to match.
+
+
+def _clear_origins(db):
+    """Test-only: forget the origin tag of every journal entry of ``db``."""
+    db._journal = [
+        (seq, unid, is_stub, None) for seq, unid, is_stub, _ in db._journal
+    ]
+
+
+class _EchoExaminingReplicator(Replicator):
+    """Examines every echo: clears the source's origin tags before each pull."""
+
+    def pull(self, target, source, *args, **kwargs):
+        _clear_origins(source)
+        return super().pull(target, source, *args, **kwargs)
+
+
+def _replica_state(db):
+    docs = {
+        doc.unid: (
+            doc.seq,
+            doc.seq_time,
+            db.in_trash(doc.unid),
+            sorted((item.name, item.type.value, repr(item.value))
+                   for item in doc),
+        )
+        for doc in map(db.held, db.unids() + db.trash)
+    }
+    stubs = {unid: (stub.seq, stub.seq_time)
+             for unid, stub in db.stubs.items()}
+    conflicts = sorted(doc.unid for doc in db.all_documents()
+                       if doc.is_conflict)
+    return docs, stubs, conflicts
+
+
+def _play_schedule(seed, shape, policy, examine_echoes):
+    """Play one seeded schedule of edits, conflicts, deletes, trash moves
+    and early stub purges over four replicas; returns every replica's
+    state and the echoes the pulls skipped.
+
+    The schedule is fixed by the seed alone: every draw is made whatever
+    the replicas hold, and edits pick from the notes the schedule itself
+    created. Skipping an echo may change *where* a conflict note is first
+    made (the replica that sent the losing revision no longer makes it;
+    its partner does, on receiving the winner), so a schedule that read
+    the replicas to choose its next step would diverge on that timing.
+    """
+    deployment = build_deployment(4, seed=seed)
+    databases, clock = deployment.databases, deployment.clock
+    names = [db.server for db in databases]
+    if shape == "hub":
+        topology = ReplicationTopology.hub_spoke(names[0], names[1:])
+    else:
+        topology = ReplicationTopology.mesh(names)
+    kind = _EchoExaminingReplicator if examine_echoes else Replicator
+    replicator = kind(network=deployment.network, conflict_policy=policy,
+                      field_level=True)
+    scheduler = ReplicationScheduler(deployment.network, topology, replicator)
+    rng = random.Random(seed)
+    pool = []
+    for index in range(5):
+        clock.advance(1)
+        pool.append(databases[index % 4].create(
+            {"A": "a0", "B": "b0", "C": "c0"}).unid)
+    for _ in range(24):
+        clock.advance(1)
+        db, unid, roll = rng.choice(databases), rng.choice(pool), rng.random()
+        value, field, sync = rng.random(), rng.choice("BC"), rng.random()
+        if roll < 0.1:
+            pool.append(db.create({"A": f"new{value}", "B": "b0",
+                                   "C": "c0"}).unid)
+        elif roll < 0.85:
+            if unid not in db:
+                pass  # not a live note here: the step does nothing
+            elif roll < 0.4:
+                # The same field edited on several replicas between
+                # rounds: same-field conflicts.
+                db.update(unid, {"A": f"a{value}"})
+            elif roll < 0.65:
+                # Disjoint fields (a field-level conflict).
+                db.update(unid, {field: f"x{value}"})
+            elif roll < 0.75:
+                db.delete(unid)
+            else:
+                db.soft_delete(unid)
+        elif roll < 0.9:
+            if db.in_trash(unid):
+                db.restore(unid)
+        else:
+            db.purge_stubs(older_than=clock.now + 1)  # before partners saw them
+        if sync < 0.4:
+            clock.advance(1)
+            scheduler.run_round()
+    for _ in range(8):
+        clock.advance(1)
+        scheduler.run_round()
+    return [_replica_state(db) for db in databases], scheduler.total.echoes_skipped
+
+
+def _check_echo_skipping_changes_nothing(seed, shape, policy):
+    skipping, skipped = _play_schedule(seed, shape, policy, False)
+    examining, none_skipped = _play_schedule(seed, shape, policy, True)
+    assert none_skipped == 0
+    assert skipped > 0
+    assert skipping == examining
+
+
+@pytest.mark.parametrize("policy", [ConflictPolicy.CONFLICT_DOC,
+                                    ConflictPolicy.LWW])
+@pytest.mark.parametrize("shape", ["hub", "mesh"])
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_skipping_echoes_changes_no_replica(shape, policy, seed):
+    _check_echo_skipping_changes_nothing(seed, shape, policy)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("policy", [ConflictPolicy.CONFLICT_DOC,
+                                    ConflictPolicy.LWW])
+@pytest.mark.parametrize("shape", ["hub", "mesh"])
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=400, deadline=None)
+def test_skipping_echoes_changes_no_replica_full(shape, policy, seed):
+    _check_echo_skipping_changes_nothing(seed, shape, policy)
