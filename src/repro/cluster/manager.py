@@ -10,6 +10,7 @@ the workload-probe heuristic Domino clusters used.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 
 from repro.errors import ClusterError
@@ -47,6 +48,8 @@ class Cluster:
         self.opens = 0
         self.failovers = 0
         self.conflict_policy = conflict_policy
+        # Breaks open_database ties when the caller passes no rng.
+        self.rng = random.Random(zlib.crc32(name.encode()))
 
     # -- membership -----------------------------------------------------
 
@@ -113,7 +116,8 @@ class Cluster:
         """Open a replica, failing over when the preferred member is down.
 
         Among the available members, the one with the best availability
-        index wins (ties broken at random to spread load).
+        index wins (ties broken at random to spread load, from ``rng`` or
+        else the cluster's own generator, seeded from its name).
         """
         self.opens += 1
         candidates = []
@@ -140,7 +144,7 @@ class Cluster:
             for member, db in candidates
             if self.availability_index(member) == best
         ]
-        member, db = (rng or random).choice(top)
+        member, db = (rng or self.rng).choice(top)
         self._load[member] = self._load.get(member, 0) + 1
         failed_over = preferred is not None and member != preferred
         if failed_over:

@@ -32,6 +32,24 @@ Durability modes (experiment E7 compares them):
     crash stranded.
 ``"none"``
     No durability at all (fastest; for pure in-memory experiments).
+
+Crash model. Transaction data is *no-steal, no-force*: uncommitted
+writes never reach the heap or the log, and committed writes are not
+forced at commit (their log record is). A transaction is in the log only
+as its commit record, so recovery is one redo pass: replay the writes of
+every whole record in log order onto the checkpoint's index. Replay
+never frees a key's checkpoint-time chunks (pages written back after the
+checkpoint may have reused those slots for other keys); it only
+re-points the key, and the engine then sweeps every slot the replayed
+index leaves unreferenced. Replay is idempotent at the key/value level:
+a put stores the same value (possibly at a new heap location) and a
+delete of an absent key is a no-op. A torn final record belongs to a
+commit that never returned, and is skipped.
+
+:meth:`StorageEngine.compact` rewrites the heap into a fresh store at
+``<path>.compact``; renaming that store's ``.chk`` base into place is
+its commit point. Every open first finishes a compaction that got that
+far and deletes the leftovers of one that did not.
 """
 
 from __future__ import annotations
@@ -39,14 +57,16 @@ from __future__ import annotations
 import json
 import marshal
 import os
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.errors import StorageError, WalError
-from repro.storage import recovery as recovery_mod
 from repro.storage.bufferpool import BufferPool
 from repro.storage.pagedfile import PagedFile
 from repro.storage.pages import SlottedPage
-from repro.storage.wal import WriteAheadLog, encode_commit, frame, unframe
+from repro.storage.wal import (
+    WriteAheadLog, decode_commit, encode_commit, frame, unframe,
+)
 
 _CHUNK_SIZE = SlottedPage.max_record_size() - 8
 
@@ -72,6 +92,19 @@ class Transaction:
         return f"Transaction(writes={len(self.writes)}, {self.state})"
 
 
+@dataclass
+class RecoveryReport:
+    """What a recovery pass saw and did — recorded for experiment E7."""
+
+    committed_txns: int = 0
+    puts_replayed: int = 0
+    deletes_replayed: int = 0
+
+    @property
+    def ops_replayed(self) -> int:
+        return self.puts_replayed + self.deletes_replayed
+
+
 class StorageEngine:
     """Durable transactional record store over slotted pages + WAL."""
 
@@ -85,9 +118,25 @@ class StorageEngine:
             raise StorageError(f"durability must be one of {_DURABILITY_MODES}")
         self.path = path
         self.durability = durability
-        self._pages = PagedFile(path + ".pages")
+        self._open_store(pool_size)
+
+    def _open_store(self, pool_size: int) -> None:
+        """Open the files at :attr:`path` and recover their committed
+        state; :meth:`compact` reopens through here too."""
+        fresh = self.path + ".compact"
+        if os.path.exists(fresh + ".chk"):
+            # A compaction passed its commit point: finish moving its
+            # store over this one (the .pages may have moved already).
+            if os.path.exists(fresh + ".pages"):
+                os.replace(fresh + ".pages", self.path + ".pages")
+            os.replace(fresh + ".chk", self.path + ".chk")
+        for leftover in (fresh + ".pages", fresh + ".chk.tmp"):
+            if os.path.exists(leftover):
+                os.remove(leftover)
+        self._pages = PagedFile(self.path + ".pages")
         self._wal = (
-            WriteAheadLog(path + ".wal") if durability == "wal" else None
+            WriteAheadLog(self.path + ".wal")
+            if self.durability == "wal" else None
         )
         self._pool = BufferPool(
             self._pages,
@@ -118,17 +167,17 @@ class StorageEngine:
         self._base_bytes = 0
         self._delta_bytes = 0
         self._open = True
-        self.last_recovery: recovery_mod.RecoveryReport | None = None
+        self.last_recovery: RecoveryReport | None = None
         self._load_checkpoint()
         if self._wal is not None:
-            self.last_recovery = recovery_mod.replay(self, self._wal)
+            self.last_recovery = self._replay()
             if self._wal.end_lsn:
                 self._sweep_orphans()
                 # Start from an empty log: later commits must not land
                 # behind a torn tail, which a second recovery would then
                 # meet mid-log.
                 self.checkpoint()
-        elif durability == "force":
+        elif self.durability == "force":
             # A crash can strand the after-images of a commit whose delta
             # never reached the .chk, and the before-images of one whose
             # frees never reached the heap.
@@ -153,6 +202,25 @@ class StorageEngine:
         self._pool.flush_all()
         self._pages.close()
         self._open = False
+
+    def compact(self) -> None:
+        """Rewrite the heap without its dead space (the admin ``compact``
+        task); all keys and values are kept and the engine stays open.
+
+        Live records are copied into a fresh store at ``<path>.compact``
+        (durability ``"none"``), whose checkpoint syncs its pages and
+        then renames its ``.chk`` base into place: that rename is the
+        commit point. Both stores then close, and the reopen moves the
+        fresh ``.pages`` and ``.chk`` over this store's own, as any open
+        would after a crash past the commit point.
+        """
+        self._require_open()
+        with StorageEngine(self.path + ".compact", durability="none") as fresh:
+            for key in self._index:
+                fresh.set(key, self._read_committed(key))
+            fresh.checkpoint()
+        self.close()
+        self._open_store(self._pool.capacity)
 
     def simulate_crash(self) -> None:
         """Drop all volatile state without flushing — then reopen to recover.
@@ -262,6 +330,11 @@ class StorageEngine:
     def __len__(self) -> int:
         return len(self._index)
 
+    @property
+    def page_count(self) -> int:
+        """Heap pages in the ``.pages`` file."""
+        return self._pages.page_count
+
     # -- checkpointing -------------------------------------------------------
 
     def checkpoint(self) -> None:
@@ -298,28 +371,37 @@ class StorageEngine:
         self._dirty_pages.clear()
 
     def _write_base(self) -> None:
-        """Replace the ``.chk`` with a base holding the whole index."""
-        self._base_bytes = write_snapshot(self.path + ".chk", self._snapshot())
+        """Replace the ``.chk`` with a base holding the whole index and
+        free map."""
+        self._base_bytes = write_snapshot(self.path + ".chk", {
+            "index": {key.hex(): locs for key, locs in self._index.items()},
+            "free": self._free,
+        })
         self._delta_bytes = 0
         self._dirty_keys.clear()
         self._dirty_pages.clear()
 
-    def _snapshot(self) -> dict:
-        """The index and free map as the ``.chk`` file stores them."""
-        return {
-            "index": {key.hex(): locs for key, locs in self._index.items()},
-            "free": self._free,
-        }
-
-    def _restore(self, snapshot: dict, deltas: Iterable[bytes] = ()) -> None:
-        """Adopt a :meth:`_snapshot` and then each delta over it, as the
-        ``.chk`` holds them; nothing is left to persist afterwards."""
+    def _load_checkpoint(self) -> None:
+        """Adopt the ``.chk`` chain, base then each delta in order; cut
+        off a torn or corrupt tail (a checkpoint that never returned) so
+        later deltas follow whole ones. Nothing is left to persist."""
+        chk_path = self.path + ".chk"
+        if not os.path.exists(chk_path):
+            return
+        with open(chk_path, "rb") as source:
+            data = source.read()
+        base_end = data.find(b"\n") + 1
+        # An older build's base has no terminator to append behind: it
+        # reads whole, and _base_bytes stays 0, so the next checkpoint
+        # rewrites it.
+        snapshot = json.loads(data[: base_end or None])
         self._index = {
             bytes.fromhex(key): [tuple(loc) for loc in locs]
             for key, locs in snapshot["index"].items()
         }
         self._free = {int(page): free for page, free in snapshot["free"].items()}
-        for payload in deltas:
+        end = base_end
+        for payload, end in unframe(data, base_end) if base_end else ():
             index_delta, free_delta = marshal.loads(payload)
             for key, locations in index_delta.items():
                 if locations is None:
@@ -327,36 +409,13 @@ class StorageEngine:
                 else:
                     self._index[key] = locations
             self._free.update(free_delta)
-        self._free_buckets = [set() for _ in range(_TOP + 1)]
         for page_id, free in self._free.items():
             self._file_free(page_id, free)
-        self._dirty_keys.clear()
-        self._dirty_pages.clear()
-
-    def _load_checkpoint(self) -> None:
-        """Read the ``.chk`` chain; cut off a torn or corrupt tail (a
-        checkpoint that never returned) so later deltas follow whole
-        ones."""
-        chk_path = self.path + ".chk"
-        if not os.path.exists(chk_path):
-            return
-        with open(chk_path, "rb") as source:
-            data = source.read()
-        base_end = data.find(b"\n") + 1
-        if not base_end:
-            # An older build's base has no terminator to append behind;
-            # _base_bytes stays 0, so the next checkpoint rewrites it.
-            self._restore(json.loads(data))
-            return
-        deltas = []
-        end = base_end
-        for payload, end in unframe(data, base_end):
-            deltas.append(payload)
-        self._restore(json.loads(data[:base_end]), deltas)
-        if end < len(data):
-            os.truncate(chk_path, end)
-        self._base_bytes = base_end
-        self._delta_bytes = end - base_end
+        if base_end:
+            if end < len(data):
+                os.truncate(chk_path, end)
+            self._base_bytes = base_end
+            self._delta_bytes = end - base_end
 
     # -- heap operations (committed state) -------------------------------
 
@@ -380,6 +439,20 @@ class StorageEngine:
             self._insert_chunk(value[start : start + _CHUNK_SIZE])
             for start in range(0, max(len(value), 1), _CHUNK_SIZE)
         ]
+
+    def _replay(self) -> RecoveryReport:
+        """Replay every committed write in the log through
+        :meth:`_repoint`; the caller sweeps the orphaned slots after."""
+        report = RecoveryReport()
+        for payload in self._wal.records():
+            for key, value in decode_commit(payload):
+                self._repoint(key, value)
+                if value is None:
+                    report.deletes_replayed += 1
+                else:
+                    report.puts_replayed += 1
+            report.committed_txns += 1
+        return report
 
     def _repoint(self, key: bytes, value: bytes | None) -> None:
         """Point ``key`` at ``value`` placed afresh (or drop it for None),

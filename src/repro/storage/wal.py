@@ -3,8 +3,8 @@
 A committed transaction is one log record holding its whole write-set in
 write order: the key and after-image of each put, the key alone of each
 delete. Nothing else is logged, so an open transaction has nothing in the
-log and recovery (:mod:`repro.storage.recovery`) replays every whole record
-it finds. The LSN of a record is its byte offset in the log file, so LSNs
+log, and recovery (every open of a :mod:`repro.storage.engine` store)
+replays every whole record it finds. The LSN of a record is its byte offset in the log file, so LSNs
 are totally ordered and "flush up to LSN" is a plain file flush. A torn
 final record (partial write at crash) is detected by the length/CRC
 envelope and ignored on replay.

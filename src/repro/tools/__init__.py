@@ -3,8 +3,8 @@
 The nightly chores of a Domino administrator, expressed over the library:
 ``archive_documents`` moves aging documents into an archive database (with
 deletion stubs left behind so the move replicates), and
-``StorageEngine.compact``-style space reclamation lives in
-:func:`compact_engine`.
+:func:`compact_engine` accounts for the space
+:meth:`StorageEngine.compact` reclaims.
 """
 
 from repro.tools.archive import ArchiveResult, archive_documents

@@ -140,7 +140,7 @@ def render_view_entries_xml(
                 f'children="{row.count}">'
             )
             parts.append(
-                f"    <entrydata><text>{escape(_fmt_cell(row.value))}"
+                f"    <entrydata><text>{_fmt_cell(row.value)}"
                 "</text></entrydata>"
             )
             parts.append("  </viewentry>")

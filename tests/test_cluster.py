@@ -16,8 +16,7 @@ from repro.replication import (
 from repro.sim import VirtualClock
 
 
-@pytest.fixture
-def world():
+def build_world():
     clock = VirtualClock()
     network = SimulatedNetwork(clock)
     for name in ("c1", "c2", "c3"):
@@ -29,6 +28,11 @@ def world():
         cluster.add_member(name)
     replicas = cluster.cluster_database(db)
     return clock, network, cluster, replicas
+
+
+@pytest.fixture
+def world():
+    return build_world()
 
 
 class TestMembership:
@@ -359,6 +363,22 @@ class TestFailover:
             for _ in range(30)
         ]
         assert len(set(servers)) == 3  # no single member takes everything
+
+    def test_unseeded_tie_break_ignores_the_global_random(self):
+        """With no rng, two identically built clusters choose alike
+        whatever the module-level generator's state."""
+        choices = []
+        state = random.getstate()
+        try:
+            for global_seed in (1, 2):
+                _, _, cluster, (a, _, _) = build_world()
+                random.seed(global_seed)
+                choices.append([cluster.open_database(a.replica_id).server
+                                for _ in range(12)])
+        finally:
+            random.setstate(state)
+        assert choices[0] == choices[1]
+        assert len(set(choices[0])) > 1
 
     def test_availability_index_decreases_with_load(self, world):
         _, _, cluster, (a, _, _) = world

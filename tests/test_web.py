@@ -228,6 +228,23 @@ class TestReadViewEntries:
 
         ET.fromstring(response.body)  # must stay well-formed
 
+    def test_cells_escape_once(self, site):
+        """A category value and a document cell both parse back as the
+        text they hold."""
+        db, server, _ = site
+        db.create({"Form": "Order", "Customer": "R&D", "Subject": "R&D plan"})
+        response = server.handle("/sales.nsf/ByCustomer?ReadViewEntries")
+        import xml.etree.ElementTree as ET
+
+        entries = ET.fromstring(response.body).findall("viewentry")
+        categories = [e.findtext("entrydata/text") for e in entries
+                      if e.get("category") == "true"]
+        assert "R&D" in categories
+        cells = [{d.get("name"): d.findtext("text")
+                  for d in e.findall("entrydata")}
+                 for e in entries if e.get("unid")]
+        assert {"Customer": "R&D", "Subject": "R&D plan"} in cells
+
 
 class TestWebSecurity:
     def test_acl_gates_database(self, site):
