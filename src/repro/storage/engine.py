@@ -134,10 +134,19 @@ class StorageEngine:
             if os.path.exists(leftover):
                 os.remove(leftover)
         self._pages = PagedFile(self.path + ".pages")
-        self._wal = (
-            WriteAheadLog(self.path + ".wal")
-            if self.durability == "wal" else None
-        )
+        self._wal = None
+        try:
+            if self.durability == "wal":
+                self._wal = WriteAheadLog(self.path + ".wal")
+            self._recover(pool_size)
+        except BaseException:
+            # A store that cannot be recovered (a log in an older layout,
+            # a crash mid-open) is refused with its files closed.
+            self._release()
+            raise
+
+    def _recover(self, pool_size: int) -> None:
+        """Load the ``.chk`` chain and redo the log into a fresh pool."""
         self._pool = BufferPool(
             self._pages,
             capacity=pool_size,
@@ -203,6 +212,15 @@ class StorageEngine:
         self._pages.close()
         self._open = False
 
+    def _release(self) -> None:
+        """Close the store's files and write nothing back: what the pool
+        and the index hold is either superseded (by a compacted store) or
+        was never recovered (a failed open)."""
+        if self._wal is not None:
+            self._wal.close()
+        self._pages.close()
+        self._open = False
+
     def compact(self) -> None:
         """Rewrite the heap without its dead space (the admin ``compact``
         task); all keys and values are kept and the engine stays open.
@@ -210,16 +228,21 @@ class StorageEngine:
         Live records are copied into a fresh store at ``<path>.compact``
         (durability ``"none"``), whose checkpoint syncs its pages and
         then renames its ``.chk`` base into place: that rename is the
-        commit point. Both stores then close, and the reopen moves the
-        fresh ``.pages`` and ``.chk`` over this store's own, as any open
-        would after a crash past the commit point.
+        commit point. The fresh store closes; this one empties its log
+        (the fresh store holds every commit) and releases its files
+        without writing its own heap or ``.chk`` back, since both are
+        about to be replaced. The reopen then moves the fresh ``.pages``
+        and ``.chk`` over this store's own, as any open would after a
+        crash past the commit point.
         """
         self._require_open()
         with StorageEngine(self.path + ".compact", durability="none") as fresh:
             for key in self._index:
                 fresh.set(key, self._read_committed(key))
             fresh.checkpoint()
-        self.close()
+        if self._wal is not None:
+            self._wal.truncate()
+        self._release()
         self._open_store(self._pool.capacity)
 
     def simulate_crash(self) -> None:

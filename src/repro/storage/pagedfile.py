@@ -28,6 +28,7 @@ class PagedFile:
             header = self._read_raw(0)
             magic, count = _META.unpack_from(header, 0)
             if magic != _MAGIC:
+                self._file.close()
                 raise StorageError(f"{path} is not a repro page file")
             self._page_count = count
         else:

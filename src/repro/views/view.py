@@ -52,13 +52,39 @@ from repro.storage.btree import BPlusTree
 from repro.views.column import Descending, SortOrder, ViewColumn, collate
 
 
-@dataclass(frozen=True)
 class DocumentRow:
-    """One document line in a view display."""
+    """One document line in a view display.
 
-    unid: str
-    values: tuple
-    level: int = 0
+    A view makes one per entry, on the entry's first read, and every later
+    read returns that same object. A note change re-inserts its entry and
+    a design change builds a new view, so a row never outlives the values
+    it shows. ``html`` and ``xml`` are the row's rendered page fragments,
+    which :mod:`repro.web.render` fills on the row's first render.
+    """
+
+    __slots__ = ("unid", "values", "level", "html", "xml")
+
+    def __init__(self, unid: str, values: tuple, level: int = 0) -> None:
+        self.unid = unid
+        self.values = values
+        self.level = level
+        self.html: str | None = None
+        self.xml: str | None = None
+
+    def _fields(self) -> tuple:
+        return (self.unid, self.values, self.level)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DocumentRow):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"DocumentRow(unid={self.unid!r}, values={self.values!r}, "
+                f"level={self.level!r})")
 
 
 @dataclass(frozen=True)
@@ -71,11 +97,24 @@ class CategoryRow:
     subtotals: dict = dataclass_field(default_factory=dict, compare=False)
 
 
-@dataclass
 class _Entry:
-    unid: str
-    values: tuple
-    level: int
+    """A view's index value: one document's display values and level.
+    ``row`` is its :class:`DocumentRow`, made on first read."""
+
+    __slots__ = ("unid", "values", "level", "row")
+
+    def __init__(self, unid: str, values: tuple, level: int) -> None:
+        self.unid = unid
+        self.values = values
+        self.level = level
+        self.row: DocumentRow | None = None
+
+    def display(self, depth: int) -> DocumentRow:
+        """This entry's row in a view with ``depth`` category columns."""
+        row = self.row
+        if row is None:
+            row = self.row = DocumentRow(self.unid, self.values, self.level + depth)
+        return row
 
 
 class _Top:
@@ -158,6 +197,9 @@ class View(PersistedIndex):
         self._restricted: set[str] = set()
         self._access_stamp: tuple | None = None
         self._state = ""
+        # The formatted name and column titles, which repro.web.render
+        # fills on the first render (a design change builds a new view).
+        self.heading: Any = None
         # The meta record and the segments share one key prefix.
         sidecar_key = b"viewidx:" + name.encode()
         self._open_index(
@@ -476,10 +518,11 @@ class View(PersistedIndex):
         # pass, so collect member indices per open category.
         pending: list[tuple[int, Any, int]] = []  # (output idx, value, level)
 
+        db = self.db
         for entry in self.entries():
-            doc = self.db.try_get(entry.unid)
-            if doc is not None and as_user is not None:
-                if not self.db._can_read(as_user, doc):
+            if as_user is not None:
+                doc = db.try_get(entry.unid)
+                if doc is not None and not db._can_read(as_user, doc):
                     continue
             # Responses (level > 0) live under their ancestor's category:
             # their own column values never open or close category groups.
@@ -494,13 +537,7 @@ class View(PersistedIndex):
                         open_values[depth] = value
                         pending.append((len(output), value, depth))
                         output.append(None)  # placeholder for CategoryRow
-            output.append(
-                DocumentRow(
-                    unid=entry.unid,
-                    values=entry.values,
-                    level=entry.level + n_categories,
-                )
-            )
+            output.append(entry.display(n_categories))
         # Fill in category rows with counts and subtotals.
         for position, (index, value, level) in enumerate(pending):
             end = (
@@ -567,7 +604,7 @@ class View(PersistedIndex):
         ]
         if not categories:
             page = [
-                DocumentRow(entry.unid, entry.values, entry.level)
+                entry.display(0)
                 for _, entry in islice(self._tree.items_from(start - 1), count)
             ]
             return page, len(self._tree)
@@ -644,8 +681,8 @@ class View(PersistedIndex):
                     take = min(stop - row, end - lo) - skip
                     if take > 0:
                         page.extend(
-                            DocumentRow(doc.unid, doc.values, doc.level + depth_count)
-                            for _, doc in islice(tree.items_from(lo + skip), take)
+                            entry.display(depth_count)
+                            for _, entry in islice(tree.items_from(lo + skip), take)
                         )
                     row += end - lo
                 lo = end

@@ -3,6 +3,15 @@
 Deliberately plain, well-formed HTML — the shape Domino generated: a view
 becomes a table with category rows and document links, a document becomes a
 definition list of its items (hidden ``$`` items omitted).
+
+A view page is rendered once per row, not once per request: the first
+render of a document row keeps its formatted cells in the row object
+(:class:`~repro.views.view.DocumentRow` ``html``/``xml``), and every later
+page that shows the row joins the kept fragment. A view returns the same
+row object until the row's note changes (the entry, and with it the row,
+is then made anew) or the view's design does (a new view), so a fragment
+never needs invalidating. Each view's heading and column titles are
+formatted once too, and kept in the view's ``heading``.
 """
 
 from __future__ import annotations
@@ -22,6 +31,52 @@ def _fmt_cell(value) -> str:
     return escape(str(value))
 
 
+class _Heading:
+    """A view's formatted constants: name, column headings and the
+    ``<entrydata>`` openers of its XML rows."""
+
+    __slots__ = ("h1", "th", "entrydata")
+
+    def __init__(self, view: View) -> None:
+        self.h1 = f"<h1>{escape(view.name)}</h1>"
+        self.th = (
+            "<tr>"
+            + "".join(f"<th>{escape(c.title)}</th>" for c in view.columns)
+            + "</tr>"
+        )
+        self.entrydata = [
+            f'    <entrydata name="{escape(column.title)}"><text>'
+            for column in view.columns
+        ]
+
+
+def _heading(view: View) -> _Heading:
+    heading = view.heading
+    if heading is None:
+        heading = view.heading = _Heading(view)
+    return heading
+
+
+def _html_fragment(row: DocumentRow) -> str:
+    """A document row's ``<tr>`` after its link's path prefix."""
+    cells = "".join(
+        f'<td style="padding-left:{row.level}em">{_fmt_cell(v)}</td>'
+        if index == 0
+        else f"<td>{_fmt_cell(v)}</td>"
+        for index, v in enumerate(row.values)
+    )
+    return f'{row.unid}?OpenDocument">&#9656;</a></td>{cells}</tr>'
+
+
+def _xml_fragment(row: DocumentRow, heading: _Heading) -> str:
+    """A document row's ``<viewentry>`` after its ``position`` attribute."""
+    parts = [f' unid="{row.unid}" indent="{row.level}">']
+    for opener, value in zip(heading.entrydata, row.values):
+        parts.append(f"{opener}{_fmt_cell(value)}</text></entrydata>")
+    parts.append("  </viewentry>")
+    return "\n".join(parts)
+
+
 def render_view(
     view: View,
     db_path: str,
@@ -36,29 +91,25 @@ def render_view(
     """
     start = max(start, 1)
     window, total_rows = view.window(start, count, as_user=as_user)
+    heading = _heading(view)
     parts = [
-        f"<h1>{escape(view.name)}</h1>",
+        heading.h1,
         f'<table class="view" data-total="{len(view)}">',
-        "<tr>"
-        + "".join(f"<th>{escape(c.title)}</th>" for c in view.columns)
-        + "</tr>",
+        heading.th,
     ]
+    link = f'<tr class="doc"><td><a href="/{db_path}/{view.name}/'
     for row in window:
-        if isinstance(row, CategoryRow):
+        if isinstance(row, DocumentRow):
+            fragment = row.html
+            if fragment is None:
+                fragment = row.html = _html_fragment(row)
+            parts.append(link + fragment)
+        elif isinstance(row, CategoryRow):
             parts.append(
                 f'<tr class="category" data-level="{row.level}">'
                 f'<td colspan="{len(view.columns)}">'
                 f"{_fmt_cell(row.value)} ({row.count})</td></tr>"
             )
-        elif isinstance(row, DocumentRow):
-            cells = "".join(
-                f'<td style="padding-left:{row.level}em">{_fmt_cell(v)}</td>'
-                if index == 0
-                else f"<td>{_fmt_cell(v)}</td>"
-                for index, v in enumerate(row.values)
-            )
-            href = f"/{db_path}/{view.name}/{row.unid}?OpenDocument"
-            parts.append(f'<tr class="doc"><td><a href="{href}">&#9656;</a></td>{cells}</tr>')
     parts.append("</table>")
     next_start = start + count
     if count and next_start <= total_rows:
@@ -127,6 +178,7 @@ def render_view_entries_xml(
     """
     start = max(start, 1)
     window, _ = view.window(start, count, as_user=as_user)
+    heading = _heading(view)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<viewentries toplevelentries="{len(view)}" start="{start}">',
@@ -145,16 +197,10 @@ def render_view_entries_xml(
             )
             parts.append("  </viewentry>")
             continue
-        parts.append(
-            f'  <viewentry position="{position}" unid="{row.unid}" '
-            f'indent="{row.level}">'
-        )
-        for column, value in zip(view.columns, row.values):
-            parts.append(
-                f'    <entrydata name="{escape(column.title)}">'
-                f"<text>{_fmt_cell(value)}</text></entrydata>"
-            )
-        parts.append("  </viewentry>")
+        fragment = row.xml
+        if fragment is None:
+            fragment = row.xml = _xml_fragment(row, heading)
+        parts.append(f'  <viewentry position="{position}"{fragment}')
     parts.append("</viewentries>")
     return "\n".join(parts)
 

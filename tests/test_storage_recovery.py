@@ -7,9 +7,10 @@ import zlib
 
 import pytest
 
-from repro.errors import WalError
+from repro.errors import StorageError, WalError
 from repro.storage import StorageEngine
 from repro.storage import engine as engine_mod
+from repro.storage.pages import PAGE_SIZE
 
 
 def reopen(tmp_path, name="db", **kw):
@@ -382,6 +383,7 @@ class TestCheckpointChain:
         assert 0 < len(chk_base(tmp_path)[1]) < len(base) // 2
         engine.checkpoint()  # nothing changed since: nothing written
         assert len(chk_base(tmp_path)[1]) == engine._delta_bytes
+        engine.close()
 
     def test_cleanly_closed_store_is_a_lone_base(self, tmp_path):
         engine = reopen(tmp_path)
@@ -408,7 +410,9 @@ class TestCheckpointChain:
             assert 2 * engine._delta_bytes < engine._base_bytes
         assert chk_base(tmp_path)[0] != base
         engine.simulate_crash()
-        assert contents(reopen(tmp_path)) == state
+        recovered = reopen(tmp_path)
+        assert contents(recovered) == state
+        recovered.close()
 
     def test_crash_between_page_flush_and_delta(self, tmp_path):
         engine = reopen(tmp_path)
@@ -526,3 +530,73 @@ class TestOlderStores:
         reopened.set(b"after", b"x")
         reopened.close()
         assert "next_txn" not in json.loads(chk.read_text())
+
+
+class TestFailedOpen:
+    """An open that raises leaves none of the store's files open."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file the page file and the log open from here on."""
+        from repro.storage import pagedfile as pagedfile_mod
+        from repro.storage import wal as wal_mod
+
+        files = []
+
+        def tracking_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            files.append(handle)
+            return handle
+
+        for module in (pagedfile_mod, wal_mod):
+            monkeypatch.setattr(module, "open", tracking_open, raising=False)
+        return files
+
+    @staticmethod
+    def stored(tmp_path):
+        engine = reopen(tmp_path)
+        engine.set(b"k", b"v")
+        engine.close()
+
+    def test_log_in_the_older_layout(self, tmp_path, opened):
+        self.stored(tmp_path)
+        with open(tmp_path / "db.wal", "wb") as log:
+            payload = struct.pack("<BQ", 1, 1) + struct.pack("<I", 0) * 2
+            log.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+            log.write(payload)
+        del opened[:]
+        with pytest.raises(WalError):
+            reopen(tmp_path)
+        assert opened and all(handle.closed for handle in opened)
+
+    def test_unreadable_checkpoint(self, tmp_path, opened):
+        self.stored(tmp_path)
+        (tmp_path / "db.chk").write_bytes(b"{not json\n")
+        del opened[:]
+        with pytest.raises(ValueError):
+            reopen(tmp_path)
+        assert opened and all(handle.closed for handle in opened)
+
+    def test_foreign_page_file(self, tmp_path, opened):
+        (tmp_path / "db.pages").write_bytes(b"x" * 2 * PAGE_SIZE)
+        with pytest.raises(StorageError, match="not a repro page file"):
+            reopen(tmp_path)
+        assert opened and all(handle.closed for handle in opened)
+
+    def test_recovery_checkpoint_fails(self, tmp_path, opened, monkeypatch):
+        engine = reopen(tmp_path)
+        engine.set(b"k", b"v")
+        engine.simulate_crash()
+
+        def fail(self):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(StorageEngine, "checkpoint", fail)
+        del opened[:]
+        with pytest.raises(OSError, match="disk full"):
+            reopen(tmp_path)
+        assert opened and all(handle.closed for handle in opened)
+        monkeypatch.undo()
+        recovered = reopen(tmp_path)
+        assert recovered.get(b"k") == b"v"
+        recovered.close()

@@ -320,6 +320,11 @@ class _CompactCrashCases(_CompactCases):
         ops = _file_ops(monkeypatch, lambda: compact_engine(engine))
         engine.close()
         assert ("write_snapshot", "db.compact.chk") in ops
+        # Between the fresh store's commit and the swap, the old store
+        # writes no .chk base of the heap the swap replaces.
+        commit = ops.index(("write_snapshot", "db.compact.chk"))
+        swap = ops.index(("replace", "db.compact.chk"))
+        assert ("write_snapshot", "db.chk") not in ops[commit:swap], ops
         for n, op in enumerate(ops):
             for when in ("before", "after"):
                 where = f"crash {when} {op}"
