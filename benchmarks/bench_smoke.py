@@ -196,7 +196,8 @@ def test_smoke_view_window_reads_by_position():
         assert total == len(rows) and page == rows[start - 1:start + 29]
         assert [r.subtotals for r in page if hasattr(r, "subtotals")] == [
             r.subtotals for r in rows[start - 1:start + 29] if hasattr(r, "subtotals")]
-        # one descent per category run (4) plus the page, each ~height
+        # a rank per step of the heading search, the page, and a heading's
+        # first subtotal read, each ~height
         assert view._tree.node_reads <= 12 * view._tree.height()
     assert not checks
 

@@ -16,9 +16,8 @@ and bulk load keep the counts exact, which makes position an O(log n)
 question in both directions: :meth:`BPlusTree.rank` says how many keys
 sort before a key, and :meth:`BPlusTree.items_from` starts a scan at a
 0-based position. A view uses the pair to read one page of a Domino
-``?OpenView&Start=n&Count=m`` request, and to size a category run as
-``rank(prefix + TOP) - rank(prefix)``, without touching the entries
-before the page.
+``?OpenView&Start=n&Count=m`` request, and ``rank(prefix)`` to place a
+category heading's row, without touching the entries before the page.
 """
 
 from __future__ import annotations

@@ -25,22 +25,26 @@ reopen against a moved-on database tops up the same way.
 
 Reading a page — the Domino web client's ``?OpenView&Start=n&Count=m``
 — goes through :meth:`View.window`, a positional read of the counted
-B+tree: O(log n + page) without categories, plus O(log n) per category
-heading with them, since a heading's member count is the width of the
-key range its prefix spans. That holds while every entry is visible to
-the caller. The view keeps the set of entries whose document carries a
-READERS item (updated as entries come and go, and rescanned when a
-READERS item changes in place or the view is behind the database); when
-a caller could be denied some of them, the window is a slice of
-:meth:`View.rows`, which checks each document.
+B+tree: O(log n + page) without categories. A categorized view also
+keeps a heading index (every category prefix in collation order, with
+its member count), so a page binary-searches for its first heading in
+O(log H · log n) for H headings and then steps through the page by the
+stored counts. That holds while every entry is visible to the caller.
+The view keeps the set of entries whose document carries a READERS item
+(updated as entries come and go, and rescanned when a READERS item
+changes in place or the view is behind the database); when a caller
+could be denied some of them, the window is a slice of :meth:`View.rows`,
+which checks each document.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dataclass_field
 from itertools import islice
 from time import perf_counter
-from typing import Any, Iterator
+from types import MappingProxyType
+from typing import Any, Iterable, Iterator, Mapping
 
 from repro.errors import ViewError
 from repro.core.database import ChangeKind, NotesDatabase
@@ -89,12 +93,20 @@ class DocumentRow:
 
 @dataclass(frozen=True)
 class CategoryRow:
-    """A category heading produced by a categorized column."""
+    """A category heading produced by a categorized column.
+
+    ``subtotals`` maps each totals column's index to the sum over the
+    heading's entries. :meth:`View.window` hands it out read-only, since
+    every page that shows a heading shares one cached mapping.
+    """
 
     value: Any
     level: int
     count: int
-    subtotals: dict = dataclass_field(default_factory=dict, compare=False)
+    subtotals: Mapping = dataclass_field(default_factory=dict, compare=False)
+
+
+_NO_SUBTOTALS: Mapping = MappingProxyType({})
 
 
 class _Entry:
@@ -117,20 +129,59 @@ class _Entry:
         return row
 
 
-class _Top:
-    """Sorts above every key component: ``prefix + (TOP,)`` bounds the
-    key range of all entries that start with ``prefix``."""
+class _HeadingIndex:
+    """The category headings of a categorized view.
 
-    __slots__ = ()
+    ``prefixes`` holds every category prefix ``key[:d + 1]`` (one per
+    categorized depth d) in collation order, which is also the order the
+    headings appear in :meth:`View.rows`: a prefix sorts after every
+    entry key below it and before the keys it begins, so heading ``i``
+    sits at row ``i + tree.rank(prefixes[i])``. ``counts`` maps a prefix
+    to the number of entries under it, and ``subtotals`` keeps the sums a
+    page has shown, until an entry under the prefix comes or goes.
+    """
 
-    def __lt__(self, other: object) -> bool:
-        return False
+    __slots__ = ("depth", "prefixes", "counts", "subtotals")
 
-    def __gt__(self, other: object) -> bool:
-        return True
+    def __init__(self, depth: int, keys: Iterable[tuple]) -> None:
+        self.depth = depth
+        self.prefixes: list[tuple] = []
+        self.counts: dict[tuple, int] = {}
+        self.subtotals: dict[tuple, Mapping] = {}
+        counts = self.counts
+        for key in keys:  # in collation order, so prefixes come in order
+            for end in range(1, depth + 1):
+                prefix = key[:end]
+                count = counts.get(prefix)
+                if count is None:
+                    self.prefixes.append(prefix)
+                    counts[prefix] = 1
+                else:
+                    counts[prefix] = count + 1
 
+    def add(self, key: tuple) -> None:
+        counts = self.counts
+        for end in range(1, self.depth + 1):
+            prefix = key[:end]
+            self.subtotals.pop(prefix, None)
+            count = counts.get(prefix)
+            if count is None:
+                insort(self.prefixes, prefix)
+                counts[prefix] = 1
+            else:
+                counts[prefix] = count + 1
 
-TOP = _Top()
+    def discard(self, key: tuple) -> None:
+        counts = self.counts
+        for end in range(1, self.depth + 1):
+            prefix = key[:end]
+            self.subtotals.pop(prefix, None)
+            count = counts[prefix]
+            if count == 1:
+                del counts[prefix]
+                del self.prefixes[bisect_left(self.prefixes, prefix)]
+            else:
+                counts[prefix] = count - 1
 
 
 class View(PersistedIndex):
@@ -200,6 +251,9 @@ class View(PersistedIndex):
         # The formatted name and column titles, which repro.web.render
         # fills on the first render (a design change builds a new view).
         self.heading: Any = None
+        # Built by the first categorized window after the entries are
+        # (re)loaded; _insert/_remove keep it current from then on.
+        self._headings: _HeadingIndex | None = None
         # The meta record and the segments share one key prefix.
         sidecar_key = b"viewidx:" + name.encode()
         self._open_index(
@@ -300,6 +354,7 @@ class View(PersistedIndex):
                 self._parent_of[unid] = parent
         pairs.sort(key=lambda pair: pair[0])  # segments are unordered
         self._tree.bulk_load(pairs)
+        self._headings = None
         self._access_stamp = None  # loaded entries: reader access unchecked
 
     def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
@@ -316,6 +371,7 @@ class View(PersistedIndex):
         """
         started = perf_counter()
         self._tree = BPlusTree(order=64)
+        self._headings = None
         self._keys.clear()
         self._children.clear()
         self._parent_of.clear()
@@ -440,6 +496,8 @@ class View(PersistedIndex):
         key, level = self._key_for(doc)
         values = tuple(column.value_for(doc, self.db) for column in self.columns)
         self._tree.insert(key, _Entry(doc.unid, values, level))
+        if self._headings is not None:
+            self._headings.add(key)
         self._keys[doc.unid] = key
         self._dirty.add(doc.unid)
         if doc.readers is not None:
@@ -458,6 +516,9 @@ class View(PersistedIndex):
             self._tree.delete(key)
         except KeyError:  # pragma: no cover - defensive
             pass
+        else:
+            if self._headings is not None:
+                self._headings.discard(key)
         parent = self._parent_of.pop(unid, None)
         if parent is not None:
             siblings = self._children.get(parent)
@@ -586,8 +647,8 @@ class View(PersistedIndex):
 
         ``start`` is 1-based. When every entry is visible to ``as_user``
         the page is read by position from the counted B+tree — O(log n +
-        count), plus O(log n) per category heading in a categorized view
-        — and no document is access-checked. A user below Reader sees
+        count), plus O(log H · log n) to find the first heading among H
+        in a categorized view — and no document is access-checked. A user below Reader sees
         nothing. When reader fields could hide some entries from the
         caller, the page is sliced from :meth:`rows`.
         """
@@ -646,61 +707,86 @@ class View(PersistedIndex):
     ) -> tuple[list, int]:
         """The positional read behind :meth:`window` for a categorized view.
 
-        A depth-d heading covers a maximal run of entries sharing
-        ``key[:d + 1]`` — exactly the grouping :meth:`rows` makes, since
-        collation keeps each value distinct and responses extend their
-        parent's key — so the run ends at ``rank(key[:d + 1] + (TOP,))``.
-        Runs are walked heading by heading; document rows are read only
-        where they fall inside the page.
+        A depth-d heading covers the run of entries sharing ``key[:d + 1]``
+        — exactly the grouping :meth:`rows` makes, since collation keeps
+        each value distinct and responses extend their parent's key. A
+        binary search over the heading index finds the last heading at or
+        before row ``first``; from there a heading is followed by its
+        first child heading, or (at the deepest depth) by its entries, so
+        the stored counts place every row of the page.
         """
         tree = self._tree
         depth_count = len(categories)
-        totals = [index for index, column in enumerate(self.columns) if column.totals]
-        stop = first + count
+        headings = self._headings
+        if headings is None:
+            headings = self._headings = _HeadingIndex(depth_count, iter(tree))
+        prefixes, counts = headings.prefixes, headings.counts
+        total = len(prefixes) + len(tree)
+        stop = min(first + count, total)
+        if first >= stop:
+            return [], total
+        # The last heading whose row is at or before ``first``; heading 0
+        # is row 0. ``position`` is the entry index of its first entry.
+        index, position = 0, 0
+        lo, hi = 1, len(prefixes)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            rank = tree.rank(prefixes[mid])
+            if mid + rank <= first:
+                index, position, lo = mid, rank, mid + 1
+            else:
+                hi = mid
+        row = index + position
+        run_end = position  # entries before run_end belong to a shown heading
+        if row < first:  # first falls among the entries of a deepest heading
+            run_end = position + counts[prefixes[index]]
+            position += first - row - 1
+            index += 1
+        totals = [i for i, column in enumerate(self.columns) if column.totals]
+        items = tree.items_from(position)
+        entry = next(items)[1]
         page: list = []
-        row = 0  # rows() index of the next row
+        for _ in range(stop - first):
+            if position < run_end:
+                page.append(entry.display(depth_count))
+                position += 1
+                entry = next(items, (None, None))[1]
+                continue
+            prefix = prefixes[index]
+            index += 1
+            depth = len(prefix) - 1
+            value = entry.values[categories[depth]]
+            if isinstance(value, list):
+                value = value[0] if value else ""
+            members = counts[prefix]
+            page.append(CategoryRow(
+                value=value, level=depth, count=members,
+                subtotals=self._subtotals(prefix, position, members, totals),
+            ))
+            if depth + 1 == depth_count:
+                run_end = position + members
+        return page, total
 
-        def walk(depth: int, lo: int, hi: int) -> None:
-            nonlocal row
-            while lo < hi:
-                key, entry = next(tree.items_from(lo))
-                end = tree.rank(key[: depth + 1] + (TOP,))
-                if first <= row < stop:
-                    value = entry.values[categories[depth]]
-                    if isinstance(value, list):
-                        value = value[0] if value else ""
-                    page.append(CategoryRow(
-                        value=value, level=depth, count=end - lo,
-                        subtotals=self._subtotals(lo, end, totals),
-                    ))
-                row += 1
-                if depth + 1 < depth_count:
-                    walk(depth + 1, lo, end)
-                else:
-                    skip = max(first - row, 0)
-                    take = min(stop - row, end - lo) - skip
-                    if take > 0:
-                        page.extend(
-                            entry.display(depth_count)
-                            for _, entry in islice(tree.items_from(lo + skip), take)
-                        )
-                    row += end - lo
-                lo = end
-
-        walk(0, 0, len(tree))
-        return page, row
-
-    def _subtotals(self, lo: int, end: int, totals: list[int]) -> dict:
-        """Per-column sums over entries ``[lo, end)``, added in entry order
-        as :meth:`rows` adds them (so floats agree bit for bit)."""
-        subtotals = {}
-        for column_index in totals:
-            subtotal = 0
-            for _, entry in islice(self._tree.items_from(lo), end - lo):
-                cell = entry.values[column_index]
-                if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                    subtotal += cell
-            subtotals[column_index] = subtotal
+    def _subtotals(
+        self, prefix: tuple, position: int, members: int, totals: list[int]
+    ) -> Mapping:
+        """The heading ``prefix``'s per-column sums over its ``members``
+        entries from ``position``, added in entry order as :meth:`rows`
+        adds them (so floats agree bit for bit), and kept until an entry
+        under the heading comes or goes."""
+        if not totals:
+            return _NO_SUBTOTALS
+        cache = self._headings.subtotals
+        subtotals = cache.get(prefix)
+        if subtotals is None:
+            sums = dict.fromkeys(totals, 0)
+            for _, entry in islice(self._tree.items_from(position), members):
+                values = entry.values
+                for column_index in totals:
+                    cell = values[column_index]
+                    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                        sums[column_index] += cell
+            subtotals = cache[prefix] = MappingProxyType(sums)
         return subtotals
 
     def totals(self) -> dict[int, float]:

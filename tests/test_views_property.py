@@ -4,10 +4,14 @@ a positional page (``View.window``) always equals the slice of ``rows()``.
 
 The window properties run twice: a reduced-example fast lane in the
 default job and a ``slow``-marked lane with the full example budget
-(``pytest -m slow``).
+(``pytest -m slow``). Their schedules also rebuild the view, and close and
+reopen it (a persisted view on an engine-backed database loads its saved
+entries), so the heading index a categorized window reads is checked
+after every path that resets it.
 """
 
 import random
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from repro.core import Item, ItemType, NotesDatabase
 from repro.security import AccessControlList, AclLevel
 from repro.sim import VirtualClock
+from repro.storage import StorageEngine
 from repro.views import CategoryRow, SortOrder, View, ViewColumn
 
 subjects = st.text(
@@ -124,6 +129,7 @@ window_shapes = st.fixed_dictionaries({
     "hierarchical": st.booleans(),
     "mode": st.sampled_from(["auto", "manual"]),
     "acl": st.sampled_from([True, True, False]),
+    "persist": st.booleans(),
 })
 
 window_ops = st.lists(
@@ -132,6 +138,7 @@ window_ops = st.lists(
             "create", "create", "create", "respond", "update", "delete",
             "soft_delete", "restore", "readers_update", "readers_in_place",
             "unrestrict_update", "unrestrict_in_place", "refresh",
+            "rebuild", "reopen",
         ]),
         # A small pick range makes ops land on the same few documents.
         st.integers(min_value=0, max_value=5),
@@ -162,7 +169,8 @@ def make_window_view(db, shape):
         ViewColumn(title="Amount", item="Amount", totals=True),
     ]
     return View(db, "W", selection='SELECT Form = "Memo"', columns=columns,
-                mode=shape["mode"], hierarchical=shape["hierarchical"])
+                mode=shape["mode"], hierarchical=shape["hierarchical"],
+                persist=shape["persist"])
 
 
 def check_window(view, start, count, user):
@@ -176,7 +184,10 @@ def check_window(view, start, count, user):
         row.subtotals for row in expected if isinstance(row, CategoryRow)]
 
 
-def apply_window_op(db, view, op, pick, rng):
+def apply_window_op(db, view, op, pick, rng, shape=None):
+    """Apply one op; returns the view to read next (``reopen`` replaces
+    it: the old one is closed, a note is created while no view is open,
+    and the new one loads the saved entries when persisted)."""
     unids = db.unids()
     live = unids[pick % len(unids)] if unids else None
 
@@ -216,11 +227,31 @@ def apply_window_op(db, view, op, pick, rng):
             doc.remove_item("Readers")
     elif op == "refresh":
         view.refresh()
+    elif op == "rebuild":
+        view.rebuild()
+    elif op == "reopen":
+        view.close()
+        db.create(memo(), author=ADMIN)
+        view = make_window_view(db, shape)
+        assert view.loaded_from_disk == shape["persist"]
+    return view
 
 
 def check_windows_match_rows(shape, ops, seed):
+    if shape["persist"]:
+        with tempfile.TemporaryDirectory() as directory:
+            engine = StorageEngine(f"{directory}/nsf")
+            try:
+                run_window_schedule(shape, ops, seed, engine)
+            finally:
+                engine.close()
+    else:
+        run_window_schedule(shape, ops, seed, None)
+
+
+def run_window_schedule(shape, ops, seed, engine):
     db = NotesDatabase("window.nsf", clock=VirtualClock(),
-                       rng=random.Random(seed))
+                       rng=random.Random(seed), engine=engine)
     if shape["acl"]:
         acl = AccessControlList(default_level=AclLevel.READER)
         acl.add(ADMIN, AclLevel.MANAGER)
@@ -233,7 +264,7 @@ def check_windows_match_rows(shape, ops, seed):
     view = make_window_view(db, shape)
     for op, pick, (start, count) in ops:
         db.clock.advance(1)
-        apply_window_op(db, view, op, pick, rng)
+        view = apply_window_op(db, view, op, pick, rng, shape)
         for user in USERS:
             check_window(view, start, count, user)
     view.refresh()
@@ -241,6 +272,7 @@ def check_windows_match_rows(shape, ops, seed):
     for user in USERS:
         for start in range(1, len(rows) + 2):
             check_window(view, start, 4, user)
+    view.close()
 
 
 @settings(max_examples=60, parent=WINDOW_SETTINGS)
