@@ -4,7 +4,9 @@ Claims: adding one document to the inverted index costs ~the document's
 token count, while the rebuild path re-tokenizes the corpus; query latency
 is driven by posting-list sizes, not corpus scans. A reader's top-k search
 (``limit=25``) checks READERS access only down the ranking until the 25th
-readable hit, not on every match.
+readable hit, not on every match. A single-term top-k search walks the
+term's impact list, so its cost follows the ``limit``, not the term's
+match count (E8c).
 """
 
 from __future__ import annotations
@@ -165,6 +167,63 @@ def test_e08_topk_table(benchmark):
         assert all_checks == matches
     assert [row[0] for row in rows] == sorted(row[0] for row in rows)
     assert rows[-1][2] * 10 < rows[-1][3]  # 1600 matches, ~33 checks
+
+
+#: E8c: a word held by about this many of the corpus's memos.
+TIER_WORDS = {100: "orchid", 1_000: "maple", 10_000: "granite"}
+TIER_DOCS = 10_000
+
+
+def build_tiered_index():
+    """10,000 short memos; each ``TIER_WORDS`` word is in every
+    ``TIER_DOCS // matches``-th memo, 1-5 times, so its hits rank by tf."""
+    deployment = build_deployment(1, seed=81)
+    db = deployment.databases[0]
+    for number in range(TIER_DOCS):
+        words = ["memo", str(number)]
+        for matches, word in TIER_WORDS.items():
+            if number % (TIER_DOCS // matches) == 0:
+                words += [word] * deployment.rng.randint(1, 5)
+        db.create({"Subject": f"note {number}", "Body": " ".join(words)})
+    return FullTextIndex(db)
+
+
+def median_ms(search, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        search()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1000, 4)
+
+
+def test_e08c_top_k_follows_the_limit(benchmark):
+    index = build_tiered_index()
+    rows = []
+
+    def sweep():
+        rows.clear()
+        for matches, word in TIER_WORDS.items():
+            start = time.perf_counter()
+            hits = index.search(word, limit=TOP_K)  # builds the impact list
+            first_ms = round((time.perf_counter() - start) * 1000, 3)
+            assert len(hits) == TOP_K
+            top_ms = median_ms(lambda: index.search(word, limit=TOP_K), 51)
+            all_ms = median_ms(lambda: index.search(word), 5)
+            assert len(index.search(word)) == matches
+            rows.append([matches, first_ms, top_ms, all_ms])
+        return rows
+
+    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print_table(
+        "E8c  single-term top-25 latency against the term's match count",
+        ["matches", "first search ms", "top-25 ms", "all hits ms"],
+        rows,
+        note="the first search builds the term's impact list (O(m log m)); "
+             "later top-25 reads walk 25 entries of it; medians of 51 and 5",
+    )
+    top = {row[0]: row[2] for row in rows}
+    assert top[10_000] < 3 * top[100]
 
 
 def test_e08_query_speed(benchmark):

@@ -235,3 +235,29 @@ def test_smoke_write_path_one_fsync_bounded_heap(tmp_path):
     assert engine._wal.flushes - flushes == 600
     assert engine._pages.page_count <= 1.5 * peak / PAGE_SIZE + 4
     engine.close()
+
+
+def test_smoke_single_term_top_k_scores_no_match():
+    """E8c shape: a one-term top-25 search walks the term's impact list,
+    so it scores none of its 1,000+ matches through ``_score`` and
+    returns exactly the score-everything ranking's first 25 hits."""
+    from repro.fulltext import parse_query
+
+    deployment = build_deployment(1, seed=8)
+    db = deployment.databases[0]
+    populate(db, 1200, deployment.rng, body_bytes=400, advance=0.0)
+    index = FullTextIndex(db)
+    tree = parse_query("budget")
+    plan = index._plan(tree)
+    oracle = sorted(
+        (-index._score(unid, plan), unid) for unid in index._eval(tree) if unid in db
+    )
+    assert len(oracle) >= 1000
+    scored = []
+    index._score = lambda unid, plan: scored.append(unid) or 0.0
+    for _ in range(2):  # the first search builds the list, the second reuses it
+        hits = index.search("budget", limit=25)
+        assert [(hit.unid, -hit.score) for hit in hits] == [
+            (unid, neg) for neg, unid in oracle[:25]
+        ]
+    assert scored == []

@@ -40,6 +40,10 @@ def _readers_changed() -> None:
     _readers_epoch += 1
 
 
+#: ``Document._readers`` before the first read of :attr:`Document.readers`.
+_UNSET = object()
+
+
 class Document:
     """One data note.
 
@@ -74,6 +78,7 @@ class Document:
         ]
         self.note_id = note_id
         self._items: dict[str, Item] = {}
+        self._readers = _UNSET  # cached by the readers property
         # Per-item last-change stamps (the input to field-level conflict
         # merging). An entry may exist for a *removed* item — that records
         # when the removal happened.
@@ -147,6 +152,7 @@ class Document:
         if name not in self._items:
             raise DocumentError(f"document has no item {name!r}")
         if self._items.pop(name).type == ItemType.READERS:
+            self._readers = _UNSET
             _readers_changed()
 
     def set_all(self, values: dict[str, Any]) -> None:
@@ -168,20 +174,29 @@ class Document:
             ):
                 readers = True
         if readers:
+            self._readers = _UNSET
             _readers_changed()
 
     # -- security helpers -----------------------------------------------
 
     @property
     def readers(self) -> list[str] | None:
-        """Union of READERS item values, or None when unrestricted."""
+        """Union of READERS item values, or None when unrestricted.
+
+        Computed once and cached until a READERS item changes; the list
+        is shared, so callers must not modify it.
+        """
+        cached = self._readers
+        if cached is not _UNSET:
+            return cached
         names: list[str] = []
         found = False
         for item in self._items.values():
             if item.type == ItemType.READERS:
                 found = True
                 names.extend(item.value)
-        return names if found else None
+        self._readers = names if found else None
+        return self._readers
 
     @property
     def authors(self) -> list[str]:
@@ -252,6 +267,7 @@ class Document:
         clone.revisions = list(self.revisions)
         clone.note_id = self.note_id
         clone._items = dict(self._items)
+        clone._readers = self._readers
         clone.item_times = dict(self.item_times)
         return clone
 
@@ -306,6 +322,7 @@ class Document:
         doc.revisions = revisions
         doc.note_id = 0
         doc._items = decode_items(items)
+        doc._readers = _UNSET
         doc.item_times = item_times
         return doc
 

@@ -34,13 +34,21 @@ class EvalContext:
         self.db = db
         self.user = user
         self.clock = clock if clock is not None else getattr(db, "clock", None)
-        self.rng = rng or random.Random(0)
+        self._rng = rng
         self.temps: dict[str, list] = {}
         self.field_writes: dict[str, list] = {}
         self.selected: bool | None = None
         self.wants_children = False
         self.wants_descendants = False
         self._unique = 0
+
+    @property
+    def rng(self) -> random.Random:
+        """The generator ``@Random`` draws from; seeded on first use,
+        since most formulas never draw."""
+        if self._rng is None:
+            self._rng = random.Random(0)
+        return self._rng
 
     def next_unique(self) -> int:
         self._unique += 1

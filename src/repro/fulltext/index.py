@@ -30,19 +30,26 @@ session now ride the delta (experiments E14 and E15).
 
 Scoring is tf–idf: ``tf * (log(N / df) + 1)`` summed over the words of
 the query's positive terms, with ``tf`` the field-weighted occurrence
-count. A search plans the query once — each word stemmed, its merged
-postings fetched and its idf computed a single time — so scoring a
-matched document is dictionary lookups alone. Every match is scored and
-ranked *before* any access check; a reader's READERS checks then run in
-rank order and stop at the ``limit``-th readable hit. Phrases verify
-adjacent positions inside one field.
+count. A single-term query (with or without a field) reads the term's
+*impact list*: its ``(-tf, unid)`` pairs in ascending order, built on the
+term's first such query and dropped whenever the term's postings change.
+Since ``idf`` is one positive number per query, that order is the rank
+order, so the walk stops at the ``limit``-th readable hit and scores only
+what it walks (Anh & Moffat's impact-ordered postings). Any other query
+is planned once — each word stemmed, its merged postings fetched and its
+idf computed a single time — and every match is scored and ranked before
+the access checks. Either way a reader's READERS checks run in rank order
+and stop at the ``limit``-th readable hit. Phrases verify adjacent
+positions inside one field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from bisect import bisect_right
 from itertools import islice
+from operator import itemgetter
 from time import perf_counter
 
 from repro.errors import FullTextError
@@ -67,6 +74,8 @@ _OLD_STACKS = {"terms": b"ftidx:terms", "docs": b"ftidx:docs"}
 #: Membership keys are ``_MEMBER + unid``, each holding ``_MARKER``.
 _MEMBER = "D:"
 _MARKER = True
+#: Keys of an impact-list entry ``(-tf, unid)``.
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,11 @@ class FullTextIndex(PersistedIndex):
         # Per-term merge of overlay + stack-minus-dead, built on a term's
         # first query and kept current by every write after it.
         self._merged_cache: dict[str, dict[str, dict[str, list[int]]]] = {}
+        # Per-term read structures derived from the merged postings:
+        # ``None`` -> the impact list, a field -> the set of documents
+        # holding the term in it. Built on demand and dropped, never
+        # patched, wherever the term's postings change.
+        self._derived: dict[str, dict] = {}
         self._doc_count = 0
         self._open_index(
             db, mode, persist, self.save_checkpoint,
@@ -130,6 +144,7 @@ class FullTextIndex(PersistedIndex):
         self._stack = None
         self._dead.clear()
         self._merged_cache.clear()
+        self._derived.clear()
         self._doc_count = 0
         for doc in self.db.all_documents():
             self._add(doc)
@@ -172,6 +187,10 @@ class FullTextIndex(PersistedIndex):
         for unid in self._doc_terms:
             records[_MEMBER + unid] = _MARKER
         removed = {_MEMBER + unid for unid in self._dead}
+        # _supersede finds the lists to drop through the cached merges; a
+        # term only the overlay held has none, so its lists go now.
+        for term in [term for term in self._derived if term not in self._merged_cache]:
+            del self._derived[term]
         if not self._doc_count:
             # No document is left, so every term record is dead too.
             removed.update(self._stack.keys())
@@ -270,8 +289,10 @@ class FullTextIndex(PersistedIndex):
         catch-up time when no merge has been materialized yet.
         """
         self._dead.add(unid)
-        for entry in self._merged_cache.values():
-            entry.pop(unid, None)
+        derived = self._derived
+        for term, entry in self._merged_cache.items():
+            if entry.pop(unid, None) is not None:
+                derived.pop(term, None)
 
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1
@@ -307,7 +328,9 @@ class FullTextIndex(PersistedIndex):
                 terms.add(token)
         self._doc_terms[doc.unid] = terms
         cache = self._merged_cache
+        derived = self._derived
         for term in terms:
+            derived.pop(term, None)
             merged = cache.get(term)
             if merged is not None:
                 merged[doc.unid] = self._postings[term][doc.unid]
@@ -321,6 +344,7 @@ class FullTextIndex(PersistedIndex):
                 self._doc_count -= 1
             return
         for term in terms:
+            self._derived.pop(term, None)
             postings = self._postings.get(term)
             if postings is not None:
                 postings.pop(unid, None)
@@ -378,26 +402,73 @@ class FullTextIndex(PersistedIndex):
     ) -> list[SearchHit]:
         """Run ``query``; returns hits ranked by tf–idf, best first.
 
-        Matches are ranked before any access check, then walked in rank
-        order: ``as_user`` is checked against one document at a time
-        until ``limit`` readable hits are found, so a reader pays for the
-        page it sees plus the unreadable hits ranked above it.
+        Hits are walked in rank order: ``as_user`` is checked against one
+        document at a time until ``limit`` readable hits are found, so a
+        reader pays for the page it sees plus the unreadable hits ranked
+        above it. A single term walks its impact list and scores only
+        what it walks; any other query scores and ranks every match
+        first.
         """
         if limit is not None and limit < 0:
             raise FullTextError(f"limit must not be negative, got {limit}")
         tree = parse_query(query)
-        matched = self._eval(tree)
-        plan = self._plan(tree)
         db = self.db
         # (-score, unid): best first, ties broken by UNID.
-        ranked = sorted(
-            (-self._score(unid, plan), unid) for unid in matched if unid in db
-        )
+        if isinstance(tree, Term):
+            ranked = self._term_ranking(tree)
+        else:
+            matched = self._eval(tree)
+            plan = self._plan(tree)
+            ranked = sorted(
+                (-self._score(unid, plan), unid) for unid in matched if unid in db
+            )
         if as_user is not None:
             ranked = (
                 key for key in ranked if db._can_read(as_user, db.get(key[1]))
             )
         return [SearchHit(unid, -neg) for neg, unid in islice(ranked, limit)]
+
+    def _term_ranking(self, term: Term):
+        """``(-score, unid)`` of one term's live matches, best first,
+        read lazily off the term's impact list.
+
+        A score is ``tf * idf`` exactly as :meth:`_score` computes it, so
+        entries of one ``tf`` (a *group*, already in UNID order) share a
+        score. Unequal ``tf`` values can still round to one score; such
+        groups are adjacent, and their run is re-sorted by UNID.
+        """
+        word = stem(term.text.lower())
+        postings = self._merged(word)
+        derived = self._derived.setdefault(word, {})
+        impacts = derived.get(None)
+        if impacts is None:
+            weights = self.field_weights
+            impacts = derived[None] = sorted(
+                (-_weighted_tf(fields, weights), unid)
+                for unid, fields in postings.items()
+            )
+        if not impacts:
+            return
+        idf = math.log(max(self._doc_count, 1) / len(postings)) + 1.0
+        db = self.db
+        field = term.field.lower() if term.field is not None else None
+        walk = iter(impacts)
+        start, size = 0, len(impacts)
+        while start < size:
+            neg_tf = impacts[start][0]
+            neg_score = neg_tf * idf
+            end = bisect_right(impacts, neg_tf, start, key=_FIRST)
+            tied = False
+            while end < size and impacts[end][0] * idf == neg_score:
+                end = bisect_right(impacts, impacts[end][0], end, key=_FIRST)
+                tied = True
+            run = islice(walk, end - start)
+            if tied:
+                run = sorted(run, key=_SECOND)
+            for _, unid in run:
+                if unid in db and (field is None or field in postings[unid]):
+                    yield neg_score, unid
+            start = end
 
     # -- boolean evaluation --------------------------------------------------
 
@@ -405,16 +476,15 @@ class FullTextIndex(PersistedIndex):
         return self._all_doc_unids()
 
     def _eval(self, node) -> set[str]:
+        """The UNIDs ``node`` matches; the set may be cached, so it is
+        read-only."""
         if isinstance(node, Term):
             return self._term_docs(node)
         if isinstance(node, Phrase):
             return self._phrase_docs(node)
         if isinstance(node, And):
             parts = [self._eval(part) for part in node.parts]
-            result = parts[0]
-            for part in parts[1:]:
-                result &= part
-            return result
+            return parts[0].intersection(*parts[1:])
         if isinstance(node, Or):
             result: set[str] = set()
             for part in node.parts:
@@ -425,21 +495,29 @@ class FullTextIndex(PersistedIndex):
         raise FullTextError(f"cannot evaluate query node {node!r}")
 
     def _term_docs(self, term: Term) -> set[str]:
-        return self._docs_in(self._merged(stem(term.text.lower())), term.field)
+        return self._docs_in(stem(term.text.lower()), term.field)
 
-    @staticmethod
-    def _docs_in(postings, field: str | None) -> set[str]:
+    def _docs_in(self, word: str, field: str | None) -> set[str]:
+        """The documents holding ``word`` (in ``field``, when given); a
+        field's set is cached beside the word's impact list."""
+        postings = self._merged(word)
         if field is None:
             return set(postings)
         field = field.lower()
-        return {unid for unid, fields in postings.items() if field in fields}
+        derived = self._derived.setdefault(word, {})
+        docs = derived.get(field)
+        if docs is None:
+            docs = derived[field] = {
+                unid for unid, fields in postings.items() if field in fields
+            }
+        return docs
 
     def _phrase_docs(self, phrase: Phrase) -> set[str]:
         words = tokenize(phrase.text)  # already stemmed
         if not words:
             return set()
         if len(words) == 1:
-            return self._docs_in(self._merged(words[0]), phrase.field)
+            return self._docs_in(words[0], phrase.field)
         candidates = None
         for word in words:
             docs = set(self._merged(word))
@@ -509,10 +587,14 @@ class FullTextIndex(PersistedIndex):
         weights = self.field_weights
         for postings, idf in plan:
             fields = postings.get(unid)
-            if fields is None:
-                continue
-            tf = 0.0  # a loop, not sum() over a generator: same additions
-            for field, positions in fields.items():
-                tf += len(positions) * weights.get(field, 1.0)
-            total += tf * idf
+            if fields is not None:
+                total += _weighted_tf(fields, weights) * idf
         return total
+
+
+def _weighted_tf(fields: dict[str, list[int]], weights: dict[str, float]) -> float:
+    """A document's field-weighted occurrence count of one word."""
+    tf = 0.0  # a loop, not sum() over a generator: same additions
+    for field, positions in fields.items():
+        tf += len(positions) * weights.get(field, 1.0)
+    return tf

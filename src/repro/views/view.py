@@ -391,6 +391,8 @@ class View(PersistedIndex):
                 column.value_for(doc, self.db) for column in self.columns
             )
             self._keys[doc.unid] = key
+            if doc.readers is not None:
+                self._restricted.add(doc.unid)
             if doc.parent_unid is not None:
                 self._children.setdefault(doc.parent_unid, set()).add(doc.unid)
                 self._parent_of[doc.unid] = doc.parent_unid
@@ -400,6 +402,8 @@ class View(PersistedIndex):
         self.rebuilds += 1
         self._checkpoint = self.db.checkpoint()
         self._state = self._checkpoint.state
+        # _restricted was filled from the live documents just read.
+        self._access_stamp = (readers_epoch(), None)
         self.catch_up.record_rebuild(perf_counter() - started)
         return len(self._tree)
 

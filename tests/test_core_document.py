@@ -119,6 +119,34 @@ class TestSecurityAccessors:
         doc.set("A", ["x"], ItemType.AUTHORS)
         assert doc.authors == ["x"]
 
+    def test_readers_is_read_once(self, doc):
+        doc.set("R", ["a"], ItemType.READERS)
+        assert doc.readers is doc.readers
+
+    def test_readers_follow_in_place_edits(self, doc):
+        assert doc.readers is None
+        doc.set("R", ["a"], ItemType.READERS)
+        assert doc.readers == ["a"]
+        doc.put_items([Item("R", ItemType.READERS, ["b"])])
+        assert doc.readers == ["b"]
+        doc.set("R", "plain text")  # a READERS item retyped away
+        assert doc.readers is None
+        doc.set("R2", ["c"], ItemType.READERS)
+        assert doc.readers == ["c"]
+        doc.remove_item("R2")
+        assert doc.readers is None
+
+    def test_readers_of_copies_and_records(self, doc):
+        doc.set("R", ["a"], ItemType.READERS)
+        assert doc.readers == ["a"]
+        clone = doc.copy()
+        clone.set("R", ["b"], ItemType.READERS)
+        assert (doc.readers, clone.readers) == (["a"], ["b"])
+        loaded = Document.from_record(marshal.loads(marshal.dumps(doc.to_record())))
+        assert loaded.readers == ["a"]
+        loaded.remove_item("R")
+        assert loaded.readers is None and doc.readers == ["a"]
+
 
 class TestSerialization:
     def test_roundtrip(self, doc):

@@ -1,5 +1,7 @@
 """Tests for the @function library."""
 
+import random
+
 import pytest
 
 from repro.core import Document, NotesDatabase
@@ -223,6 +225,33 @@ class TestNumberFunctions:
     def test_sum_rejects_text(self):
         with pytest.raises(FormulaEvalError):
             ev('@Sum("a")')
+
+
+class TestRandom:
+    def test_draws_from_a_generator_seeded_with_zero(self):
+        assert ev("@Random") == [random.Random(0).random()]
+        twice = ev("x := @Random; y := @Random; x : y")
+        draws = random.Random(0)
+        assert twice == [draws.random(), draws.random()]
+
+    def test_a_given_generator_is_used(self):
+        assert ev("@Random", rng=random.Random(5)) == [random.Random(5).random()]
+
+    def test_selection_without_random_seeds_no_generator(self, doc, monkeypatch):
+        built = []
+        real = random.Random
+
+        class Counting(real):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Counting)
+        formula = compile_formula('SELECT Subject = "Quarterly Report"')
+        assert formula.select_ex(doc)[0]
+        assert built == []
+        compile_formula("SELECT @Random < 2").select_ex(doc)
+        assert built == [(0,)]
 
 
 class TestExtensibility:

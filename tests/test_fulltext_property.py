@@ -9,7 +9,10 @@ document), drop what ``as_user`` may not read, sort by
 an in-memory index and on a persisted one whose postings come from
 segments plus an edited overlay after a reopen; for a reloaded stack of
 one segment or several, the oracle runs over a fresh in-memory rebuild
-of the same notes.
+of the same notes. A single-term query reads the term's impact list,
+which every edit of the term's postings drops: the interleaved case
+searches, edits, deletes and changes READERS items in place, and then
+searches the same terms again.
 
 Each property runs twice: a reduced-example fast lane in the default
 job, and a ``slow``-marked lane with the full example budget
@@ -73,12 +76,29 @@ QUERY = st.recursive(
     ),
     max_leaves=4,
 )
-SEARCH = st.tuples(
-    QUERY, st.sampled_from([None, 0, 1, 3, 5]), st.sampled_from(USERS)
-)
+LIMITS = st.sampled_from([None, 0, 1, 3, 5, 25])
+SEARCH = st.tuples(QUERY, LIMITS, st.sampled_from(USERS))
 # Edits past the checkpoint: (memo index, new memo or None to delete).
 EDITS = st.lists(st.tuples(st.integers(0, 30), st.one_of(st.none(), MEMO)),
                  max_size=6)
+# READERS items set or removed on live documents, with no database write:
+# (memo index, new reader names or None to remove the item).
+READER_EDITS = st.lists(
+    st.tuples(st.integers(0, 30),
+              st.sampled_from([None, ["boss/Acme"], ["peon/Acme"]])),
+    max_size=3,
+)
+# Single terms over the words the memos use, so rounds reuse terms whose
+# impact lists an earlier round built.
+TERM_SEARCH = st.tuples(_TERM, LIMITS, st.sampled_from(USERS))
+# Searched after every round on top of the drawn searches.
+EVERY_WORD = [
+    (query, limit, user)
+    for word in WORDS
+    for query, limit, user in ((word, None, "peon/Acme"), (f"subject:{word}", 3, None))
+]
+ROUND = st.tuples(EDITS, READER_EDITS,
+                  st.lists(st.one_of(TERM_SEARCH, SEARCH), min_size=1, max_size=4))
 
 
 def _items(memo):
@@ -111,6 +131,13 @@ def _oracle_score(index, unid, tree):
     return total
 
 
+def _can_read(user, doc):
+    """The ACL's answer for these memos (default level Reader, no AUTHORS
+    items), read off the items rather than ``Document.readers``."""
+    readers = [item.value for item in doc if item.type is ItemType.READERS]
+    return not readers or any(user in names for names in readers)
+
+
 def _oracle(index, query, limit, as_user):
     db = index.db
     tree = parse_query(query)
@@ -120,7 +147,7 @@ def _oracle(index, query, limit, as_user):
         if unid in db
     ]
     if as_user is not None:
-        scored = [hit for hit in scored if db._can_read(as_user, db.get(hit[0]))]
+        scored = [hit for hit in scored if _can_read(as_user, db.get(hit[0]))]
     scored.sort(key=lambda hit: (-hit[1], hit[0]))
     return scored[:limit] if limit is not None else scored
 
@@ -153,6 +180,31 @@ def _apply_edits(db, unids, edits):
             db.delete(unid)
         else:
             db.update(unid, _items(memo))
+
+
+def _edit_readers(db, unids, reader_edits):
+    for position, names in reader_edits:
+        live = [unid for unid in unids if unid in db]
+        if not live:
+            return
+        doc = db.get(live[position % len(live)])
+        if names is not None:
+            doc.put_items([Item.of("Readers", names, ItemType.READERS)])
+        elif "Readers" in doc:
+            doc.remove_item("Readers")
+
+
+def check_interleaved(memos, rounds):
+    """Search, edit and delete, change READERS in place, search again:
+    each round's searches see the edits of the rounds before it."""
+    db = _new_db()
+    unids = [db.create(_items(memo)).unid for memo in memos]
+    index = FullTextIndex(db)
+    for edits, reader_edits, searches in rounds:
+        db.acl = None
+        _apply_edits(db, unids, edits)
+        _edit_readers(db, unids, reader_edits)
+        _check_searches(index, searches + EVERY_WORD)
 
 
 def check_in_memory(memos, edits, searches):
@@ -243,6 +295,13 @@ def test_top_k_on_reloaded_stack_matches_fresh_rebuild(
     check_reloaded(memos, saved_edits, live_edits, searches)
 
 
+@settings(max_examples=40, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=12),
+       rounds=st.lists(ROUND, min_size=2, max_size=4))
+def test_interleaved_edits_and_searches_match_oracle(memos, rounds):
+    check_interleaved(memos, rounds)
+
+
 # -- slow lane (full budget: pytest -m slow) ----------------------------
 
 
@@ -271,3 +330,11 @@ def test_top_k_on_reloaded_stack_matches_fresh_rebuild_full(
     memos, saved_edits, live_edits, searches
 ):
     check_reloaded(memos, saved_edits, live_edits, searches)
+
+
+@pytest.mark.slow
+@settings(max_examples=300, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=30),
+       rounds=st.lists(ROUND, min_size=2, max_size=6))
+def test_interleaved_edits_and_searches_match_oracle_full(memos, rounds):
+    check_interleaved(memos, rounds)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import NotesDatabase
+from repro.core import Item, ItemType, NotesDatabase
 from repro.errors import ViewError
+from repro.security import AccessControlList, AclLevel
 from repro.views import CategoryRow, DocumentRow, SortOrder, View, ViewColumn
 
 
@@ -241,3 +242,38 @@ class TestKeyLookup:
         )
         with pytest.raises(ViewError):
             view.documents_by_key(5)
+
+
+class TestReaderAccessAfterRebuild:
+    """A rebuild reads every selected document, so it leaves the
+    restricted set exact: the first page after it rescans nothing."""
+
+    def _count_reads(self, db):
+        reads = []
+        try_get = db.try_get
+        db.try_get = lambda unid: reads.append(unid) or try_get(unid)
+        return reads
+
+    def test_first_page_makes_no_rescan(self, orders):
+        orders.acl = AccessControlList(default_level=AclLevel.READER)
+        view = make_view(orders)
+        view.rebuild()
+        reads = self._count_reads(orders)
+        page, total = view.window(1, 5, as_user="peon/Acme")
+        assert total == 12 and len(page) == 5
+        assert reads == []
+
+    def test_restricted_set_is_exact_after_rebuild(self, orders):
+        hidden = orders.unids()[:2]
+        for unid in hidden:
+            orders.update(unid, {"Secret": Item.of("Secret", ["boss/Acme"], ItemType.READERS)})
+        view = make_view(orders)
+        view.rebuild()
+        assert view._restricted == set(hidden)
+        reads = self._count_reads(orders)
+        view._sync_access()
+        assert reads == []
+        # An in-place READERS edit after the rebuild still rescans.
+        orders.get(hidden[0]).remove_item("Secret")
+        view._sync_access()
+        assert len(reads) == 12 and view._restricted == {hidden[1]}
