@@ -6,7 +6,10 @@ is driven by posting-list sizes, not corpus scans. A reader's top-k search
 (``limit=25``) checks READERS access only down the ranking until the 25th
 readable hit, not on every match. A single-term top-k search walks the
 term's impact list, so its cost follows the ``limit``, not the term's
-match count (E8c).
+match count (E8c). An edit does not drop that list: the next search
+patches the entries the edit changed, so a search after a few edits
+costs about what a search on an untouched list does, not a re-sort of
+every match (E8d).
 """
 
 from __future__ import annotations
@@ -251,3 +254,80 @@ def test_e08_incremental_add_speed(benchmark):
                    "Body": "status update with budget numbers " * 10})
 
     benchmark(add_doc)
+
+
+#: E8d: the edited term, its match count, the corpus size and the edit
+#: counts between two searches.
+PATCH_WORD = "harbor"
+PATCH_MATCHES = 2_000
+PATCH_DOCS = 4_000
+PATCH_EDITS = (1, 10, 100, 1_000)
+#: Each cell is the median of this many edit-then-search trials.
+PATCH_TRIALS = 9
+
+
+def build_patch_index():
+    """4,000 short memos; every other one holds ``PATCH_WORD`` 1-5 times."""
+    deployment = build_deployment(1, seed=84)
+    db = deployment.databases[0]
+    holders = []
+    for number in range(PATCH_DOCS):
+        words = ["memo", str(number)]
+        if number % (PATCH_DOCS // PATCH_MATCHES) == 0:
+            words += [PATCH_WORD] * deployment.rng.randint(1, 5)
+        doc = db.create({"Subject": f"note {number}", "Body": " ".join(words)})
+        if PATCH_WORD in words:
+            holders.append(doc.unid)
+    return FullTextIndex(db), holders, deployment.rng
+
+
+def search_after_edits(index, holders, rng, edits: int, rebuild: bool) -> float:
+    """Edit ``edits`` holders of the word (each gets a new tf), then time
+    one top-25 search; ``rebuild`` drops the word's lists first, so the
+    search sorts every match as a fresh list."""
+    db = index.db
+    for unid in rng.sample(holders, edits):
+        tf = rng.randint(1, 5)
+        db.update(unid, {"Body": " ".join(["memo", unid] + [PATCH_WORD] * tf)})
+    if rebuild:
+        index._derived.pop(PATCH_WORD, None)
+    start = time.perf_counter()
+    hits = index.search(PATCH_WORD, limit=TOP_K)
+    elapsed = time.perf_counter() - start
+    assert len(hits) == TOP_K
+    return elapsed
+
+
+def test_e08d_search_after_edits_patches_the_list(benchmark):
+    index, holders, rng = build_patch_index()
+    rows = []
+
+    def sweep():
+        rows.clear()
+        index.search(PATCH_WORD, limit=TOP_K)  # builds the lists
+        for edits in PATCH_EDITS:
+            patched, rebuilt = [], []
+            for _ in range(PATCH_TRIALS):
+                patched.append(search_after_edits(index, holders, rng, edits, False))
+                rebuilt.append(search_after_edits(index, holders, rng, edits, True))
+            patch_ms = round(statistics.median(patched) * 1000, 3)
+            rebuild_ms = round(statistics.median(rebuilt) * 1000, 3)
+            rows.append([edits, patch_ms, rebuild_ms,
+                         round(rebuild_ms / max(patch_ms, 1e-6), 1)])
+        return rows
+
+    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    print_table(
+        f"E8d  top-25 search on a {PATCH_MATCHES:,}-match term right after k edits",
+        ["edits k", "patched list ms", "rebuilt list ms", "rebuilt/patched"],
+        rows,
+        note="patched: the search bisects each edited entry out and back in; "
+             "rebuilt: the lists are dropped and rebuilt; "
+             f"medians of {PATCH_TRIALS}",
+    )
+    # The patched lists rank exactly as a fresh index does.
+    fresh = FullTextIndex(index.db)
+    assert index.search(PATCH_WORD) == fresh.search(PATCH_WORD)
+    fresh.close()
+    cells = {row[0]: row for row in rows}
+    assert cells[1][1] * 2 < cells[1][2]

@@ -261,3 +261,30 @@ def test_smoke_single_term_top_k_scores_no_match():
             (unid, neg) for neg, unid in oracle[:25]
         ]
     assert scored == []
+
+
+def test_smoke_search_after_an_edit_patches_one_entry(monkeypatch):
+    """E8d shape: an edit marks the term's impact list stale instead of
+    dropping it, so the next search patches the one edited entry and
+    sorts no list, and still ranks as a fresh index does."""
+    from repro.fulltext import index as index_module
+
+    deployment = build_deployment(1, seed=8)
+    db = deployment.databases[0]
+    populate(db, 1200, deployment.rng, body_bytes=400, advance=0.0)
+    index = FullTextIndex(db)
+    index.search("budget", limit=25)  # builds the term's lists
+    edited = next(doc for doc in db.all_documents() if "budget" in doc.get("Body"))
+    db.update(edited.unid, {"Body": edited.get("Body") + " budget budget"})
+    lists = index._derived["budget"]
+    assert lists.stale == {edited.unid} and lists.impacts is not None
+    sorts = []
+    monkeypatch.setattr(
+        index_module, "sorted",
+        lambda *args, **kw: sorts.append(args) or sorted(*args, **kw),
+        raising=False,
+    )
+    hits = index.search("budget", limit=25)
+    assert sorts == [] and not lists.stale
+    monkeypatch.undo()
+    assert hits == FullTextIndex(db).search("budget", limit=25)

@@ -79,6 +79,9 @@ class Document:
         self.note_id = note_id
         self._items: dict[str, Item] = {}
         self._readers = _UNSET  # cached by the readers property
+        # The web search page's escaped title, kept by the renderer until
+        # an item changes.
+        self.title_html: str | None = None
         # Per-item last-change stamps (the input to field-level conflict
         # merging). An entry may exist for a *removed* item — that records
         # when the removal happened.
@@ -151,6 +154,7 @@ class Document:
         """Delete an item; raises :class:`DocumentError` if absent."""
         if name not in self._items:
             raise DocumentError(f"document has no item {name!r}")
+        self.title_html = None
         if self._items.pop(name).type == ItemType.READERS:
             self._readers = _UNSET
             _readers_changed()
@@ -165,6 +169,7 @@ class Document:
 
     def put_items(self, items: Iterable[Item]) -> None:
         """Install already-built items, replacing any of the same name."""
+        self.title_html = None
         readers = False
         for item in items:
             old = self._items.get(item.name)
@@ -268,6 +273,7 @@ class Document:
         clone.note_id = self.note_id
         clone._items = dict(self._items)
         clone._readers = self._readers
+        clone.title_html = self.title_html
         clone.item_times = dict(self.item_times)
         return clone
 
@@ -323,6 +329,7 @@ class Document:
         doc.note_id = 0
         doc._items = decode_items(items)
         doc._readers = _UNSET
+        doc.title_html = None
         doc.item_times = item_times
         return doc
 

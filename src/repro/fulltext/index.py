@@ -30,24 +30,31 @@ session now ride the delta (experiments E14 and E15).
 
 Scoring is tf–idf: ``tf * (log(N / df) + 1)`` summed over the words of
 the query's positive terms, with ``tf`` the field-weighted occurrence
-count. A single-term query (with or without a field) reads the term's
-*impact list*: its ``(-tf, unid)`` pairs in ascending order, built on the
-term's first such query and dropped whenever the term's postings change.
-Since ``idf`` is one positive number per query, that order is the rank
-order, so the walk stops at the ``limit``-th readable hit and scores only
-what it walks (Anh & Moffat's impact-ordered postings). Any other query
-is planned once — each word stemmed, its merged postings fetched and its
-idf computed a single time — and every match is scored and ranked before
-the access checks. Either way a reader's READERS checks run in rank order
-and stop at the ``limit``-th readable hit. Phrases verify adjacent
-positions inside one field.
+count. The first query that reads a term gives it lasting read
+structures (:class:`_TermLists`): a *tf map* ``unid -> -tf``, the per-field
+document sets field-scoped queries ask for and, once a single-term query
+asks, the term's *impact list*, its ``(-tf, unid)`` pairs in ascending
+order. A write does not drop them: it only adds the UNID to the term's
+stale set, and the term's next read patches each structure for just
+those UNIDs (a bisect out of the list, an ``insort`` back in), so an edit
+costs the next search O(log n) comparisons and one list shift per
+changed UNID, not a re-sort. Terms never read get no structures.
+
+Since ``idf`` is one positive number per query, impact order is the rank
+order, so a single-term query walks the list, stops at the
+``limit``-th readable hit and scores only what it walks (Anh & Moffat's
+impact-ordered postings). Any other query is planned once — each word
+stemmed, its tf map fetched and its idf computed a single time — and
+every match is scored from the tf maps and ranked before the access
+checks. Either way a reader's READERS checks run in rank order and stop
+at the ``limit``-th readable hit. Phrases verify adjacent positions
+inside one field.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from itertools import islice
 from operator import itemgetter
 from time import perf_counter
@@ -78,10 +85,65 @@ _MARKER = True
 _FIRST, _SECOND = itemgetter(0), itemgetter(1)
 
 
-@dataclass(frozen=True)
-class SearchHit:
-    unid: str
-    score: float
+class SearchHit(tuple):
+    """One ranked hit: the document's ``unid`` and its tf–idf ``score``.
+
+    An immutable pair, built as one tuple. It compares equal only to
+    another hit with the same fields (not to a plain tuple), hashes as
+    ``hash((unid, score))`` and prints as ``SearchHit(unid=..., score=...)``.
+    """
+
+    __slots__ = ()
+
+    unid = property(_FIRST)
+    score = property(_SECOND)
+
+    def __new__(cls, unid: str, score: float) -> "SearchHit":
+        return tuple.__new__(cls, (unid, score))
+
+    def __getnewargs__(self) -> tuple[str, float]:
+        # copy and pickle rebuild a hit through ``__new__(cls, *these)``.
+        return tuple(self)
+
+    def __eq__(self, other):
+        if other.__class__ is SearchHit:
+            return tuple.__eq__(self, other)
+        # A plain tuple would otherwise compare equal through tuple's own
+        # reflected __eq__.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return f"SearchHit(unid={self[0]!r}, score={self[1]!r})"
+
+
+#: Builds a hit without a Python-level ``__new__`` call (the search loop).
+_hit = tuple.__new__
+
+
+class _TermLists:
+    """One term's read structures over its merged postings.
+
+    ``tfs`` maps each holding document to ``-tf``; ``impacts`` is None
+    until a single-term query asks for the sorted ``(-tf, unid)`` list;
+    ``fields`` maps a field to the documents holding the term in it.
+    ``stale`` holds the UNIDs whose postings of the term changed since the
+    last read: :meth:`FullTextIndex._lists` patches every structure for
+    them before handing the structures out.
+    """
+
+    __slots__ = ("tfs", "impacts", "fields", "stale")
+
+    def __init__(self, tfs: dict[str, float]) -> None:
+        self.tfs = tfs
+        self.impacts: list[tuple[float, str]] | None = None
+        self.fields: dict[str, set[str]] = {}
+        self.stale: set[str] = set()
 
 
 class FullTextIndex(PersistedIndex):
@@ -118,11 +180,10 @@ class FullTextIndex(PersistedIndex):
         # Per-term merge of overlay + stack-minus-dead, built on a term's
         # first query and kept current by every write after it.
         self._merged_cache: dict[str, dict[str, dict[str, list[int]]]] = {}
-        # Per-term read structures derived from the merged postings:
-        # ``None`` -> the impact list, a field -> the set of documents
-        # holding the term in it. Built on demand and dropped, never
-        # patched, wherever the term's postings change.
-        self._derived: dict[str, dict] = {}
+        # Per-term read structures derived from the merged postings,
+        # built on a term's first read and patched, not dropped, after a
+        # write changes the term's postings.
+        self._derived: dict[str, _TermLists] = {}
         self._doc_count = 0
         self._open_index(
             db, mode, persist, self.save_checkpoint,
@@ -187,10 +248,14 @@ class FullTextIndex(PersistedIndex):
         for unid in self._doc_terms:
             records[_MEMBER + unid] = _MARKER
         removed = {_MEMBER + unid for unid in self._dead}
-        # _supersede finds the lists to drop through the cached merges; a
-        # term only the overlay held has none, so its lists go now.
-        for term in [term for term in self._derived if term not in self._merged_cache]:
-            del self._derived[term]
+        # _supersede finds the read terms a stack document held through
+        # the cached merges. A read term only the overlay held has none:
+        # its merge now starts as the record this save appends (copied,
+        # since the stack keeps that record).
+        cache = self._merged_cache
+        for term in self._derived:
+            if term not in cache and term in records:
+                cache[term] = dict(records[term])
         if not self._doc_count:
             # No document is left, so every term record is dead too.
             removed.update(self._stack.keys())
@@ -292,7 +357,9 @@ class FullTextIndex(PersistedIndex):
         derived = self._derived
         for term, entry in self._merged_cache.items():
             if entry.pop(unid, None) is not None:
-                derived.pop(term, None)
+                lists = derived.get(term)
+                if lists is not None:
+                    lists.stale.add(unid)
 
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1
@@ -326,14 +393,17 @@ class FullTextIndex(PersistedIndex):
                 )
                 slot.append(position)
                 terms.add(token)
-        self._doc_terms[doc.unid] = terms
+        unid = doc.unid
+        self._doc_terms[unid] = terms
         cache = self._merged_cache
         derived = self._derived
         for term in terms:
-            derived.pop(term, None)
+            lists = derived.get(term)
+            if lists is not None:
+                lists.stale.add(unid)
             merged = cache.get(term)
             if merged is not None:
-                merged[doc.unid] = self._postings[term][doc.unid]
+                merged[unid] = self._postings[term][unid]
         self._doc_count += 1
 
     def _remove(self, unid: str) -> None:
@@ -343,8 +413,11 @@ class FullTextIndex(PersistedIndex):
                 self._supersede(unid)
                 self._doc_count -= 1
             return
+        derived = self._derived
         for term in terms:
-            self._derived.pop(term, None)
+            lists = derived.get(term)
+            if lists is not None:
+                lists.stale.add(unid)
             postings = self._postings.get(term)
             if postings is not None:
                 postings.pop(unid, None)
@@ -426,7 +499,52 @@ class FullTextIndex(PersistedIndex):
             ranked = (
                 key for key in ranked if db._can_read(as_user, db.get(key[1]))
             )
-        return [SearchHit(unid, -neg) for neg, unid in islice(ranked, limit)]
+        return [_hit(SearchHit, (unid, -neg)) for neg, unid in islice(ranked, limit)]
+
+    def _lists(self, word: str) -> tuple[dict, _TermLists | None]:
+        """``word``'s merged postings and its read structures, current.
+
+        The structures are built on the word's first read (None while the
+        word has no postings and was never read) and patched here for the
+        UNIDs written since the last read: each structure then equals one
+        built fresh from the postings.
+        """
+        postings = self._merged(word)
+        lists = self._derived.get(word)
+        if lists is None:
+            if not postings:
+                return postings, None
+            weights = self.field_weights
+            lists = self._derived[word] = _TermLists({
+                unid: -_weighted_tf(fields, weights)
+                for unid, fields in postings.items()
+            })
+        elif lists.stale:
+            self._patch(lists, postings)
+        return postings, lists
+
+    def _patch(self, lists: _TermLists, postings: dict) -> None:
+        """Bring ``lists`` up to ``postings`` for its stale UNIDs: bisect
+        each old impact entry out and ``insort`` the new one."""
+        tfs, impacts, fields = lists.tfs, lists.impacts, lists.fields
+        weights = self.field_weights
+        for unid in lists.stale:
+            old = tfs.pop(unid, None)
+            held = postings.get(unid)
+            new = None
+            if held is not None:
+                new = tfs[unid] = -_weighted_tf(held, weights)
+            if impacts is not None and new != old:
+                if old is not None:
+                    del impacts[bisect_left(impacts, (old, unid))]
+                if new is not None:
+                    insort(impacts, (new, unid))
+            for field, docs in fields.items():
+                if held is not None and field in held:
+                    docs.add(unid)
+                else:
+                    docs.discard(unid)
+        lists.stale.clear()
 
     def _term_ranking(self, term: Term):
         """``(-score, unid)`` of one term's live matches, best first,
@@ -437,16 +555,13 @@ class FullTextIndex(PersistedIndex):
         score. Unequal ``tf`` values can still round to one score; such
         groups are adjacent, and their run is re-sorted by UNID.
         """
-        word = stem(term.text.lower())
-        postings = self._merged(word)
-        derived = self._derived.setdefault(word, {})
-        impacts = derived.get(None)
+        postings, lists = self._lists(stem(term.text.lower()))
+        if lists is None:
+            return
+        impacts = lists.impacts
         if impacts is None:
-            weights = self.field_weights
-            impacts = derived[None] = sorted(
-                (-_weighted_tf(fields, weights), unid)
-                for unid, fields in postings.items()
-            )
+            tfs = lists.tfs
+            impacts = lists.impacts = sorted(zip(tfs.values(), tfs.keys()))
         if not impacts:
             return
         idf = math.log(max(self._doc_count, 1) / len(postings)) + 1.0
@@ -499,15 +614,16 @@ class FullTextIndex(PersistedIndex):
 
     def _docs_in(self, word: str, field: str | None) -> set[str]:
         """The documents holding ``word`` (in ``field``, when given); a
-        field's set is cached beside the word's impact list."""
-        postings = self._merged(word)
+        field's set is kept with the word's read structures."""
         if field is None:
-            return set(postings)
+            return set(self._merged(word))
+        postings, lists = self._lists(word)
+        if lists is None:
+            return set()
         field = field.lower()
-        derived = self._derived.setdefault(word, {})
-        docs = derived.get(field)
+        docs = lists.fields.get(field)
         if docs is None:
-            docs = derived[field] = {
+            docs = lists.fields[field] = {
                 unid for unid, fields in postings.items() if field in fields
             }
         return docs
@@ -563,10 +679,10 @@ class FullTextIndex(PersistedIndex):
         return []  # NOT subtrees do not contribute to relevance
 
     def _plan(self, tree) -> list[tuple[dict, float]]:
-        """The query's term plan: one ``(postings, idf)`` pair per word
-        of its positive terms, in query order (a repeated word counts
-        each time), each word stemmed and looked up once per query.
-        Words with no postings score nothing and are left out."""
+        """The query's term plan: one ``(tf map, idf)`` pair per word of
+        its positive terms, in query order (a repeated word counts each
+        time), each word stemmed and looked up once per query. Words
+        with no postings score nothing and are left out."""
         n_docs = max(self._doc_count, 1)
         plan = []
         for node in self._positive_terms(tree):
@@ -576,19 +692,21 @@ class FullTextIndex(PersistedIndex):
                 else [stem(node.text.lower())]
             )
             for word in words:
-                postings = self._merged(word)
+                postings, lists = self._lists(word)
                 if postings:
-                    plan.append((postings, math.log(n_docs / len(postings)) + 1.0))
+                    plan.append((lists.tfs, math.log(n_docs / len(postings)) + 1.0))
         return plan
 
     def _score(self, unid: str, plan: list[tuple[dict, float]]) -> float:
-        """One matched document's tf–idf over the query's ``plan``."""
+        """One matched document's tf–idf over the query's ``plan``.
+
+        The maps hold ``-tf``; subtracting ``-tf * idf`` adds exactly
+        ``tf * idf``, so scores equal the positions-weighted sum."""
         total = 0.0
-        weights = self.field_weights
-        for postings, idf in plan:
-            fields = postings.get(unid)
-            if fields is not None:
-                total += _weighted_tf(fields, weights) * idf
+        for tfs, idf in plan:
+            neg_tf = tfs.get(unid)
+            if neg_tf is not None:
+                total -= neg_tf * idf
         return total
 
 

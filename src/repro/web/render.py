@@ -208,19 +208,26 @@ def render_view_entries_xml(
 def render_search_results(
     db: NotesDatabase, db_path: str, view_name: str, query: str, hits
 ) -> str:
+    """Render ranked ``(unid, score)`` hits as an ordered list of links.
+
+    Each document's escaped title is formatted once and kept in
+    :attr:`Document.title_html`, which every item change resets.
+    """
     parts = [
         f"<h1>Search: {escape(query)}</h1>",
         f'<ol class="results">',
     ]
-    for hit in hits:
-        doc = db.try_get(hit.unid)
+    href = f"/{db_path}/{view_name}/"
+    for unid, score in hits:
+        doc = db.try_get(unid)
         if doc is None:
             continue
-        title = escape(_doc_title(doc))
-        href = f"/{db_path}/{view_name}/{doc.unid}?OpenDocument"
+        title = doc.title_html
+        if title is None:
+            title = doc.title_html = escape(_doc_title(doc))
         parts.append(
-            f'<li><a href="{href}">{title}</a> '
-            f'<span class="score">{hit.score:.2f}</span></li>'
+            f'<li><a href="{href}{unid}?OpenDocument">{title}</a> '
+            f'<span class="score">{score:.2f}</span></li>'
         )
     parts.append("</ol>")
     return "\n".join(parts)

@@ -109,9 +109,12 @@ class DominoWebServer:
             query = (parsed.param("query") or "").strip()
             if not query:
                 raise WebError("SearchView needs a Query parameter")
-            _, count = self._page(parsed, 25)
-            hits = app.fulltext.search(query, limit=count,
+            start, count = self._page(parsed, 25)
+            # The page is the readable hits start .. start + count - 1:
+            # reader checks stop at its last hit.
+            hits = app.fulltext.search(query, limit=start - 1 + count,
                                        as_user=user if db.acl else None)
+            del hits[:start - 1]
             return WebResponse(
                 200,
                 render_search_results(db, path, parsed.view, query, hits),

@@ -5,7 +5,7 @@ Grammar (the classic Domino URL syntax)::
     /<database>?OpenDatabase
     /<database>/<view>?OpenView[&Start=n][&Count=n][&ExpandView]
     /<database>/<view>/<unid>?OpenDocument
-    /<database>/<view>?SearchView&Query=<text>[&Count=n]
+    /<database>/<view>?SearchView&Query=<text>[&Start=n][&Count=n]
     /<database>/$defaultview?OpenView
 
 The command defaults follow Domino: a bare database URL opens the database,

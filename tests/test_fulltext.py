@@ -1,9 +1,12 @@
 """Tests for tokenizer, query language and the full-text index."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import FullTextError
-from repro.fulltext import FullTextIndex, parse_query, tokenize
+from repro.fulltext import FullTextIndex, SearchHit, parse_query, tokenize
 from repro.fulltext.query import And, Not, Or, Phrase, Term
 from repro.fulltext.tokenizer import stem
 
@@ -253,3 +256,45 @@ class TestIndex:
         hits = index.search("report", limit=2, as_user="peon/Acme")
         assert [h.unid for h in hits] == [docs[3].unid, docs[4].unid]
         assert checked == [doc.unid for doc in docs[:5]]
+
+
+class TestSearchHit:
+    """A hit is an immutable ``(unid, score)`` value, equal and hashed by
+    its fields."""
+
+    def test_equality_and_hash_follow_the_fields(self):
+        hit = SearchHit("A1", 2.5)
+        assert hit == SearchHit("A1", 2.5)
+        assert hit != SearchHit("A1", 2.0)
+        assert hit != SearchHit("B2", 2.5)
+        assert hash(hit) == hash(SearchHit("A1", 2.5)) == hash(("A1", 2.5))
+        assert len({hit, SearchHit("A1", 2.5), SearchHit("B2", 2.5)}) == 2
+
+    def test_not_equal_to_a_plain_tuple(self):
+        hit = SearchHit("A1", 2.5)
+        assert hit != ("A1", 2.5)
+        assert ("A1", 2.5) != hit
+        assert not hit == ("A1", 2.5)
+        assert hit != "A1"
+
+    def test_fields_and_repr(self):
+        hit = SearchHit(unid="A1", score=2.5)
+        assert (hit.unid, hit.score) == ("A1", 2.5)
+        assert repr(hit) == "SearchHit(unid='A1', score=2.5)"
+
+    def test_attributes_cannot_be_assigned(self):
+        hit = SearchHit("A1", 2.5)
+        with pytest.raises(AttributeError):
+            hit.unid = "B2"
+        with pytest.raises(AttributeError):
+            hit.score = 0.0
+        with pytest.raises(AttributeError):
+            hit.extra = 1
+        assert hit == SearchHit("A1", 2.5)
+
+    def test_copy_and_pickle_give_back_an_equal_hit(self):
+        hit = SearchHit("A1", 2.5)
+        for twin in (copy.copy(hit), copy.deepcopy(hit),
+                     pickle.loads(pickle.dumps(hit))):
+            assert type(twin) is SearchHit
+            assert twin == hit

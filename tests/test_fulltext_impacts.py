@@ -2,9 +2,11 @@
 
 A one-term query walks ``(-tf, unid)`` pairs best first and stops at the
 ``limit``-th readable hit: it scores no match through ``_score`` and
-checks READERS access only on the entries it walks. The lists (and the
-per-field document sets beside them) are dropped whenever a term's
-postings change, so a search after an edit ranks as a fresh index does.
+checks READERS access only on the entries it walks. A write that
+changes a term's postings marks the edited notes stale in the term's
+lists (and the tf map and per-field document sets beside them); the
+next read patches those entries, so a search after an edit ranks as a
+fresh index does.
 """
 
 import math
@@ -123,7 +125,7 @@ def test_rounding_ties_rank_by_unid(db):
     hits = index.search("zeta")
     assert [hit.unid for hit in hits] == [small, large]
     assert hits[0].score == hits[1].score
-    tfs = {unid: -neg for neg, unid in index._derived["zeta"][None]}
+    tfs = {unid: -neg for neg, unid in index._derived["zeta"].impacts}
     assert tfs[large] > tfs[small]
     assert index.search("zeta", limit=1)[0].unid == small
 
@@ -169,8 +171,8 @@ class TestListsFollowEdits:
 
 def test_superseded_stack_document_drops_its_terms_lists():
     """A saved note edited after its save leaves the stack: the lists of
-    the terms it held must go, including terms first queried while only
-    the overlay held them."""
+    the terms it held must lose it, including terms first queried while
+    only the overlay held them."""
     with tempfile.TemporaryDirectory() as tmp:
         db = NotesDatabase("t.nsf", clock=VirtualClock(), rng=random.Random(1),
                            engine=StorageEngine(os.path.join(tmp, "db")))
@@ -184,6 +186,8 @@ def test_superseded_stack_document_drops_its_terms_lists():
         db.clock.advance(1)
         db.update(gone.unid, {"Subject": "epsilon"})
         assert [hit.unid for hit in index.search("delta")] == [keep.unid]
+        lists = index._derived["delta"]
+        assert lists.impacts == [(-2.0, keep.unid)] and lists.tfs == {keep.unid: -2.0}
         index.save_checkpoint()
         db.clock.advance(1)
         db.update(keep.unid, {"Subject": "epsilon"})

@@ -9,10 +9,13 @@ document), drop what ``as_user`` may not read, sort by
 an in-memory index and on a persisted one whose postings come from
 segments plus an edited overlay after a reopen; for a reloaded stack of
 one segment or several, the oracle runs over a fresh in-memory rebuild
-of the same notes. A single-term query reads the term's impact list,
-which every edit of the term's postings drops: the interleaved case
-searches, edits, deletes and changes READERS items in place, and then
-searches the same terms again.
+of the same notes. A term's read structures (tf map, impact list,
+per-field document sets) are built on its first read and patched, not
+dropped, after each write that changes its postings: the interleaved
+case creates, edits and deletes notes, changes READERS items in place,
+rebuilds, and (persisted) saves or closes and reopens the index between
+rounds of searches, and after every round checks each term's kept
+structures against ones built fresh from its merged postings.
 
 Each property runs twice: a reduced-example fast lane in the default
 job, and a ``slow``-marked lane with the full example budget
@@ -46,6 +49,7 @@ WORDS = ("budget", "budgets", "meeting", "meetings", "replica", "review",
          "reviewed", "forecast", "stub", "stubs", "category", "categories",
          "the")
 FIELDS = (None, "subject", "body")
+QUERY_WORDS = sorted({stem(word) for word in WORDS})
 USERS = (None, "peon/Acme", "boss/Acme")
 
 MEMO = st.tuples(
@@ -97,8 +101,19 @@ EVERY_WORD = [
     for word in WORDS
     for query, limit, user in ((word, None, "peon/Acme"), (f"subject:{word}", 3, None))
 ]
-ROUND = st.tuples(EDITS, READER_EDITS,
-                  st.lists(st.one_of(TERM_SEARCH, SEARCH), min_size=1, max_size=4))
+#: What a round does between two halves of its edits: nothing, a
+#: rebuild, and on a persisted index a save or a close and reopen.
+MEMORY_ACTIONS = (None, None, "rebuild")
+PERSISTED_ACTIONS = (None, "rebuild", "save", "save", "reopen")
+
+
+def _rounds(actions, max_size):
+    """Rounds of (edits, action, creates, READERS edits, searches)."""
+    round_ = st.tuples(
+        EDITS, st.sampled_from(actions), st.lists(MEMO, max_size=2), READER_EDITS,
+        st.lists(st.one_of(TERM_SEARCH, SEARCH), min_size=1, max_size=4),
+    )
+    return st.lists(round_, min_size=2, max_size=max_size)
 
 
 def _items(memo):
@@ -194,17 +209,81 @@ def _edit_readers(db, unids, reader_edits):
             doc.remove_item("Readers")
 
 
-def check_interleaved(memos, rounds):
-    """Search, edit and delete, change READERS in place, search again:
-    each round's searches see the edits of the rounds before it."""
-    db = _new_db()
+def check_term_lists(index):
+    """Each read term's tf map, impact list and field sets equal ones
+    built fresh from the term's merged postings once read (the read
+    patches what the writes since the last one marked stale)."""
+    weights = index.field_weights
+    for term in list(index._derived):
+        postings, lists = index._lists(term)
+        assert not lists.stale, term
+        tfs = {
+            unid: -sum(len(positions) * weights.get(field, 1.0)
+                       for field, positions in fields.items())
+            for unid, fields in postings.items()
+        }
+        assert lists.tfs == tfs, term
+        if lists.impacts is not None:
+            assert lists.impacts == sorted(
+                (neg_tf, unid) for unid, neg_tf in tfs.items()
+            ), term
+        for field, docs in lists.fields.items():
+            assert docs == {
+                unid for unid, fields in postings.items() if field in fields
+            }, (term, field)
+
+
+def check_interleaved(memos, rounds, path=None):
+    """Edit and delete, rebuild or (with ``path``, persisted) save or
+    reopen, edit and delete again, create, change READERS in place, then
+    search: each round's searches see the writes of the rounds before it,
+    and every read term's structures equal a fresh build after each
+    round. (Edits right after a save supersede saved notes whose terms
+    were read before the save.)"""
+    persist = path is not None
+    db = _new_db(engine=StorageEngine(path)) if persist else _new_db()
     unids = [db.create(_items(memo)).unid for memo in memos]
-    index = FullTextIndex(db)
-    for edits, reader_edits, searches in rounds:
+    index = FullTextIndex(db, persist=persist)
+    for generation, (edits, action, creates, reader_edits, searches) in enumerate(rounds):
         db.acl = None
-        _apply_edits(db, unids, edits)
+        half = len(edits) // 2
+        _apply_edits(db, unids, edits[:half])
+        if action == "rebuild":
+            index.rebuild()
+        elif action == "save":
+            index.save_checkpoint()
+        elif action == "reopen":
+            index.close()
+            db.engine.close()
+            # A new UNID stream, and a clock that does not run backwards.
+            db = NotesDatabase("prop.nsf", clock=VirtualClock(db.clock.now),
+                               rng=random.Random(100 + generation),
+                               engine=StorageEngine(path))
+            index = FullTextIndex(db, persist=True)
+            assert index.loaded_from_disk
+        _apply_edits(db, unids, edits[half:])
+        for memo in creates:
+            db.clock.advance(0.1)
+            unids.append(db.create(_items(memo)).unid)
+        if persist:
+            # The query words' postings equal a fresh index's. (READERS
+            # edits in place are no database write, so neither index has
+            # the reader names an earlier round set or removed.)
+            fresh = FullTextIndex(db)
+            for word in QUERY_WORDS:
+                assert index._merged(word) == fresh._merged(word), word
+            fresh.close()
         _edit_readers(db, unids, reader_edits)
         _check_searches(index, searches + EVERY_WORD)
+        check_term_lists(index)
+    if persist:
+        index.close()
+        db.engine.close()
+
+
+def check_interleaved_persisted(memos, rounds):
+    with tempfile.TemporaryDirectory() as tmp:
+        check_interleaved(memos, rounds, os.path.join(tmp, "db"))
 
 
 def check_in_memory(memos, edits, searches):
@@ -297,9 +376,16 @@ def test_top_k_on_reloaded_stack_matches_fresh_rebuild(
 
 @settings(max_examples=40, parent=RELAXED)
 @given(memos=st.lists(MEMO, min_size=1, max_size=12),
-       rounds=st.lists(ROUND, min_size=2, max_size=4))
+       rounds=_rounds(MEMORY_ACTIONS, 4))
 def test_interleaved_edits_and_searches_match_oracle(memos, rounds):
     check_interleaved(memos, rounds)
+
+
+@settings(max_examples=15, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=12),
+       rounds=_rounds(PERSISTED_ACTIONS, 4))
+def test_interleaved_edits_and_searches_match_oracle_persisted(memos, rounds):
+    check_interleaved_persisted(memos, rounds)
 
 
 # -- slow lane (full budget: pytest -m slow) ----------------------------
@@ -335,6 +421,14 @@ def test_top_k_on_reloaded_stack_matches_fresh_rebuild_full(
 @pytest.mark.slow
 @settings(max_examples=300, parent=RELAXED)
 @given(memos=st.lists(MEMO, min_size=1, max_size=30),
-       rounds=st.lists(ROUND, min_size=2, max_size=6))
+       rounds=_rounds(MEMORY_ACTIONS, 6))
 def test_interleaved_edits_and_searches_match_oracle_full(memos, rounds):
     check_interleaved(memos, rounds)
+
+
+@pytest.mark.slow
+@settings(max_examples=80, parent=RELAXED)
+@given(memos=st.lists(MEMO, min_size=1, max_size=30),
+       rounds=_rounds(PERSISTED_ACTIONS, 6))
+def test_interleaved_edits_and_searches_match_oracle_persisted_full(memos, rounds):
+    check_interleaved_persisted(memos, rounds)

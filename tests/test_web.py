@@ -1,13 +1,16 @@
 """Tests for the Domino web engine: URLs, rendering, request handling."""
 
+import re
+
 import pytest
 
 from repro.design import Application
+from repro.fulltext import FullTextIndex
 from repro.security import AccessControlList, AclLevel
 from repro.views import SortOrder, ViewColumn
 from repro.web import DominoWebServer, parse_url
 from repro.web.urls import WebError
-from repro.core import ItemType
+from repro.core import Item, ItemType
 
 
 class TestUrlParsing:
@@ -175,6 +178,81 @@ class TestRequests:
         )
         assert "<script>" not in response.body
         assert "&lt;script&gt;" in response.body
+
+
+def _result_unids(body):
+    return re.findall(r'<li><a href="/sales.nsf/ByCustomer/([^?"]+)\?OpenDocument">', body)
+
+
+class TestSearchPaging:
+    """``?SearchView`` pages readable hits by ``Start``/``Count``."""
+
+    @pytest.fixture
+    def many(self, site):
+        db, server, _ = site
+        hidden = set()
+        for number in range(70):
+            items = {"Form": "Order", "Customer": "cust9",
+                     "Subject": f"lot {number}",
+                     "Body": " ".join(["gadget"] * (number % 7 + 1))}
+            if number % 5 == 0:
+                items["Hidden"] = Item.of("Hidden", ["boss/Acme"], ItemType.READERS)
+            doc = db.create(items)
+            if number % 5 == 0:
+                hidden.add(doc.unid)
+        acl = AccessControlList(default_level=AclLevel.READER)
+        db.acl = acl
+        return db, server, acl, hidden
+
+    def _page(self, server, start, count):
+        response = server.handle(
+            f"/sales.nsf/ByCustomer?SearchView&Query=gadget&Start={start}&Count={count}",
+            user="peon/Acme",
+        )
+        assert response.ok
+        return _result_unids(response.body)
+
+    def test_pages_are_disjoint_and_join_to_the_double_page(self, many):
+        _, server, _, hidden = many
+        first, second = self._page(server, 1, 25), self._page(server, 26, 25)
+        both = self._page(server, 1, 50)
+        assert len(first) == len(second) == 25
+        assert not set(first) & set(second)
+        assert first + second == both
+        assert not hidden & set(both)
+        assert self._page(server, 51, 25) == self._page(server, 1, 75)[50:]
+
+    def test_reader_checks_stop_at_the_last_hit_shown(self, many):
+        db, server, acl, hidden = many
+        ranking = [hit.unid for hit in FullTextIndex(db).search("gadget")]
+        readable = [unid for unid in ranking if unid not in hidden]
+        checked = []
+        can_read = acl.can_read
+        acl.can_read = lambda user, doc: checked.append(doc.unid) or can_read(user, doc)
+        assert self._page(server, 26, 10) == readable[25:35]
+        assert checked == ranking[:ranking.index(readable[34]) + 1]
+
+    def test_titles_follow_item_changes(self, many):
+        db, server, _, _ = many
+        top = FullTextIndex(db).search("gadget", limit=1)[0]
+        url = "/sales.nsf/ByCustomer?SearchView&Query=gadget&Count=1"
+
+        def expected(title):
+            return (
+                "<h1>Search: gadget</h1>\n<ol class=\"results\">\n"
+                f'<li><a href="/sales.nsf/ByCustomer/{top.unid}?OpenDocument">'
+                f"{title}</a> "
+                f'<span class="score">{top.score:.2f}</span></li>\n</ol>'
+            )
+
+        before = db.get(top.unid).get("Subject")
+        assert server.handle(url).body == expected(before)
+        assert server.handle(url).body == expected(before)  # the kept title
+        # An in-place item change, with no database write, resets it.
+        db.get(top.unid).set("Subject", "<b>renamed</b>")
+        assert server.handle(url).body == expected("&lt;b&gt;renamed&lt;/b&gt;")
+        db.get(top.unid).remove_item("Subject")
+        assert server.handle(url).body == expected(top.unid)
 
 
 class TestReadViewEntries:
