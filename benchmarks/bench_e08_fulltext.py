@@ -283,14 +283,15 @@ def build_patch_index():
 
 def search_after_edits(index, holders, rng, edits: int, rebuild: bool) -> float:
     """Edit ``edits`` holders of the word (each gets a new tf), then time
-    one top-25 search; ``rebuild`` drops the word's lists first, so the
-    search sorts every match as a fresh list."""
+    one top-25 search; ``rebuild`` drops the word's record first, so the
+    search merges its postings afresh and sorts every match as a fresh
+    list."""
     db = index.db
     for unid in rng.sample(holders, edits):
         tf = rng.randint(1, 5)
         db.update(unid, {"Body": " ".join(["memo", unid] + [PATCH_WORD] * tf)})
     if rebuild:
-        index._derived.pop(PATCH_WORD, None)
+        index._terms.pop(PATCH_WORD, None)
     start = time.perf_counter()
     hits = index.search(PATCH_WORD, limit=TOP_K)
     elapsed = time.perf_counter() - start
@@ -322,7 +323,7 @@ def test_e08d_search_after_edits_patches_the_list(benchmark):
         ["edits k", "patched list ms", "rebuilt list ms", "rebuilt/patched"],
         rows,
         note="patched: the search bisects each edited entry out and back in; "
-             "rebuilt: the lists are dropped and rebuilt; "
+             "rebuilt: the term's record is dropped and rebuilt; "
              f"medians of {PATCH_TRIALS}",
     )
     # The patched lists rank exactly as a fresh index does.

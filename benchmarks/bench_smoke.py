@@ -264,9 +264,10 @@ def test_smoke_single_term_top_k_scores_no_match():
 
 
 def test_smoke_search_after_an_edit_patches_one_entry(monkeypatch):
-    """E8d shape: an edit marks the term's impact list stale instead of
-    dropping it, so the next search patches the one edited entry and
-    sorts no list, and still ranks as a fresh index does."""
+    """E8d shape: an edit updates the term's record's postings and marks
+    its impact list stale instead of dropping it, so the next search
+    patches the one edited entry and sorts no list, and still ranks as a
+    fresh index does."""
     from repro.fulltext import index as index_module
 
     deployment = build_deployment(1, seed=8)
@@ -276,8 +277,9 @@ def test_smoke_search_after_an_edit_patches_one_entry(monkeypatch):
     index.search("budget", limit=25)  # builds the term's lists
     edited = next(doc for doc in db.all_documents() if "budget" in doc.get("Body"))
     db.update(edited.unid, {"Body": edited.get("Body") + " budget budget"})
-    lists = index._derived["budget"]
-    assert lists.stale == {edited.unid} and lists.impacts is not None
+    entry = index._terms["budget"]
+    assert entry.stale == {edited.unid} and entry.impacts is not None
+    assert entry.postings == index._merged("budget")
     sorts = []
     monkeypatch.setattr(
         index_module, "sorted",
@@ -285,6 +287,6 @@ def test_smoke_search_after_an_edit_patches_one_entry(monkeypatch):
         raising=False,
     )
     hits = index.search("budget", limit=25)
-    assert sorts == [] and not lists.stale
+    assert sorts == [] and not entry.stale
     monkeypatch.undo()
     assert hits == FullTextIndex(db).search("budget", limit=25)

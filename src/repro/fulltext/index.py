@@ -30,15 +30,19 @@ session now ride the delta (experiments E14 and E15).
 
 Scoring is tf–idf: ``tf * (log(N / df) + 1)`` summed over the words of
 the query's positive terms, with ``tf`` the field-weighted occurrence
-count. The first query that reads a term gives it lasting read
-structures (:class:`_TermLists`): a *tf map* ``unid -> -tf``, the per-field
-document sets field-scoped queries ask for and, once a single-term query
-asks, the term's *impact list*, its ``(-tf, unid)`` pairs in ascending
-order. A write does not drop them: it only adds the UNID to the term's
-stale set, and the term's next read patches each structure for just
-those UNIDs (a bisect out of the list, an ``insort`` back in), so an edit
-costs the next search O(log n) comparisons and one list shift per
-changed UNID, not a re-sort. Terms never read get no structures.
+count. The first query that reads a term gives it one lasting record
+(:class:`_Term`): the term's merged postings, copied out of the overlay
+and the stack, and the structures queries derive from them — a *tf map*
+``unid -> -tf``, the per-field document sets field-scoped queries ask
+for and, once a single-term query asks, the term's *impact list*, its
+``(-tf, unid)`` pairs in ascending order. A write updates the record's
+postings and adds the UNID to its stale set; the term's next read
+patches each derived structure for just those UNIDs (a bisect out of the
+list, an ``insort`` back in), so an edit costs the next search O(log n)
+comparisons and one list shift per changed UNID, not a re-sort. Terms
+never read get no record, and the diagnostics
+(:meth:`FullTextIndex.postings_snapshot`, ``term_count``) merge afresh
+without keeping one.
 
 Since ``idf`` is one positive number per query, impact order is the rank
 order, so a single-term query walks the list, stops at the
@@ -47,8 +51,8 @@ impact-ordered postings). Any other query is planned once — each word
 stemmed, its tf map fetched and its idf computed a single time — and
 every match is scored from the tf maps and ranked before the access
 checks. Either way a reader's READERS checks run in rank order and stop
-at the ``limit``-th readable hit. Phrases verify adjacent positions
-inside one field.
+at the ``limit``-th readable hit. A phrase reads each word's record once
+and verifies adjacent positions inside one field.
 """
 
 from __future__ import annotations
@@ -126,21 +130,27 @@ class SearchHit(tuple):
 _hit = tuple.__new__
 
 
-class _TermLists:
-    """One term's read structures over its merged postings.
+class _Term:
+    """One read term: its merged postings and what queries derive from them.
 
-    ``tfs`` maps each holding document to ``-tf``; ``impacts`` is None
-    until a single-term query asks for the sorted ``(-tf, unid)`` list;
-    ``fields`` maps a field to the documents holding the term in it.
-    ``stale`` holds the UNIDs whose postings of the term changed since the
-    last read: :meth:`FullTextIndex._lists` patches every structure for
-    them before handing the structures out.
+    ``postings`` is the term's overlay + stack-minus-dead merge, a dict
+    this index owns, kept current by every write. ``tfs`` maps each
+    holding document to ``-tf``; ``impacts`` is None until a single-term
+    query asks for the sorted ``(-tf, unid)`` list; ``fields`` maps a
+    field to the documents holding the term in it. ``stale`` holds the
+    UNIDs whose postings changed since the last read:
+    :meth:`FullTextIndex._term` patches the derived structures for them
+    before handing the record out.
     """
 
-    __slots__ = ("tfs", "impacts", "fields", "stale")
+    __slots__ = ("postings", "tfs", "impacts", "fields", "stale")
 
-    def __init__(self, tfs: dict[str, float]) -> None:
-        self.tfs = tfs
+    def __init__(self, postings: dict, weights: dict[str, float]) -> None:
+        self.postings = postings
+        self.tfs = {
+            unid: -_weighted_tf(fields, weights)
+            for unid, fields in postings.items()
+        }
         self.impacts: list[tuple[float, str]] | None = None
         self.fields: dict[str, set[str]] = {}
         self.stale: set[str] = set()
@@ -177,13 +187,10 @@ class FullTextIndex(PersistedIndex):
         # last append; their membership keys become the stack's
         # tombstones at the next save.
         self._dead: set[str] = set()
-        # Per-term merge of overlay + stack-minus-dead, built on a term's
-        # first query and kept current by every write after it.
-        self._merged_cache: dict[str, dict[str, dict[str, list[int]]]] = {}
-        # Per-term read structures derived from the merged postings,
-        # built on a term's first read and patched, not dropped, after a
-        # write changes the term's postings.
-        self._derived: dict[str, _TermLists] = {}
+        # One record per read term: its merged postings, kept current by
+        # every write, and the structures queries derive from them,
+        # patched on the term's next read.
+        self._terms: dict[str, _Term] = {}
         self._doc_count = 0
         self._open_index(
             db, mode, persist, self.save_checkpoint,
@@ -204,8 +211,7 @@ class FullTextIndex(PersistedIndex):
         # segments the old meta record names).
         self._stack = None
         self._dead.clear()
-        self._merged_cache.clear()
-        self._derived.clear()
+        self._terms.clear()
         self._doc_count = 0
         for doc in self.db.all_documents():
             self._add(doc)
@@ -248,14 +254,6 @@ class FullTextIndex(PersistedIndex):
         for unid in self._doc_terms:
             records[_MEMBER + unid] = _MARKER
         removed = {_MEMBER + unid for unid in self._dead}
-        # _supersede finds the read terms a stack document held through
-        # the cached merges. A read term only the overlay held has none:
-        # its merge now starts as the record this save appends (copied,
-        # since the stack keeps that record).
-        cache = self._merged_cache
-        for term in self._derived:
-            if term not in cache and term in records:
-                cache[term] = dict(records[term])
         if not self._doc_count:
             # No document is left, so every term record is dead too.
             removed.update(self._stack.keys())
@@ -277,43 +275,33 @@ class FullTextIndex(PersistedIndex):
     # -- segment stack access ----------------------------------------------
 
     def _merged(self, term: str) -> dict[str, dict[str, list[int]]]:
-        """Overlay + stack-minus-dead view of one term's postings.
+        """A fresh overlay + stack-minus-dead merge of one term's postings.
 
-        Terms absent from every segment need no merging — the overlay
-        dict is returned as-is (and never cached, so it is never mutated
-        by :meth:`_supersede`). Cached merges are dicts this index owns,
-        built once per term and then kept current by :meth:`_add`,
-        :meth:`_remove` and :meth:`_supersede`. A stack entry counts
-        only when its segment is the document's home and the document is
-        not dead; a record of the newest segment is copied whole, since
-        every document in it is home there.
+        A stack entry counts only when its segment is the document's home
+        and the document is not dead; a record of the newest segment is
+        copied whole, since every document in it is home there. Only a
+        term's first read (:meth:`_term`) and the diagnostics call this;
+        the result is the caller's own dict.
         """
-        if self._stack is None or term not in self._stack:
-            live = self._postings.get(term)
-            return live if live is not None else {}
-        merged = self._merged_cache.get(term)
-        if merged is not None:
-            return merged
         merged = {}
-        position_of = self._stack.position_of
-        top = len(self._stack) - 1
-        for position, record in self._stack.records(term):
-            if position == top:
-                # Every document in the newest segment has its home there.
-                merged.update(record)
-                continue
-            for unid, fields in record.items():
-                if position_of(_MEMBER + unid) == position:
-                    merged[unid] = fields
-        # Drop what changed since the last append: superseded stack
-        # copies and documents the overlay now holds.
-        for stale in (self._dead, self._doc_terms):
-            for unid in stale:
-                merged.pop(unid, None)
+        if self._stack is not None and term in self._stack:
+            position_of = self._stack.position_of
+            top = len(self._stack) - 1
+            for position, record in self._stack.records(term):
+                if position == top:
+                    merged.update(record)
+                    continue
+                for unid, fields in record.items():
+                    if position_of(_MEMBER + unid) == position:
+                        merged[unid] = fields
+            # Drop what changed since the last append: superseded stack
+            # copies and documents the overlay now holds.
+            for stale in (self._dead, self._doc_terms):
+                for unid in stale:
+                    merged.pop(unid, None)
         live = self._postings.get(term)
         if live:
             merged.update(live)
-        self._merged_cache[term] = merged
         return merged
 
     def _stack_unids(self):
@@ -349,17 +337,14 @@ class FullTextIndex(PersistedIndex):
     def _supersede(self, unid: str) -> None:
         """Tombstone a stack document instead of editing frozen segments.
 
-        Already-materialized merges drop the unid directly — the stack
+        Every read term drops the unid from its postings — the stack
         keeps no per-document term list, and this is a no-op at reopen
-        catch-up time when no merge has been materialized yet.
+        catch-up time when no term has been read yet.
         """
         self._dead.add(unid)
-        derived = self._derived
-        for term, entry in self._merged_cache.items():
-            if entry.pop(unid, None) is not None:
-                lists = derived.get(term)
-                if lists is not None:
-                    lists.stale.add(unid)
+        for entry in self._terms.values():
+            if entry.postings.pop(unid, None) is not None:
+                entry.stale.add(unid)
 
     def _on_change(self, kind: ChangeKind, payload, old: Document | None) -> None:
         self.incremental_ops += 1
@@ -395,15 +380,12 @@ class FullTextIndex(PersistedIndex):
                 terms.add(token)
         unid = doc.unid
         self._doc_terms[unid] = terms
-        cache = self._merged_cache
-        derived = self._derived
+        read = self._terms
         for term in terms:
-            lists = derived.get(term)
-            if lists is not None:
-                lists.stale.add(unid)
-            merged = cache.get(term)
-            if merged is not None:
-                merged[unid] = self._postings[term][unid]
+            entry = read.get(term)
+            if entry is not None:
+                entry.postings[unid] = self._postings[term][unid]
+                entry.stale.add(unid)
         self._doc_count += 1
 
     def _remove(self, unid: str) -> None:
@@ -413,19 +395,17 @@ class FullTextIndex(PersistedIndex):
                 self._supersede(unid)
                 self._doc_count -= 1
             return
-        derived = self._derived
+        read = self._terms
         for term in terms:
-            lists = derived.get(term)
-            if lists is not None:
-                lists.stale.add(unid)
             postings = self._postings.get(term)
             if postings is not None:
                 postings.pop(unid, None)
                 if not postings:
                     del self._postings[term]
-            merged = self._merged_cache.get(term)
-            if merged is not None:
-                merged.pop(unid, None)
+            entry = read.get(term)
+            if entry is not None:
+                entry.postings.pop(unid, None)
+                entry.stale.add(unid)
         if self._in_stack(unid):  # overlay shadowed an older stack entry
             self._supersede(unid)
         self._doc_count -= 1
@@ -436,17 +416,11 @@ class FullTextIndex(PersistedIndex):
     def term_count(self) -> int:
         """Distinct terms with at least one live posting.
 
-        With segments loaded this materializes every stack term (it must
-        check for tombstone survivors), so it is a diagnostics property,
-        not a hot path.
+        Counted from :meth:`postings_snapshot` (it must check stack terms
+        for tombstone survivors), so it is a diagnostics property, not a
+        hot path.
         """
-        if self._stack is None:
-            return len(self._postings)
-        terms = set(self._postings)
-        for term in self._stack_terms():
-            if term not in terms and self._merged(term):
-                terms.add(term)
-        return len(terms)
+        return len(self.postings_snapshot())
 
     @property
     def document_count(self) -> int:
@@ -454,7 +428,7 @@ class FullTextIndex(PersistedIndex):
 
     def postings_snapshot(self) -> dict[str, dict[str, dict[str, list[int]]]]:
         """Fully-materialized postings (overlay + stack), for equivalence
-        checks — forces every lazy term, so O(index)."""
+        checks — merges every term afresh, so O(index), and keeps none."""
         snapshot = {}
         terms = set(self._postings)
         if self._stack is not None:
@@ -501,34 +475,30 @@ class FullTextIndex(PersistedIndex):
             )
         return [_hit(SearchHit, (unid, -neg)) for neg, unid in islice(ranked, limit)]
 
-    def _lists(self, word: str) -> tuple[dict, _TermLists | None]:
-        """``word``'s merged postings and its read structures, current.
+    def _term(self, word: str) -> _Term:
+        """``word``'s record, its derived structures current.
 
-        The structures are built on the word's first read (None while the
-        word has no postings and was never read) and patched here for the
-        UNIDs written since the last read: each structure then equals one
-        built fresh from the postings.
+        A word's first read builds its record from a fresh merge; a word
+        with no postings gets a record that is not kept. A kept record's
+        structures are patched here for the UNIDs written since the last
+        read: each then equals one built fresh from the postings.
         """
-        postings = self._merged(word)
-        lists = self._derived.get(word)
-        if lists is None:
-            if not postings:
-                return postings, None
-            weights = self.field_weights
-            lists = self._derived[word] = _TermLists({
-                unid: -_weighted_tf(fields, weights)
-                for unid, fields in postings.items()
-            })
-        elif lists.stale:
-            self._patch(lists, postings)
-        return postings, lists
+        entry = self._terms.get(word)
+        if entry is None:
+            entry = _Term(self._merged(word), self.field_weights)
+            if entry.postings:
+                self._terms[word] = entry
+        elif entry.stale:
+            self._patch(entry)
+        return entry
 
-    def _patch(self, lists: _TermLists, postings: dict) -> None:
-        """Bring ``lists`` up to ``postings`` for its stale UNIDs: bisect
-        each old impact entry out and ``insort`` the new one."""
-        tfs, impacts, fields = lists.tfs, lists.impacts, lists.fields
+    def _patch(self, entry: _Term) -> None:
+        """Bring ``entry``'s structures up to its postings for its stale
+        UNIDs: bisect each old impact entry out and ``insort`` the new
+        one."""
+        postings, tfs, impacts = entry.postings, entry.tfs, entry.impacts
         weights = self.field_weights
-        for unid in lists.stale:
+        for unid in entry.stale:
             old = tfs.pop(unid, None)
             held = postings.get(unid)
             new = None
@@ -539,12 +509,12 @@ class FullTextIndex(PersistedIndex):
                     del impacts[bisect_left(impacts, (old, unid))]
                 if new is not None:
                     insort(impacts, (new, unid))
-            for field, docs in fields.items():
+            for field, docs in entry.fields.items():
                 if held is not None and field in held:
                     docs.add(unid)
                 else:
                     docs.discard(unid)
-        lists.stale.clear()
+        entry.stale.clear()
 
     def _term_ranking(self, term: Term):
         """``(-score, unid)`` of one term's live matches, best first,
@@ -555,15 +525,14 @@ class FullTextIndex(PersistedIndex):
         score. Unequal ``tf`` values can still round to one score; such
         groups are adjacent, and their run is re-sorted by UNID.
         """
-        postings, lists = self._lists(stem(term.text.lower()))
-        if lists is None:
+        entry = self._term(stem(term.text.lower()))
+        postings = entry.postings
+        if not postings:
             return
-        impacts = lists.impacts
+        impacts = entry.impacts
         if impacts is None:
-            tfs = lists.tfs
-            impacts = lists.impacts = sorted(zip(tfs.values(), tfs.keys()))
-        if not impacts:
-            return
+            tfs = entry.tfs
+            impacts = entry.impacts = sorted(zip(tfs.values(), tfs.keys()))
         idf = math.log(max(self._doc_count, 1) / len(postings)) + 1.0
         db = self.db
         field = term.field.lower() if term.field is not None else None
@@ -587,14 +556,11 @@ class FullTextIndex(PersistedIndex):
 
     # -- boolean evaluation --------------------------------------------------
 
-    def _universe(self) -> set[str]:
-        return self._all_doc_unids()
-
     def _eval(self, node) -> set[str]:
-        """The UNIDs ``node`` matches; the set may be cached, so it is
-        read-only."""
+        """The UNIDs ``node`` matches; a field-scoped term's set is the
+        one its record keeps, so the result is read-only."""
         if isinstance(node, Term):
-            return self._term_docs(node)
+            return self._docs_in(stem(node.text.lower()), node.field)
         if isinstance(node, Phrase):
             return self._phrase_docs(node)
         if isinstance(node, And):
@@ -606,65 +572,48 @@ class FullTextIndex(PersistedIndex):
                 result |= self._eval(part)
             return result
         if isinstance(node, Not):
-            return self._universe() - self._eval(node.part)
+            return self._all_doc_unids() - self._eval(node.part)
         raise FullTextError(f"cannot evaluate query node {node!r}")
-
-    def _term_docs(self, term: Term) -> set[str]:
-        return self._docs_in(stem(term.text.lower()), term.field)
 
     def _docs_in(self, word: str, field: str | None) -> set[str]:
         """The documents holding ``word`` (in ``field``, when given); a
-        field's set is kept with the word's read structures."""
+        field's set is kept in the word's record."""
+        entry = self._term(word)
         if field is None:
-            return set(self._merged(word))
-        postings, lists = self._lists(word)
-        if lists is None:
-            return set()
+            return set(entry.postings)
         field = field.lower()
-        docs = lists.fields.get(field)
+        docs = entry.fields.get(field)
         if docs is None:
-            docs = lists.fields[field] = {
-                unid for unid, fields in postings.items() if field in fields
+            docs = entry.fields[field] = {
+                unid for unid, fields in entry.postings.items() if field in fields
             }
         return docs
 
     def _phrase_docs(self, phrase: Phrase) -> set[str]:
+        """The documents holding the phrase's words at adjacent positions
+        of one field (``phrase.field``, when given)."""
         words = tokenize(phrase.text)  # already stemmed
         if not words:
             return set()
         if len(words) == 1:
             return self._docs_in(words[0], phrase.field)
-        candidates = None
-        for word in words:
-            docs = set(self._merged(word))
-            candidates = docs if candidates is None else candidates & docs
+        postings = [self._term(word).postings for word in words]
+        only = phrase.field.lower() if phrase.field is not None else None
         result = set()
-        for unid in candidates or ():
-            if self._phrase_in_doc(words, unid, phrase.field):
-                result.add(unid)
-        return result
-
-    def _phrase_in_doc(self, words: list[str], unid: str, field: str | None) -> bool:
-        fields = set()
-        for word in words:
-            entry = self._merged(word).get(unid, {})
-            fields |= set(entry)
-        if field is not None:
-            fields &= {field.lower()}
-        for candidate_field in fields:
-            starts = self._merged(words[0]).get(unid, {}).get(
-                candidate_field, []
-            )
-            for start in starts:
-                if all(
-                    (start + offset)
-                    in self._merged(word).get(unid, {}).get(
-                        candidate_field, []
-                    )
-                    for offset, word in enumerate(words[1:], 1)
+        for unid in set(postings[0]).intersection(*postings[1:]):
+            first, *rest = [held[unid] for held in postings]
+            for field, starts in first.items():
+                if only is not None and field != only:
+                    continue
+                later = [fields.get(field, ()) for fields in rest]
+                if any(
+                    all(start + offset in positions
+                        for offset, positions in enumerate(later, 1))
+                    for start in starts
                 ):
-                    return True
-        return False
+                    result.add(unid)
+                    break
+        return result
 
     # -- scoring ------------------------------------------------------------
 
@@ -692,9 +641,11 @@ class FullTextIndex(PersistedIndex):
                 else [stem(node.text.lower())]
             )
             for word in words:
-                postings, lists = self._lists(word)
-                if postings:
-                    plan.append((lists.tfs, math.log(n_docs / len(postings)) + 1.0))
+                entry = self._term(word)
+                if entry.postings:
+                    plan.append(
+                        (entry.tfs, math.log(n_docs / len(entry.postings)) + 1.0)
+                    )
         return plan
 
     def _score(self, unid: str, plan: list[tuple[dict, float]]) -> float:

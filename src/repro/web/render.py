@@ -17,6 +17,7 @@ formatted once too, and kept in the view's ``heading``.
 from __future__ import annotations
 
 from html import escape
+from urllib.parse import quote_plus
 
 from repro.core.database import NotesDatabase
 from repro.core.document import Document
@@ -206,10 +207,18 @@ def render_view_entries_xml(
 
 
 def render_search_results(
-    db: NotesDatabase, db_path: str, view_name: str, query: str, hits
+    db: NotesDatabase,
+    db_path: str,
+    view_name: str,
+    query: str,
+    hits,
+    start: int = 1,
+    count: int = 25,
 ) -> str:
     """Render ranked ``(unid, score)`` hits as an ordered list of links.
 
+    ``hits`` is the page from the 1-based ``start``; a full page (``count``
+    hits) ends with a link to the next one, as :func:`render_view`'s do.
     Each document's escaped title is formatted once and kept in
     :attr:`Document.title_html`, which every item change resets.
     """
@@ -230,4 +239,9 @@ def render_search_results(
             f'<span class="score">{score:.2f}</span></li>'
         )
     parts.append("</ol>")
+    if count and len(hits) == count:
+        parts.append(
+            f'<a class="next" href="/{db_path}/{view_name}?SearchView&Query='
+            f'{quote_plus(query)}&Start={start + count}&Count={count}">Next</a>'
+        )
     return "\n".join(parts)

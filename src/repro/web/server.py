@@ -117,7 +117,8 @@ class DominoWebServer:
             del hits[:start - 1]
             return WebResponse(
                 200,
-                render_search_results(db, path, parsed.view, query, hits),
+                render_search_results(db, path, parsed.view, query, hits,
+                                      start=start, count=count),
             )
         if command == "opendocument":
             doc = db.get(parsed.unid, as_user=user if db.acl else None)

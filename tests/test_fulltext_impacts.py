@@ -96,7 +96,7 @@ class TestSingleTermWalk:
         db, _ = big
         index = FullTextIndex(db)
         assert index.search("report", limit=0) == []
-        assert "report" not in index._derived
+        assert "report" not in index._terms
 
 
 def _equal_product_weights():
@@ -125,7 +125,7 @@ def test_rounding_ties_rank_by_unid(db):
     hits = index.search("zeta")
     assert [hit.unid for hit in hits] == [small, large]
     assert hits[0].score == hits[1].score
-    tfs = {unid: -neg for neg, unid in index._derived["zeta"].impacts}
+    tfs = {unid: -neg for neg, unid in index._terms["zeta"].impacts}
     assert tfs[large] > tfs[small]
     assert index.search("zeta", limit=1)[0].unid == small
 
@@ -186,11 +186,41 @@ def test_superseded_stack_document_drops_its_terms_lists():
         db.clock.advance(1)
         db.update(gone.unid, {"Subject": "epsilon"})
         assert [hit.unid for hit in index.search("delta")] == [keep.unid]
-        lists = index._derived["delta"]
-        assert lists.impacts == [(-2.0, keep.unid)] and lists.tfs == {keep.unid: -2.0}
+        entry = index._terms["delta"]
+        assert entry.impacts == [(-2.0, keep.unid)] and entry.tfs == {keep.unid: -2.0}
+        assert list(entry.postings) == [keep.unid]
         index.save_checkpoint()
         db.clock.advance(1)
         db.update(keep.unid, {"Subject": "epsilon"})
         assert index.search("delta") == []
+        index.close()
+        db.engine.close()
+
+
+def test_diagnostics_keep_no_term_records():
+    """``postings_snapshot()`` and ``term_count`` merge every term afresh:
+    they add no record to ``_terms`` and change none of the kept ones."""
+    with tempfile.TemporaryDirectory() as tmp:
+        db = NotesDatabase("t.nsf", clock=VirtualClock(), rng=random.Random(1),
+                           engine=StorageEngine(os.path.join(tmp, "db")))
+        index = FullTextIndex(db, persist=True)
+        saved = db.create({"Subject": "delta", "Body": "kappa lambda"})
+        index.save_checkpoint()
+        db.clock.advance(1)
+        db.create({"Subject": "delta epsilon"})
+        index.search("delta")
+        before = {term: (entry, dict(entry.postings), dict(entry.tfs))
+                  for term, entry in index._terms.items()}
+        assert list(before) == ["delta"]
+        snapshot = index.postings_snapshot()
+        assert {"delta", "epsilon", "kappa", "lambda"} <= set(snapshot)
+        assert index.term_count == len(snapshot)
+        assert {term: (entry, dict(entry.postings), dict(entry.tfs))
+                for term, entry in index._terms.items()} == before
+        # So a later edit of the saved note has one record to walk.
+        db.clock.advance(1)
+        db.update(saved.unid, {"Subject": "omega"})
+        assert list(index._terms) == ["delta"]
+        assert index._terms["delta"].stale == {saved.unid}
         index.close()
         db.engine.close()

@@ -2,20 +2,24 @@
 
 ``FullTextIndex.search`` plans a query once, ranks the matches before any
 access check and stops checking at the ``limit``-th readable hit. The
-oracle here is the plain formula: score every matched live document by
-walking the query tree (stemming each word and computing its idf per
-document), drop what ``as_user`` may not read, sort by
-``(-score, unid)`` and slice. Hits and scores must be equal exactly, on
-an in-memory index and on a persisted one whose postings come from
-segments plus an edited overlay after a reopen; for a reloaded stack of
-one segment or several, the oracle runs over a fresh in-memory rebuild
-of the same notes. A term's read structures (tf map, impact list,
-per-field document sets) are built on its first read and patched, not
-dropped, after each write that changes its postings: the interleaved
+oracle here uses no part of the index: it tokenizes the live notes' text
+items as indexing does, evaluates the query tree over those postings
+(terms, field-scoped terms, phrases with and without a field, AND, OR,
+NOT over every live note), scores each match by the plain formula (each
+word's tf added field by field in item order, its idf from the live
+notes), drops what ``as_user`` may not read, sorts by ``(-score, unid)``
+and slices. Hits and scores must be equal exactly, on an in-memory
+index, on a persisted one whose postings come from segments plus an
+edited overlay after a reopen, and on a reloaded stack of one segment or
+several. Query words never occur in READERS names, so READERS items
+changed in place, with no database write, change no query word's
+postings. A read term keeps one record (merged postings, tf map, impact
+list, per-field document sets): writes update its postings and mark the
+edited notes stale, and its next read patches the rest. The interleaved
 case creates, edits and deletes notes, changes READERS items in place,
 rebuilds, and (persisted) saves or closes and reopens the index between
-rounds of searches, and after every round checks each term's kept
-structures against ones built fresh from its merged postings.
+rounds of searches, and after every round checks each record against a
+fresh merge and a fresh build from it.
 
 Each property runs twice: a reduced-example fast lane in the default
 job, and a ``slow``-marked lane with the full example budget
@@ -33,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core import Item, ItemType, NotesDatabase
 from repro.fulltext import FullTextIndex, parse_query
-from repro.fulltext.query import Phrase
+from repro.fulltext.query import And, Not, Or, Phrase, Term
 from repro.fulltext.tokenizer import stem, tokenize
 from repro.security import AccessControlList, AclLevel
 from repro.sim import VirtualClock
@@ -50,6 +54,8 @@ WORDS = ("budget", "budgets", "meeting", "meetings", "replica", "review",
          "the")
 FIELDS = (None, "subject", "body")
 QUERY_WORDS = sorted({stem(word) for word in WORDS})
+#: The index's default field weights.
+FIELD_WEIGHTS = {"subject": 2.0}
 USERS = (None, "peon/Acme", "boss/Acme")
 
 MEMO = st.tuples(
@@ -124,24 +130,104 @@ def _items(memo):
     return items
 
 
-def _oracle_score(index, unid, tree):
-    total = 0.0
-    n_docs = max(index.document_count, 1)
-    for node in index._positive_terms(tree):
-        words = (
-            tokenize(node.text)
-            if isinstance(node, Phrase)
-            else [stem(node.text.lower())]
-        )
-        for word in words:
-            postings = index._merged(word)
-            if not postings or unid not in postings:
+#: The item types the index tokenizes.
+TEXT_TYPES = (ItemType.TEXT, ItemType.RICH_TEXT, ItemType.TEXT_LIST,
+              ItemType.NAMES, ItemType.AUTHORS, ItemType.READERS)
+
+
+def _corpus(db):
+    """``word -> unid -> field -> [positions]`` over the live notes,
+    tokenized item by item, without the index."""
+    postings = {}
+    for doc in db.all_documents():
+        for item in doc:
+            if item.type not in TEXT_TYPES:
                 continue
-            tf = sum(
-                len(positions) * index.field_weights.get(field, 1.0)
-                for field, positions in postings[unid].items()
-            )
-            idf = math.log(n_docs / len(postings)) + 1.0
+            text = " ".join(item.value) if isinstance(item.value, list) else item.value
+            field = item.name.lower()
+            for position, token in enumerate(tokenize(text)):
+                (postings.setdefault(token, {}).setdefault(doc.unid, {})
+                 .setdefault(field, []).append(position))
+    return postings
+
+
+def _words(node):
+    """A term's or phrase's words, stemmed as queries stem them."""
+    if isinstance(node, Phrase):
+        return tokenize(node.text)
+    return [stem(node.text.lower())]
+
+
+def _holding(postings, word, field):
+    held = postings.get(word, {})
+    if field is None:
+        return set(held)
+    return {unid for unid, fields in held.items() if field.lower() in fields}
+
+
+def _matches(postings, every, node):
+    """The live notes ``node`` matches: a term (in its field, when
+    given), a phrase's words at adjacent positions of one field, and the
+    boolean operators over the set of ``every`` live note."""
+    if isinstance(node, Term):
+        return _holding(postings, _words(node)[0], node.field)
+    if isinstance(node, Phrase):
+        words = _words(node)
+        if not words:
+            return set()
+        found = _holding(postings, words[0], node.field)
+        if len(words) == 1:
+            return found
+        hits = set()
+        for unid in found:
+            for field, starts in postings[words[0]][unid].items():
+                if node.field is not None and field != node.field.lower():
+                    continue
+                if any(
+                    all(start + offset
+                        in postings.get(word, {}).get(unid, {}).get(field, ())
+                        for offset, word in enumerate(words[1:], 1))
+                    for start in starts
+                ):
+                    hits.add(unid)
+        return hits
+    if isinstance(node, And):
+        result = _matches(postings, every, node.parts[0])
+        for part in node.parts[1:]:
+            result = result & _matches(postings, every, part)
+        return result
+    if isinstance(node, Or):
+        result = set()
+        for part in node.parts:
+            result = result | _matches(postings, every, part)
+        return result
+    if isinstance(node, Not):
+        return every - _matches(postings, every, node.part)
+    raise AssertionError(f"unexpected query node {node!r}")
+
+
+def _positive(node):
+    """The terms and phrases outside any NOT, in query order."""
+    if isinstance(node, (Term, Phrase)):
+        return [node]
+    if isinstance(node, (And, Or)):
+        return [leaf for part in node.parts for leaf in _positive(part)]
+    return []
+
+
+def _oracle_score(postings, n_docs, unid, tree):
+    """tf-idf summed over the query's positive words, ``tf`` added field
+    by field in item order."""
+    total = 0.0
+    for node in _positive(tree):
+        for word in _words(node):
+            held = postings.get(word, {})
+            if unid not in held:
+                continue
+            tf = 0.0
+            for field, positions in held[unid].items():
+                tf += len(positions) * FIELD_WEIGHTS.get(field, 1.0)
+            idf = math.log(max(n_docs, 1) / len(held)) + 1.0
             total += tf * idf
     return total
 
@@ -153,13 +239,12 @@ def _can_read(user, doc):
     return not readers or any(user in names for names in readers)
 
 
-def _oracle(index, query, limit, as_user):
-    db = index.db
+def _oracle(db, postings, query, limit, as_user):
+    every = {doc.unid for doc in db.all_documents()}
     tree = parse_query(query)
     scored = [
-        (unid, _oracle_score(index, unid, tree))
-        for unid in index._eval(tree)
-        if unid in db
+        (unid, _oracle_score(postings, len(every), unid, tree))
+        for unid in _matches(postings, every, tree)
     ]
     if as_user is not None:
         scored = [hit for hit in scored if _can_read(as_user, db.get(hit[0]))]
@@ -167,15 +252,16 @@ def _oracle(index, query, limit, as_user):
     return scored[:limit] if limit is not None else scored
 
 
-def _check_searches(index, searches, oracle_index=None):
-    """``index.search`` equals the oracle run over ``oracle_index``
-    (default: ``index`` itself)."""
+def _check_searches(index, searches):
+    """``index.search`` equals the oracle run over the live notes."""
+    db = index.db
+    postings = _corpus(db)
     # Reader checks bite only at search time; the writes ran without an ACL.
-    index.db.acl = AccessControlList(default_level=AclLevel.READER)
+    db.acl = AccessControlList(default_level=AclLevel.READER)
     for query, limit, as_user in searches:
         hits = index.search(query, limit=limit, as_user=as_user)
         assert [(hit.unid, hit.score) for hit in hits] == _oracle(
-            oracle_index or index, query, limit, as_user
+            db, postings, query, limit, as_user
         ), query
 
 
@@ -210,24 +296,26 @@ def _edit_readers(db, unids, reader_edits):
 
 
 def check_term_lists(index):
-    """Each read term's tf map, impact list and field sets equal ones
-    built fresh from the term's merged postings once read (the read
-    patches what the writes since the last one marked stale)."""
+    """Each read term's record holds the postings a fresh merge gives, and
+    once read, its tf map, impact list and field sets equal ones built
+    fresh from them (the read patches what the writes since the last one
+    marked stale)."""
     weights = index.field_weights
-    for term in list(index._derived):
-        postings, lists = index._lists(term)
-        assert not lists.stale, term
+    for term, entry in list(index._terms.items()):
+        postings = index._merged(term)
+        assert entry.postings == postings, term
+        assert index._term(term) is entry and not entry.stale, term
         tfs = {
             unid: -sum(len(positions) * weights.get(field, 1.0)
                        for field, positions in fields.items())
             for unid, fields in postings.items()
         }
-        assert lists.tfs == tfs, term
-        if lists.impacts is not None:
-            assert lists.impacts == sorted(
+        assert entry.tfs == tfs, term
+        if entry.impacts is not None:
+            assert entry.impacts == sorted(
                 (neg_tf, unid) for unid, neg_tf in tfs.items()
             ), term
-        for field, docs in lists.fields.items():
+        for field, docs in entry.fields.items():
             assert docs == {
                 unid for unid, fields in postings.items() if field in fields
             }, (term, field)
@@ -318,8 +406,8 @@ def check_persisted(memos, edits, searches):
 def check_reloaded(memos, saved_edits, live_edits, searches):
     """A stack of one segment or several (one save per batch of
     ``saved_edits``), reloaded, then edited and deleted from in the live
-    overlay: it ranks as the score-everything oracle does over a fresh
-    in-memory rebuild of the same notes."""
+    overlay: it holds a fresh in-memory rebuild's postings and ranks as
+    the oracle does."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "db")
         db = _new_db(engine=StorageEngine(path))
@@ -341,7 +429,7 @@ def check_reloaded(memos, saved_edits, live_edits, searches):
             _apply_edits(db, unids, batch)
             fresh = FullTextIndex(db)
             assert index.postings_snapshot() == fresh.postings_snapshot()
-            _check_searches(index, searches, oracle_index=fresh)
+            _check_searches(index, searches)
             fresh.close()
             db.acl = None
         db.engine.close()

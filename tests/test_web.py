@@ -1,6 +1,8 @@
 """Tests for the Domino web engine: URLs, rendering, request handling."""
 
 import re
+from html import escape
+from urllib.parse import quote_plus
 
 import pytest
 
@@ -242,7 +244,9 @@ class TestSearchPaging:
                 "<h1>Search: gadget</h1>\n<ol class=\"results\">\n"
                 f'<li><a href="/sales.nsf/ByCustomer/{top.unid}?OpenDocument">'
                 f"{title}</a> "
-                f'<span class="score">{top.score:.2f}</span></li>\n</ol>'
+                f'<span class="score">{top.score:.2f}</span></li>\n</ol>\n'
+                '<a class="next" href="/sales.nsf/ByCustomer?SearchView'
+                '&Query=gadget&Start=2&Count=1">Next</a>'
             )
 
         before = db.get(top.unid).get("Subject")
@@ -253,6 +257,62 @@ class TestSearchPaging:
         assert server.handle(url).body == expected("&lt;b&gt;renamed&lt;/b&gt;")
         db.get(top.unid).remove_item("Subject")
         assert server.handle(url).body == expected(top.unid)
+
+    def _next(self, body):
+        links = re.findall(r'<a class="next" href="([^"]+)">Next</a>', body)
+        return links[0] if links else None
+
+    def test_next_link_leads_to_the_following_page(self, many):
+        _, server, _, _ = many
+        page = server.handle("/sales.nsf/ByCustomer?SearchView&Query=gadget",
+                             user="peon/Acme").body
+        assert len(_result_unids(page)) == 25
+        link = self._next(page)
+        assert link == (
+            "/sales.nsf/ByCustomer?SearchView&Query=gadget&Start=26&Count=25"
+        )
+        second = server.handle(link, user="peon/Acme").body
+        assert _result_unids(second) == self._page(server, 26, 25)
+        assert second == server.handle(
+            "/sales.nsf/ByCustomer?SearchView&Query=gadget&Start=26&Count=25",
+            user="peon/Acme",
+        ).body
+
+    def test_short_page_has_no_next_link(self, many):
+        _, server, _, _ = many
+        # 56 readable hits: a 100-hit page and the third 25-hit page are short.
+        for paging, shown in (("Start=1&Count=100", 56), ("Start=51&Count=25", 6)):
+            body = server.handle(
+                f"/sales.nsf/ByCustomer?SearchView&Query=gadget&{paging}",
+                user="peon/Acme",
+            ).body
+            assert len(_result_unids(body)) == shown
+            assert self._next(body) is None
+        body = server.handle(
+            "/sales.nsf/ByCustomer?SearchView&Query=nothing&Count=5"
+        ).body
+        assert _result_unids(body) == [] and self._next(body) is None
+
+    def test_query_with_space_quote_and_ampersand_round_trips(self, many):
+        _, server, _, _ = many
+        query = '"gadget gadget" OR R&D'
+        first = server.handle(
+            f"/sales.nsf/ByCustomer?SearchView&Query={quote_plus(query)}&Count=5",
+            user="peon/Acme",
+        ).body
+        assert len(_result_unids(first)) == 5
+        link = self._next(first)
+        assert link == (
+            f"/sales.nsf/ByCustomer?SearchView&Query={quote_plus(query)}"
+            "&Start=6&Count=5"
+        )
+        second = server.handle(link, user="peon/Acme").body
+        assert f"<h1>Search: {escape(query)}</h1>" in second
+        both = _result_unids(server.handle(
+            f"/sales.nsf/ByCustomer?SearchView&Query={quote_plus(query)}&Count=10",
+            user="peon/Acme",
+        ).body)
+        assert _result_unids(first) + _result_unids(second) == both
 
 
 class TestReadViewEntries:
