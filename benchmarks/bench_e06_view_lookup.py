@@ -14,6 +14,7 @@ index for its first heading instead of walking the headings before it.
 from __future__ import annotations
 
 import functools
+import gc
 import statistics
 import time
 
@@ -175,15 +176,34 @@ def middle_page(view):
     return middle, total
 
 
-def middle_page_cell(n_docs: int):
-    """Median seconds to read the page at the middle row: by position
-    (``window``) and by slicing ``rows()``."""
-    view = build_browse_view(n_docs)
-    middle, total = middle_page(view)
-    window_s = median_seconds(lambda: view.window(middle, PAGE, as_user=READER), 300)
-    rows_s = median_seconds(
-        lambda: view.rows(as_user=READER)[middle - 1:middle - 1 + PAGE], 3)
-    return total, window_s, rows_s
+#: E6b times the three view sizes in this many interleaved rounds of
+#: WINDOW_READS reads each, so a slow stretch of the host lands on every
+#: size alike rather than on one of them.
+WINDOW_ROUNDS = 10
+WINDOW_READS = 30
+
+
+def middle_page_cells(sizes):
+    """Per view size: the row total, the median seconds to read the page
+    at the middle row by position (``window``, timed in interleaved
+    rounds, each after a collection) and by slicing ``rows()``."""
+    cells = []
+    for n_docs in sizes:
+        view = build_browse_view(n_docs)
+        middle, total = middle_page(view)
+        cells.append((view, middle, total))
+    rounds = [[] for _ in cells]
+    for _ in range(WINDOW_ROUNDS):
+        for (view, middle, _), times in zip(cells, rounds):
+            gc.collect()
+            times.append(median_seconds(
+                lambda: view.window(middle, PAGE, as_user=READER), WINDOW_READS))
+    out = []
+    for (view, middle, total), times in zip(cells, rounds):
+        rows_s = median_seconds(
+            lambda: view.rows(as_user=READER)[middle - 1:middle - 1 + PAGE], 3)
+        out.append((total, statistics.median(times), rows_s))
+    return out
 
 
 def test_e06_middle_row_window(benchmark):
@@ -191,8 +211,10 @@ def test_e06_middle_row_window(benchmark):
 
     def sweep():
         rows.clear()
-        for n_docs in (1000, 10_000, 50_000):
-            total, window_s, rows_s = middle_page_cell(n_docs)
+        sizes = (1000, 10_000, 50_000)
+        for n_docs, (total, window_s, rows_s) in zip(
+            sizes, middle_page_cells(sizes)
+        ):
             rows.append([
                 n_docs, total, round(window_s * 1e6, 1), round(rows_s * 1e3, 2),
                 round(rows_s / max(window_s, 1e-12)),

@@ -15,7 +15,9 @@ O(database) bill. Measured on both stack consumers:
 A segmented save is one fsync-bound commit of a few milliseconds, so
 each cell reports the median over ``SAVES`` such deltas rather than one
 shot (the later saves may fold the small delta segments, which is part
-of the O(delta) bill).
+of the O(delta) bill). The ``ft KB/save`` column is the median of the
+bytes those full-text saves hand to the engine (segments, folds and the
+meta record).
 
 E14 made *reopen* ride the delta; this closes the other end of the
 session. Together a reopen → work → close cycle touches O(changes), not
@@ -43,6 +45,23 @@ def _timed(fn):
     return time.perf_counter() - start
 
 
+def _timed_put(engine, fn):
+    """``fn``'s seconds (as :func:`_timed`) and the bytes of the values
+    it passed to ``engine.put``."""
+    put, written = engine.put, [0]
+
+    def counting(txn, key, value):
+        written[0] += len(value)
+        put(txn, key, value)
+
+    engine.put = counting
+    try:
+        seconds = _timed(fn)
+    finally:
+        del engine.put
+    return seconds, written[0]
+
+
 def _apply_delta(db):
     db.clock.advance(1)
     for unid in db.rng.sample(db.unids(), DELTA):
@@ -60,7 +79,7 @@ def run_cell(tmp_path, n_docs: int):
 
         # -- segmented save: appends the delta as one new segment --------
         view_saves = [_timed(view.save_index)]
-        ft_saves = [_timed(index.save_checkpoint)]
+        ft_saves = [_timed_put(engine, index.save_checkpoint)]
         view_stats = view.catch_up.segment_stats["entries"]
         ft_stats = index.catch_up.segment_stats["postings"]
         assert view_stats.segments == 2, view_stats
@@ -68,9 +87,10 @@ def run_cell(tmp_path, n_docs: int):
         for _ in range(SAVES - 1):
             _apply_delta(db)
             view_saves.append(_timed(view.save_index))
-            ft_saves.append(_timed(index.save_checkpoint))
+            ft_saves.append(_timed_put(engine, index.save_checkpoint))
         view_segmented = statistics.median(view_saves)
-        ft_segmented = statistics.median(ft_saves)
+        ft_segmented = statistics.median(seconds for seconds, _ in ft_saves)
+        ft_bytes = statistics.median(written for _, written in ft_saves)
 
         # -- ablation: rewrite the whole structure as one segment ---------
         _apply_delta(db)
@@ -84,7 +104,7 @@ def run_cell(tmp_path, n_docs: int):
 
         index.close()
         view.close()
-        return view_segmented, ft_segmented, view_ablation, ft_ablation
+        return view_segmented, ft_segmented, view_ablation, ft_ablation, ft_bytes
     finally:
         engine.close()
 
@@ -95,7 +115,9 @@ def test_e15_segment_save_table(benchmark, tmp_path):
     def sweep():
         rows.clear()
         for n_docs in (5_000, 50_000):
-            view_seg, ft_seg, view_abl, ft_abl = run_cell(tmp_path, n_docs)
+            view_seg, ft_seg, view_abl, ft_abl, ft_bytes = run_cell(
+                tmp_path, n_docs
+            )
             segmented = view_seg + ft_seg
             ablation = view_abl + ft_abl
             rows.append([
@@ -103,6 +125,7 @@ def test_e15_segment_save_table(benchmark, tmp_path):
                 round(view_seg * 1000, 2), round(view_abl * 1000, 2),
                 round(ft_seg * 1000, 2), round(ft_abl * 1000, 2),
                 round(ablation / max(segmented, 1e-9), 1),
+                round(ft_bytes / 1024, 1),
             ])
         return rows
 
@@ -111,7 +134,7 @@ def test_e15_segment_save_table(benchmark, tmp_path):
         "E15  segment-stack checkpoint save vs whole-structure rewrite "
         f"(ms), delta fixed at 100, segmented saves the median of {SAVES}",
         ["docs", "delta", "view seg", "view rewrite",
-         "ft seg", "ft rewrite", "rewrite/seg"],
+         "ft seg", "ft rewrite", "rewrite/seg", "ft KB/save"],
         rows,
         note="a segmented save appends the delta; the ablation's save "
              "after a rebuild rewrites the whole structure at every size",

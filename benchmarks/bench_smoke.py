@@ -11,6 +11,8 @@ sweeps. Run with::
 
 from __future__ import annotations
 
+import json
+
 from repro.bench.runners import (
     build_catchup_corpus,
     build_changefeed_db,
@@ -125,6 +127,30 @@ def test_smoke_segment_saves_append_then_fold(tmp_path):
         assert index.catch_up.merges > 0 and ft_stats.bytes_folded > 0
         index.close()
         view.close()
+    finally:
+        engine.close()
+
+
+def test_smoke_fulltext_segment_bytes_per_posting(tmp_path):
+    """Segment format: a term record keys each posting by the document's
+    number in its segment, not by its 32-character UNID, so the whole
+    segment (directory and blob) costs about 31 B per posting on this
+    corpus (a UNID-keyed record needed about 63)."""
+    engine, db = build_catchup_corpus(str(tmp_path / "bytes"), 300, 10)
+    try:
+        index = FullTextIndex(db, persist=True)
+        index.rebuild()
+        index.save_checkpoint()  # everything, as one fresh segment
+        postings = sum(len(docs) for docs in index.postings_snapshot().values())
+        manifest = json.loads(engine.get(b"ftidx:meta"))["index"]
+        written = sum(
+            len(engine.get(b"ftidx:%s:%d" % (part, seg_id)))
+            for seg_id in manifest["segments"]
+            for part in (b"dir", b"blob")
+        )
+        assert postings > 3000
+        assert written / postings < 40, written / postings
+        index.close()
     finally:
         engine.close()
 

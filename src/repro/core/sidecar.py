@@ -7,16 +7,20 @@ that lifecycle; each consumer says only how its records encode, which
 are dirty, and (for keys live in several segments) how a fold resolves
 a key.
 
-* **Meta record**: an optional ``design`` fingerprint, the
+* **Meta record**: the sidecar ``layout`` version (:data:`LAYOUT`), an
+  optional ``design`` fingerprint, the
   :meth:`~repro.core.database.Checkpoint.to_meta` fields, and the stack
   manifest under ``index``.
 * **Save**, one engine transaction: on a fresh stack (first save, or
   first after a rebuild) delete every segment the old meta record names
   and write the whole index; otherwise append the delta since the last
   save and let the stack fold. Then put the meta record and commit.
-* **Load**: a missing meta record, another design, no manifest, a
-  checkpoint ``changes_since`` cannot catch up from, or a lost segment
-  each mean rebuild; otherwise adopt the stack and top up.
+* **Load**: a missing meta record, another layout version, another
+  design, no manifest, a checkpoint ``changes_since`` cannot catch up
+  from, or a lost segment each mean rebuild; otherwise adopt the stack
+  and top up. A rebuild drops the stack, so the first save after it
+  deletes the segments the old meta record names: an older layout is
+  rebuilt once and never read.
 * **Flush rule**: :meth:`~repro.core.database.NotesDatabase.save_checkpoints`
   saves an index only while it has no stack yet, or once its unsaved
   delta reaches 1/:data:`FLUSH_DIVISOR` of what it holds — a memtable
@@ -46,6 +50,13 @@ from repro.storage.segments import SegmentStack, SegmentStats
 #: 1/FLUSH_DIVISOR of what the index holds.
 FLUSH_DIVISOR = 8
 
+#: The sidecar layout version a meta record carries. 2: segment
+#: directories hold sorted keys, record lengths and tombstones; full-text
+#: postings are keyed by segment-local document numbers; a view record
+#: carries its entry's READERS flag. A meta record without it (or with
+#: another) is from an older layout and does not load.
+LAYOUT = 2
+
 
 class PersistedIndex:
     """Mixin for a journal consumer with an optional segment sidecar.
@@ -57,12 +68,18 @@ class PersistedIndex:
     ``auto`` mode), ``_take_delta(fresh)`` (the ``(records, removed
     keys)`` of the next segment — the whole index when ``fresh`` — which
     then stop counting as dirty), ``_unsaved()`` (the ``(delta, held)``
-    sizes the flush rule compares), ``_adopt_stack()`` (take in a loaded
-    stack's records) and optionally ``_combine`` (the fold callback).
+    sizes the flush rule compares), ``_adopt_stack(meta)`` (take in a
+    loaded stack's records; ``meta`` is the meta record) and optionally
+    ``_combine`` (the fold callback, a
+    :data:`~repro.storage.segments.Combine`) and ``_meta_fields()`` (its own
+    fields for the meta record).
     """
 
     _ERROR: type[Exception]
     _combine: Callable | None = None
+
+    def _meta_fields(self) -> dict:
+        return {}
 
     def _open_index(
         self,
@@ -201,8 +218,11 @@ class PersistedIndex:
         if records or removed:
             self._stack.append(txn, records, remove=removed)
             folds = self._stack.maintain(txn, self._combine)
-        meta = {} if self._design is None else {"design": self._design}
+        meta = {"layout": LAYOUT}
+        if self._design is not None:
+            meta["design"] = self._design
         meta.update(self._checkpoint.to_meta())
+        meta.update(self._meta_fields())
         meta["index"] = self._stack.manifest()
         engine.put(txn, self._meta_key, json.dumps(meta).encode())
         engine.commit(txn)
@@ -216,7 +236,11 @@ class PersistedIndex:
         if raw is None:
             return False
         meta = json.loads(raw)
-        if meta.get("design") != self._design or "index" not in meta:
+        if (
+            meta.get("layout") != LAYOUT
+            or meta.get("design") != self._design
+            or "index" not in meta
+        ):
             return False
         changes = self.db.changes_since(Checkpoint.from_meta(meta))
         if changes is None:
@@ -225,7 +249,7 @@ class PersistedIndex:
         if not stack.load(meta["index"]):
             return False
         self._stack = stack
-        self._adopt_stack()
+        self._adopt_stack(meta)
         self._catch_up(changes)
         self.loaded_from_disk = True
         return True

@@ -14,12 +14,22 @@ through the storage engine as a segment sidecar whose meta record, save
 transaction, load rule and refresh rule are :mod:`repro.core.sidecar`'s:
 each ``save_checkpoint`` appends the live overlay as a *new* segment,
 and segments fold back together by the stack's rule. One stack holds
-two kinds of key. A term key holds the postings of the documents
-written in that segment, so every segment's record for a term is live
-data. A membership key (``D:`` + UNID) marks each document written in
-that segment; the newest segment holding it is the document's *home*,
-and only postings from a document's home still count. Tokens and query
-words are lowercase, so no term key can begin with the uppercase ``D``.
+two kinds of key. A membership key (``D:`` + UNID) marks each document
+written in that segment; the newest segment holding it is the
+document's *home*, and only postings from a document's home still
+count. A deleted document's membership key gets a tombstone in the next
+segment. A term key holds the postings of the documents written in that
+segment, so every segment's record for a term is live data. Its
+postings are keyed by *document number*, not UNID: a document's number
+in a segment is its rank among the segment's sorted membership keys
+(:meth:`~repro.storage.SegmentStack.numbering`), so no table is stored
+and a posting costs a small int where it cost a 32-character UNID.
+Field names are interned, so a record repeats each as a marshal
+back-reference. A term's first read maps the numbers back to UNIDs
+(:meth:`_merged`); a fold renumbers the postings it keeps into the
+folded segment's numbering (:meth:`_combine`). In memory everything is
+keyed by UNID. Tokens and query words are lowercase, so no term key can
+begin with the uppercase ``D``.
 
 A reopened database loads only the meta record and the per-segment
 offset directories; postings blobs stay unparsed bytes until a query
@@ -58,6 +68,7 @@ and verifies adjacent positions inside one field.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right, insort
 from itertools import islice
 from operator import itemgetter
@@ -222,25 +233,57 @@ class FullTextIndex(PersistedIndex):
 
     # -- checkpoint persistence -------------------------------------------
 
-    def _combine(self, index: int, key: str, older, newer):
-        """Resolve ``key`` in a fold of the pair at ``index``.
+    def _combine(self, index: int):
+        """Start a fold of the pair at ``index``; returns the resolver of
+        each of its keys.
 
         Called before the fold renumbers positions, so a document's home
         is ``index`` (the older segment), ``index + 1`` (the newer) or
         elsewhere. A membership key survives if its home is in the pair;
         a term keeps the postings each segment holds for the documents it
         is home to — the others were rewritten above or deleted, and a
-        fold is where that debt is paid down.
+        fold is where that debt is paid down — renumbered into the folded
+        segment's numbering, which ranks the pair's home documents by
+        UNID as every segment does.
         """
-        position_of = self._stack.position_of
-        if key.startswith(_MEMBER):
-            return _MARKER if position_of(key) in (index, index + 1) else None
-        merged = {}
-        for position, postings in ((index, older), (index + 1, newer)):
-            for unid, fields in (postings or {}).items():
-                if position_of(_MEMBER + unid) == position:
-                    merged[unid] = fields
-        return merged or None
+        stack = self._stack
+        position_of = stack.position_of
+        pair = (index, index + 1)
+        tables = [
+            stack.numbering(position, _MEMBER)
+            for position in range(index, min(index + 2, len(stack)))
+        ]
+        homes = [
+            [position_of(_MEMBER + unid) == position for unid in unids]
+            for position, unids in zip(pair, tables)
+        ]
+        kept = sorted(
+            unid
+            for unids, home in zip(tables, homes)
+            for unid, here in zip(unids, home)
+            if here
+        )
+        number = {unid: rank for rank, unid in enumerate(kept)}
+        # Per segment of the pair: each document number's number in the
+        # folded segment, or None where the segment is not its home.
+        remaps = [
+            [number[unid] if here else None for unid, here in zip(unids, home)]
+            for unids, home in zip(tables, homes)
+        ]
+
+        def resolve(key: str, older, newer):
+            if key.startswith(_MEMBER):
+                return _MARKER if position_of(key) in pair else None
+            merged = {}
+            for remap, postings in zip(remaps, (older, newer)):
+                if postings:
+                    for old_number, fields in postings.items():
+                        new_number = remap[old_number]
+                        if new_number is not None:
+                            merged[new_number] = fields
+            return merged or None
+
+        return resolve
 
     def save_checkpoint(self) -> None:
         """Append the live overlay as one segment, plus the checkpoint
@@ -250,15 +293,21 @@ class FullTextIndex(PersistedIndex):
     def _take_delta(self, fresh: bool) -> tuple[dict, set[str]]:
         if not (self._doc_terms or self._dead):
             return {}, set()
-        records = dict(self._postings)
-        for unid in self._doc_terms:
+        unids = sorted(self._doc_terms)
+        number = {unid: rank for rank, unid in enumerate(unids)}
+        records: dict = {
+            term: {number[unid]: fields for unid, fields in postings.items()}
+            for term, postings in self._postings.items()
+        }
+        for unid in unids:
             records[_MEMBER + unid] = _MARKER
         removed = {_MEMBER + unid for unid in self._dead}
         if not self._doc_count:
             # No document is left, so every term record is dead too.
             removed.update(self._stack.keys())
         # The overlay now moves into the stack (append seeds the record
-        # caches, so nothing re-parses on the next query).
+        # caches with the numbered records, so nothing re-parses on the
+        # next query).
         self._postings = {}
         self._doc_terms = {}
         self._dead = set()
@@ -267,7 +316,7 @@ class FullTextIndex(PersistedIndex):
     def _unsaved(self) -> tuple[int, int]:
         return len(self._doc_terms) + len(self._dead), self._doc_count
 
-    def _adopt_stack(self) -> None:
+    def _adopt_stack(self, meta: dict) -> None:
         self._doc_count = sum(
             1 for key in self._stack.live_keys() if key.startswith(_MEMBER)
         )
@@ -277,21 +326,28 @@ class FullTextIndex(PersistedIndex):
     def _merged(self, term: str) -> dict[str, dict[str, list[int]]]:
         """A fresh overlay + stack-minus-dead merge of one term's postings.
 
-        A stack entry counts only when its segment is the document's home
-        and the document is not dead; a record of the newest segment is
-        copied whole, since every document in it is home there. Only a
-        term's first read (:meth:`_term`) and the diagnostics call this;
-        the result is the caller's own dict.
+        Each segment's record is keyed by document number; the segment's
+        numbering maps a number back to its UNID. A stack entry counts
+        only when its segment is the document's home and the document is
+        not dead; a record of the newest segment is taken whole, since
+        every document in it is home there. Only a term's first read
+        (:meth:`_term`) and the diagnostics call this; the result is the
+        caller's own dict.
         """
         merged = {}
-        if self._stack is not None and term in self._stack:
-            position_of = self._stack.position_of
-            top = len(self._stack) - 1
-            for position, record in self._stack.records(term):
+        stack = self._stack
+        if stack is not None and term in stack:
+            position_of = stack.position_of
+            top = len(stack) - 1
+            for position, record in stack.records(term):
+                unids = stack.numbering(position, _MEMBER)
                 if position == top:
-                    merged.update(record)
+                    merged.update(
+                        zip(map(unids.__getitem__, record), record.values())
+                    )
                     continue
-                for unid, fields in record.items():
+                for number, fields in record.items():
+                    unid = unids[number]
                     if position_of(_MEMBER + unid) == position:
                         merged[unid] = fields
             # Drop what changed since the last append: superseded stack
@@ -369,7 +425,8 @@ class FullTextIndex(PersistedIndex):
             text = (
                 " ".join(item.value) if isinstance(item.value, list) else item.value
             )
-            field = item.name.lower()
+            # Interned: a segment record repeats it as a back-reference.
+            field = sys.intern(item.name.lower())
             for position, token in enumerate(tokenize(text)):
                 slot = (
                     self._postings.setdefault(token, {})

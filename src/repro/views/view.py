@@ -21,7 +21,9 @@ selected, re-key its responses. Two maintenance modes drive it:
     as that baseline.
 
 A persisted view stores the same checkpoint beside its entries, so a
-reopen against a moved-on database tops up the same way.
+reopen against a moved-on database tops up the same way. Each entry's
+segment record also says whether its note carries a READERS item, so a
+loaded view knows its restricted entries without reading the notes.
 
 Reading a page — the Domino web client's ``?OpenView&Start=n&Count=m``
 — goes through :meth:`View.window`, a positional read of the counted
@@ -34,7 +36,10 @@ The view keeps the set of entries whose document carries a READERS item
 (updated as entries come and go, and rescanned when a READERS item
 changes in place or the view is behind the database); when a caller
 could be denied some of them, the window is a slice of :meth:`View.rows`,
-which checks each document.
+which checks each document. A loaded view takes that set from its
+segment records; when the save marked them exact and no READERS item
+was changed in place since, its first page after a reopen reads no note
+that did not change since the save.
 """
 
 from __future__ import annotations
@@ -208,7 +213,7 @@ class View(PersistedIndex):
         topped up on open instead of rebuilt. The meta record, save
         transaction, load rule and refresh rule are
         :mod:`repro.core.sidecar`'s; a segment record here is one
-        entry's key, display values, level and parent. Call
+        entry's key, display values, level, parent and READERS flag. Call
         :meth:`save_index` (or :meth:`close`) to write it back; the
         database's :meth:`~NotesDatabase.close` also sweeps registered
         persistent views.
@@ -314,7 +319,8 @@ class View(PersistedIndex):
 
     def _record_for(self, unid: str) -> tuple:
         """The per-entry segment record: everything a reopen needs to put
-        the entry back (key, display values, level, parent link)."""
+        the entry back (key, display values, level, parent link) and
+        whether rows() must check the entry's readers."""
         key = self._keys[unid]
         entry = self._tree.get(key)
         return (
@@ -322,6 +328,7 @@ class View(PersistedIndex):
             list(entry.values),
             entry.level,
             self._parent_of.get(unid),
+            unid in self._restricted,
         )
 
     def save_index(self) -> None:
@@ -342,20 +349,42 @@ class View(PersistedIndex):
     def _unsaved(self) -> tuple[int, int]:
         return len(self._dirty), len(self._keys)
 
-    def _adopt_stack(self) -> None:
+    def _meta_fields(self) -> dict:
+        # Every record's flag is its entry's membership in _restricted
+        # (an entry whose membership changes is dirty until saved), so the
+        # flags are exact when _restricted is. The notes on disk agree
+        # with them only if no READERS item was changed in this process:
+        # one changed in place is never written.
+        epoch = readers_epoch()
+        exact = (
+            epoch == 0
+            and self._access_stamp == (epoch, None)
+            and self.db.state_fingerprint() == self._state
+        )
+        return {"readers_exact": exact}
+
+    def _adopt_stack(self, meta: dict) -> None:
         pairs = []
+        restricted = self._restricted
         for unid, record in self._stack.live_items():
-            encoded_key, values, level, parent = record
+            encoded_key, values, level, parent, has_readers = record
             key = self._decode_key(encoded_key)
             pairs.append((key, _Entry(unid, tuple(values), level)))
             self._keys[unid] = key
             if parent is not None:
                 self._children.setdefault(parent, set()).add(unid)
                 self._parent_of[unid] = parent
+            if has_readers:
+                restricted.add(unid)
         pairs.sort(key=lambda pair: pair[0])  # segments are unordered
         self._tree.bulk_load(pairs)
         self._headings = None
-        self._access_stamp = None  # loaded entries: reader access unchecked
+        # Exact flags match the notes on disk, and the load's top-up
+        # re-indexes every note written since. They match the notes in
+        # memory as of readers epoch 0: if this process has changed a
+        # READERS item, the epoch moved and the first page rescans.
+        exact = meta.get("readers_exact") is True
+        self._access_stamp = (0, None) if exact else None
 
     def _catch_up(self, changes: tuple[list[str], list[str]]) -> None:
         super()._catch_up(changes)
@@ -699,11 +728,14 @@ class View(PersistedIndex):
         stamp = (readers_epoch(), None if fingerprint == self._state else fingerprint)
         if stamp == self._access_stamp:
             return
-        self._restricted = {
+        restricted = {
             entry.unid
             for entry in self.entries()
             if (doc := self.db.try_get(entry.unid)) is None or doc.readers is not None
         }
+        # A changed flag must reach the sidecar: its entry is dirty.
+        self._dirty |= restricted ^ self._restricted
+        self._restricted = restricted
         self._access_stamp = stamp
 
     def _category_window(

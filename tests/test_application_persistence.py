@@ -7,6 +7,8 @@ web server's ``?SearchView`` runs that same index, and registering an
 application builds nothing of its own.
 """
 
+import json
+import marshal
 import random
 
 import pytest
@@ -14,10 +16,11 @@ import pytest
 from repro.core import NotesDatabase
 from repro.design import Application
 from repro.errors import FullTextError
+from repro.fulltext import FullTextIndex
 from repro.replication import Replicator
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
-from repro.views import SortOrder, ViewColumn
+from repro.views import SortOrder, View, ViewColumn
 from repro.web import DominoWebServer
 
 WORDS = ("budget", "widget", "release", "forecast", "review", "summary")
@@ -155,6 +158,130 @@ class TestMatchesInMemory:
             disk, memory = disk_server.handle(url), memory_server.handle(url)
             assert disk.status == memory.status == 200
             assert disk.body == memory.body, query
+
+
+def _old_segment(engine, txn, namespace, seg_id, records):
+    """One segment as an older build wrote it: a directory that maps
+    each key to its ``(offset, length)`` in the blob."""
+    directory, parts, offset = {}, [], 0
+    for key in sorted(records):
+        data = marshal.dumps(records[key])
+        directory[key] = (offset, len(data))
+        offset += len(data)
+        parts.append(data)
+    engine.put(txn, namespace + b":dir:" + str(seg_id).encode(),
+               marshal.dumps(directory))
+    engine.put(txn, namespace + b":blob:" + str(seg_id).encode(),
+               b"".join(parts))
+
+
+def _write_older_layout(db):
+    """Replace the sidecars with the layout an older build wrote: term
+    records keyed by UNID, tombstones in the manifest, 4-field view
+    records, and no layout version in the meta records. Returns the old
+    segment keys."""
+    engine = db.engine
+    gone = "F" * 32  # a deleted note: tombstoned in the manifest
+    checkpoint = db.checkpoint().to_meta()
+    txn = engine.begin()
+    for key in list(engine.keys()):
+        if key.startswith((b"viewidx:", b"ftidx:")):
+            engine.delete(txn, key)
+    postings = FullTextIndex(db).postings_snapshot()
+    later = set(db.unids()[-5:])
+    for seg_id, home in ((7, lambda unid: unid not in later),
+                         (9, later.__contains__)):
+        records = {"D:" + unid: True for unid in db.unids() if home(unid)}
+        for term, docs in postings.items():
+            held = {unid: fields for unid, fields in docs.items() if home(unid)}
+            if held:
+                records[term] = held
+        if seg_id == 7:
+            records["D:" + gone] = True
+            records.setdefault("budget", {})[gone] = {"body": [0]}
+        _old_segment(engine, txn, b"ftidx", seg_id, records)
+    engine.put(txn, b"ftidx:meta", json.dumps({
+        **checkpoint,
+        "index": {"segments": [7, 9], "tombstones": ["D:" + gone],
+                  "next_id": 10},
+    }).encode())
+    for name, categorized in (("ByCustomer", True), ("BySubject", False)):
+        view = View(db, name, selection='SELECT Form = "Order"',
+                    columns=_columns(categorized))
+        namespace = b"viewidx:" + name.encode()
+        _old_segment(engine, txn, namespace, 3, {
+            entry.unid: (View._encode_key(view._keys[entry.unid]),
+                         list(entry.values), entry.level, None)
+            for entry in view.entries()
+        })
+        engine.put(txn, namespace, json.dumps({
+            "design": view._design_fingerprint(), **checkpoint,
+            "index": {"segments": [3], "tombstones": [gone], "next_id": 4},
+        }).encode())
+    engine.commit(txn)
+    return {
+        key for key in engine.keys()
+        if key.startswith((b"viewidx:", b"ftidx:")) and b":meta" not in key
+        and key.count(b":") >= 2
+    }
+
+
+class TestOlderLayout:
+    PAGES = [f"/app.nsf/{name}?OpenView&Start={start}&Count=25"
+             for name in ("ByCustomer", "BySubject") for start in (1, 20)]
+    SEARCHES = [f"/app.nsf/BySubject?SearchView&Query={query}&Count=100"
+                for query in (*WORDS, "budget widget", "order")]
+
+    @classmethod
+    def _bodies(cls, app):
+        server = DominoWebServer()
+        server.register("app.nsf", app)
+        bodies = []
+        for url in cls.PAGES + cls.SEARCHES:
+            response = server.handle(url)
+            assert response.status == 200, url
+            bodies.append(response.body)
+        return bodies
+
+    def test_older_layout_rebuilds_once_and_its_first_save_deletes_it(
+        self, nsf
+    ):
+        db = nsf(seed=2)
+        old_keys = _write_older_layout(db)
+        assert len(old_keys) == 8  # 2 full-text + 2 view segments
+        db.close()
+
+        db = nsf(seed=3)
+        memory = NotesDatabase("app.nsf", clock=db.clock,
+                               rng=random.Random(4), replica_id=db.replica_id,
+                               server="mirror")
+        Replicator().pull(memory, db)
+        memory_app = Application(memory)
+        expected = self._bodies(memory_app)
+        app = Application(db)
+        for index in _indexes(app):
+            assert not index.loaded_from_disk
+            assert index.rebuilds == 1
+        assert self._bodies(app) == expected
+        app.close()  # the first save
+        remaining = set(db.engine.keys())
+        assert not old_keys & remaining
+        for meta_key in (b"ftidx:meta", b"viewidx:ByCustomer",
+                         b"viewidx:BySubject"):
+            meta = json.loads(db.engine.get(meta_key))
+            assert set(meta["index"]) == {"segments", "next_id"}
+            assert meta["index"]["segments"] == [1]
+        db.close()
+
+        db = nsf(seed=5)
+        app = Application(db)
+        for index in _indexes(app):
+            assert index.loaded_from_disk
+            assert index.rebuilds == 0
+        assert self._bodies(app) == expected
+        app.close()
+        memory_app.close()
+        db.close()
 
 
 class TestDesignChange:

@@ -567,6 +567,47 @@ class TestSegmentedLayoutFallbacks:
         assert warm.postings_snapshot() == cold.postings_snapshot()
         engine.close()
 
+    def test_meta_records_stay_flat_under_deletes(self, tmp_path):
+        """Deletes go into the appended segments as tombstones, so the
+        meta records (checkpoint plus segment ids) do not grow with them:
+        3,000 memos, then ten saves of 150 deletes each."""
+        engine = StorageEngine(str(tmp_path / "deletes"), durability="none")
+        db = NotesDatabase("seg.nsf", clock=VirtualClock(),
+                           rng=random.Random(9), engine=engine)
+        rng = random.Random(9)
+        for index in range(3000):
+            db.clock.advance(0.01)
+            db.create({
+                "Form": "Memo",
+                "Subject": f"{rng.choice(WORDS)} {index}",
+                "Body": " ".join(rng.choice(WORDS) for _ in range(6)),
+                "Amount": rng.randrange(100),
+            })
+        view = make_view(db)
+        index = FullTextIndex(db, persist=True)
+        meta_keys = (b"ftidx:meta", b"viewidx:Equiv")
+        sizes = []
+        for _ in range(10):
+            view.save_index()
+            index.save_checkpoint()
+            sizes.append([len(engine.get(key)) for key in meta_keys])
+            for unid in rng.sample(db.unids(), 150):
+                db.clock.advance(0.01)
+                db.delete(unid)
+        view.save_index()
+        index.save_checkpoint()
+        sizes.append([len(engine.get(key)) for key in meta_keys])
+        for column in zip(*sizes):
+            # A few bytes of seq numbers and segment ids, not 38 per delete.
+            assert max(column) - min(column) < 64, column
+        cold = FullTextIndex(db)
+        assert index.postings_snapshot() == cold.postings_snapshot()
+        assert view_state(view) == view_state(make_view(db, persist=False))
+        view.close()
+        index.close()
+        cold.close()
+        engine.close()
+
 
 class TestSeqAcknowledgedPurge:
     def _db_with_stub(self):

@@ -67,12 +67,14 @@ def make_view(db):
     )
 
 
-def build_scenario(path, carry, checkpoint_first=True):
+def build_scenario(path, carry, checkpoint_first=True, delete_heavy=False):
     """Deterministic world: seed docs, optionally checkpoint, then a
     delta batch — leaving a save pending that appends and, with
     ``carry``, folds: the delta rewrites every seed document with a
     longer subject, so the new segment outweighs the base and the
-    binary counter carries."""
+    binary counter carries. With ``delete_heavy`` the delta first
+    deletes all but three seed documents, so the pending save is mostly
+    tombstones and the dead-entry backstop folds."""
     engine = StorageEngine(path)
     db = NotesDatabase("crash.nsf", clock=VirtualClock(),
                        rng=random.Random(5), engine=engine)
@@ -90,6 +92,10 @@ def build_scenario(path, carry, checkpoint_first=True):
     if checkpoint_first:
         view.save_index()
         index.save_checkpoint()
+    if delete_heavy:
+        for unid in db.unids()[3:]:
+            db.clock.advance(0.1)
+            db.delete(unid)
     if carry:
         for unid in db.unids():
             db.clock.advance(0.1)
@@ -120,10 +126,11 @@ def view_state(view):
     return [(entry.unid, entry.values) for entry in view.entries()]
 
 
-def count_write_points(tmp_path, carry, checkpoint_first=True):
+def count_write_points(tmp_path, carry, checkpoint_first=True,
+                       delete_heavy=False):
     """How many engine writes one clean save of both consumers makes."""
     engine, db, view, index = build_scenario(
-        str(tmp_path / "count"), carry, checkpoint_first
+        str(tmp_path / "count"), carry, checkpoint_first, delete_heavy
     )
     counter = arm(engine)
     view.save_index()
@@ -134,6 +141,15 @@ def count_write_points(tmp_path, carry, checkpoint_first=True):
         # consumers appended a second segment and merged it away.
         assert view.catch_up.merges > 0
         assert index.catch_up.merges > 0
+    if delete_heavy:
+        # The deletes went into the appended segments as tombstones (the
+        # view's dead-entry backstop folded its own away); the manifests
+        # hold segment ids only.
+        assert view.catch_up.merges > 0
+        assert index.catch_up.segment_stats["postings"].tombstones > 0
+        for meta_key in (b"viewidx:Crash", b"ftidx:meta"):
+            manifest = json.loads(engine.get(meta_key))["index"]
+            assert set(manifest) == {"segments", "next_id"}
     engine.close()
     return total
 
@@ -162,9 +178,12 @@ def assert_no_orphan_segment_keys(engine, view_name="Crash"):
     assert actual == expected
 
 
-def crash_and_verify(tmp_path, carry, fail_at, checkpoint_first=True):
+def crash_and_verify(tmp_path, carry, fail_at, checkpoint_first=True,
+                     delete_heavy=False):
     path = str(tmp_path / f"crash{fail_at}")
-    engine, db, view, index = build_scenario(path, carry, checkpoint_first)
+    engine, db, view, index = build_scenario(
+        path, carry, checkpoint_first, delete_heavy
+    )
     arm(engine, fail_at=fail_at)
     with pytest.raises(CrashPoint):
         view.save_index()
@@ -218,6 +237,15 @@ class TestCrashEveryWritePoint:
         assert total >= 8  # dirs + blobs + meta + commits at minimum
         for fail_at in range(1, total + 1):
             crash_and_verify(tmp_path, carry, fail_at)
+
+    def test_delete_heavy_save_survives_any_torn_write(self, tmp_path):
+        """A save that is mostly tombstones (most seed documents deleted
+        since the checkpoint) and folds them away: every torn prefix
+        recovers to the rebuild state, and no deleted note comes back."""
+        total = count_write_points(tmp_path, False, delete_heavy=True)
+        assert total >= 8
+        for fail_at in range(1, total + 1):
+            crash_and_verify(tmp_path, False, fail_at, delete_heavy=True)
 
     def test_initial_save_survives_any_torn_write(self, tmp_path):
         """Crash during the very first checkpoint: no meta commits, so

@@ -12,7 +12,9 @@ The property under test, at two levels:
   never change what reads see, only how many segments hold it: every
   segment stays smaller than its older neighbour, the stack holds at
   most ``MAX_SEGMENTS`` segments, and tombstones never mask more than
-  half of its directory entries.
+  half of its directory entries. Deletes travel as tombstone entries in
+  the segments: under delete-heavy batches and folds in any order
+  (into the bottom segment too), a deleted key never comes back.
 * **Consumer level** — a persisted view and full-text index driven
   through randomized create/update/delete/purge batches interleaved with
   ``save`` checkpoints, engine reopens, and rebuilds (whose next save
@@ -103,6 +105,14 @@ def assert_folded(stack):
     assert stack.stats.segments == len(stack)
     assert stack.stats.tombstones == len(stack._tombstones)
     assert_positions(stack)
+    assert_bottom_clean(stack)
+
+
+def assert_bottom_clean(stack):
+    """Nothing lies below the bottom segment, so a fold into it drops
+    every tombstone: it never holds one."""
+    if len(stack):
+        assert not stack._segments[0].tombstones
 
 
 def assert_positions(stack):
@@ -115,6 +125,10 @@ def assert_positions(stack):
     for key, position in holders.items():
         masked = key in stack._tombstones
         assert stack.position_of(key) == (None if masked else position), key
+    # The bookkeeping equals what a reload derives from the directories.
+    newest, tombstones = stack._newest, stack._tombstones
+    stack._rebuild_newest()
+    assert (stack._newest, stack._tombstones) == (newest, tombstones)
 
 
 def check_newest_wins(batches):
@@ -134,8 +148,8 @@ def check_newest_wins(batches):
         assert all(stack.get(key) == value for key, value in shadow.items())
         assert_folded(stack)
     manifest = stack.manifest()
-    # Tombstones never outlive the keys they mask (fold-time GC).
-    assert set(manifest["tombstones"]) <= set(stack.keys())
+    # Deletes live in the segments: the manifest does not grow with them.
+    assert set(manifest) == {"segments", "next_id"}
     reopened = SegmentStack(engine, b"nw")
     assert reopened.load(manifest)
     assert dict(reopened.live_items()) == shadow
@@ -180,9 +194,12 @@ def check_accumulate(batches):
     engine = FakeEngine()
     stack = SegmentStack(engine, b"acc")
 
-    def combine(index, key, older, newer):
-        merged = list(older or ()) + list(newer or ())
-        return merged or None
+    def combine(index):
+        def resolve(key, older, newer):
+            merged = list(older or ()) + list(newer or ())
+            return merged or None
+
+        return resolve
 
     history: dict[str, list[int]] = defaultdict(list)
     for records, _ in batches:
@@ -241,15 +258,19 @@ def check_mixed(batches):
     engine = FakeEngine()
     stack = SegmentStack(engine, b"mix")
 
-    def combine(index, key, older, newer):
-        if key.startswith(MEMBER):
-            return True if stack.position_of(key) in (index, index + 1) else None
-        merged = {}
-        for position, postings in ((index, older), (index + 1, newer)):
-            for doc, value in (postings or {}).items():
-                if stack.position_of(MEMBER + doc) == position:
-                    merged[doc] = value
-        return merged or None
+    def combine(index):
+        def resolve(key, older, newer):
+            if key.startswith(MEMBER):
+                home = stack.position_of(key)
+                return True if home in (index, index + 1) else None
+            merged = {}
+            for position, postings in ((index, older), (index + 1, newer)):
+                for doc, value in (postings or {}).items():
+                    if stack.position_of(MEMBER + doc) == position:
+                        merged[doc] = value
+            return merged or None
+
+        return resolve
 
     def read(target):
         inverted = defaultdict(dict)
@@ -292,14 +313,76 @@ def check_mixed(batches):
     assert read(reopened) == read(stack)
 
 
+DELETE_HEAVY = st.lists(
+    st.tuples(
+        st.dictionaries(KEYS, st.integers(), max_size=4),   # records
+        st.sets(KEYS, min_size=1, max_size=8),              # removals
+    ),
+    min_size=2,
+    max_size=12,
+)
+FOLD_ORDER = st.lists(st.integers(min_value=0, max_value=20), max_size=16)
+
+
+def check_deletes_stay_deleted(batches, folds, with_combine):
+    """Delete-heavy batches appended without maintenance, then folds at
+    arbitrary indices (any pair, a lone segment, the bottom) and finally
+    every segment folded into the bottom one: after each fold, and after
+    a reload, reads equal the model and no deleted key comes back."""
+    engine = FakeEngine()
+    stack = SegmentStack(engine, b"del")
+
+    def keep_newest(index):
+        return lambda key, older, newer: older if newer is None else newer
+
+    combine = keep_newest if with_combine else None
+    shadow: dict[str, int] = {}
+    written: set[str] = set()
+    for records, removes in batches:
+        txn = engine.begin()
+        stack.append(txn, records, remove=removes)
+        engine.commit(txn)
+        shadow.update(records)
+        written |= records.keys()
+        for key in removes - set(records):
+            shadow.pop(key, None)
+
+    def check(target):
+        assert dict(target.live_items()) == shadow
+        for key in written - shadow.keys():
+            assert target.get(key) is None, key
+            assert key not in target and target.position_of(key) is None
+        assert_positions(target)
+
+    check(stack)
+    assert_bottom_clean(stack)
+    indices = [choice % max(len(stack), 1) for choice in folds]
+    indices += [0] * (len(stack) + 1)   # fold everything into the bottom
+    for index in indices:
+        if index >= len(stack):
+            continue
+        txn = engine.begin()
+        stack.fold(txn, index, combine)
+        engine.commit(txn)
+        check(stack)
+        assert_bottom_clean(stack)
+        reopened = SegmentStack(engine, b"del")
+        assert reopened.load(stack.manifest())
+        check(reopened)
+    assert len(stack) == 1
+    # One segment left: every deleted key and tombstone is gone from disk.
+    assert not stack._tombstones
+    assert set(stack._segments[0].directory) == shadow.keys()
+
+
 def check_equal_appends(appends, with_combine):
     """K appends of equal byte size leave at most log2(K) + 1 segments,
     and copy each record about log2(K) times."""
     engine = FakeEngine()
     stack = SegmentStack(engine, b"eq")
 
-    def keep_newest(index, key, older, newer):
-        return older if newer is None else newer
+    def keep_newest(index):
+        return lambda key, older, newer: older if newer is None else newer
 
     combine = keep_newest if with_combine else None
 
@@ -446,6 +529,12 @@ def test_equal_appends_stay_logarithmic(appends, with_combine):
     check_equal_appends(appends, with_combine)
 
 
+@settings(max_examples=25, parent=RELAXED)
+@given(batches=DELETE_HEAVY, folds=FOLD_ORDER, with_combine=st.booleans())
+def test_deleted_keys_never_come_back(batches, folds, with_combine):
+    check_deletes_stay_deleted(batches, folds, with_combine)
+
+
 @settings(max_examples=6, parent=RELAXED)
 @given(ops=CONSUMER_OPS)
 def test_consumer_cycles_match_rebuild(ops):
@@ -474,6 +563,13 @@ def test_accumulate_preserves_history_full(batches):
 @given(batches=INDEX_BATCHES)
 def test_mixed_stack_matches_inverted_model_full(batches):
     check_mixed(batches)
+
+
+@pytest.mark.slow
+@settings(max_examples=200, parent=RELAXED)
+@given(batches=DELETE_HEAVY, folds=FOLD_ORDER, with_combine=st.booleans())
+def test_deleted_keys_never_come_back_full(batches, folds, with_combine):
+    check_deletes_stay_deleted(batches, folds, with_combine)
 
 
 @pytest.mark.slow

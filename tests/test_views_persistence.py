@@ -5,9 +5,11 @@ import random
 
 import pytest
 
-from repro.core import NotesDatabase
+from repro.core import Item, ItemType, NotesDatabase
+from repro.core import document as document_module
 from repro.errors import FullTextError, ViewError
 from repro.fulltext import FullTextIndex
+from repro.security import AccessControlList, AclLevel
 from repro.sim import VirtualClock
 from repro.storage import StorageEngine
 from repro.views import SortOrder, View, ViewColumn
@@ -338,7 +340,7 @@ class TestPersistedViews:
         db.delete(docs[2].unid)
         view.save_index()
         # Second save wrote exactly the two dirtied entries (the delete
-        # travels as a manifest tombstone, not a record).
+        # travels as a tombstone entry of the new segment, not a record).
         assert stats.records_appended == 22
         assert stats.segments == 2
         assert stats.total_entries == 22
@@ -403,3 +405,166 @@ class TestPersistedViews:
         order = [(entry.values[0], entry.level) for entry in warm.entries()]
         assert order == [("zzz", 0), ("re", 1)]
         engine2.close()
+
+
+ADMIN = "admin/Acme"
+PEON = "peon/Acme"
+
+
+def _acl():
+    acl = AccessControlList(default_level=AclLevel.READER)
+    acl.add(ADMIN, AclLevel.MANAGER)
+    return acl
+
+
+def _new_process(monkeypatch):
+    """Start the readers epoch over, as a freshly started process does."""
+    monkeypatch.setattr(document_module, "_readers_epoch", 0)
+
+
+class TestLoadedReaderFlags:
+    """A view segment record carries its entry's READERS flag, so a
+    loaded view knows which entries are restricted without reading the
+    notes: its first page checks no unchanged note. The flags are trusted
+    only while neither the saving nor the loading process has changed a
+    READERS item, since one changed in place is never written."""
+
+    @staticmethod
+    def _reopened(store, monkeypatch, restricted):
+        """40 memos (the ``restricted`` ones carrying a READERS item); a
+        second process saves a view over them, and a third edits two of
+        them and opens it. Returns the loaded view and a rebuilt one."""
+        acl = _acl()
+        _new_process(monkeypatch)
+        engine, db = store()
+        db.acl = acl
+        unids = []
+        for index in range(40):
+            db.clock.advance(1)
+            unids.append(db.create(_memo(index), author=ADMIN).unid)
+        for unid in restricted(unids):
+            db.clock.advance(1)
+            db.update(unid, {"Readers": Item("Readers", ItemType.READERS,
+                                             [ADMIN])}, author=ADMIN)
+        engine.close()
+        _new_process(monkeypatch)
+        engine, db = store()
+        make_view(db).close()
+        engine.close()
+        _new_process(monkeypatch)
+        engine, db = store(seed=2)
+        db.acl = acl
+        # Changed past the saved checkpoint: the open's top-up re-reads
+        # these two notes.
+        for unid in unids[1:3]:
+            db.clock.advance(1)
+            db.update(unid, {"Subject": "edited"}, author=ADMIN)
+        view = make_view(db)
+        assert view.loaded_from_disk and view.rebuilds == 0
+        return engine, db, view, make_view(db, persist=False)
+
+    @staticmethod
+    def _count_try_get(db, monkeypatch):
+        calls = []
+        try_get = db.try_get
+
+        def counting(unid):
+            calls.append(unid)
+            return try_get(unid)
+
+        monkeypatch.setattr(db, "try_get", counting)
+        return calls
+
+    def test_first_page_after_reopen_reads_no_note(self, store, monkeypatch):
+        engine, db, view, fresh = self._reopened(
+            store, monkeypatch, lambda unids: []
+        )
+        expected = fresh.window(1, 10, as_user=PEON)
+        calls = self._count_try_get(db, monkeypatch)
+        assert view.window(1, 10, as_user=PEON) == expected
+        assert calls == []  # a view without the flags rescans all 40
+        engine.close()
+
+    def test_restricted_entries_load_from_their_flags(self, store, monkeypatch):
+        engine, db, view, fresh = self._reopened(
+            store, monkeypatch, lambda unids: unids[::5]
+        )
+        assert len(view._restricted) == 8
+        assert view._restricted == fresh._restricted
+        expected = [fresh.window(1, 50, as_user=user) for user in (PEON, ADMIN)]
+        calls = self._count_try_get(db, monkeypatch)
+        assert [view.window(1, 50, as_user=user)
+                for user in (PEON, ADMIN)] == expected
+        # Each page checks every entry once through rows(); nothing
+        # rescans the notes' READERS items first.
+        assert len(calls) == 2 * len(view)
+        engine.close()
+
+    @staticmethod
+    def _saved(store, monkeypatch):
+        _new_process(monkeypatch)
+        engine, db = store()
+        db.acl = _acl()
+        unids = []
+        for index in range(10):
+            db.clock.advance(1)
+            unids.append(db.create(_memo(index), author=ADMIN).unid)
+        return engine, db, unids, make_view(db)
+
+    @staticmethod
+    def _assert_hidden(db, view, unid):
+        page = view.window(1, 20, as_user=PEON)
+        assert unid not in {row.unid for row in page[0]}
+        assert page == make_view(db, persist=False).window(1, 20, as_user=PEON)
+
+    def test_readers_set_in_place_after_the_save_still_hide(
+        self, store, monkeypatch
+    ):
+        engine, db, unids, view = self._saved(store, monkeypatch)
+        view.close()
+        # No db.update: nothing journals it, and the saved flag is stale.
+        db.get(unids[3]).set("Readers", [ADMIN], ItemType.READERS)
+        warm = make_view(db)
+        assert warm.loaded_from_disk
+        self._assert_hidden(db, warm, unids[3])
+        engine.close()
+
+    def test_a_page_rescan_carries_changed_flags_to_the_sidecar(
+        self, store, monkeypatch
+    ):
+        engine, db, unids, view = self._saved(store, monkeypatch)
+        view.save_index()
+        db.get(unids[3]).set("Readers", [ADMIN], ItemType.READERS)
+        view.window(1, 20, as_user=PEON)  # rescans: the entry is dirty
+        view.save_index()
+        view.close()
+        warm = make_view(db)
+        assert warm.loaded_from_disk
+        assert unids[3] in warm._restricted  # read from its record
+        self._assert_hidden(db, warm, unids[3])
+        engine.close()
+
+    @pytest.mark.parametrize("restart", [False, True])
+    def test_a_reopen_rescans_after_readers_changed_in_place(
+        self, store, monkeypatch, restart
+    ):
+        engine, db, unids, view = self._saved(store, monkeypatch)
+        db.update(unids[3], {"Readers": Item("Readers", ItemType.READERS,
+                                             [ADMIN])}, author=ADMIN)
+        # In place and never written: the engine still holds the READERS
+        # item, but a page's rescan flags the entry unrestricted.
+        db.get(unids[3]).remove_item("Readers")
+        assert unids[3] in {
+            row.unid for row in view.window(1, 20, as_user=PEON)[0]
+        }
+        view.close()
+        engine.close()
+        if restart:
+            _new_process(monkeypatch)
+        engine, db = store(seed=2)
+        db.acl = _acl()
+        warm = make_view(db)
+        assert warm.loaded_from_disk
+        assert unids[3] not in warm._restricted  # the stale flag
+        self._assert_hidden(db, warm, unids[3])
+        engine.close()
